@@ -37,7 +37,10 @@
 //!    translation validation, containment, the full plan ladder, and the
 //!    same suite again after fusing through the inserted coercions.
 //!
-//! Each ok line carries per-pass wall-clock timings; pass
+//! Each model line reports how many of the lowered graph's GEMM nodes
+//! (non-depthwise conv and dense) the probe-batch plan routes onto the
+//! i32 `madd_epi16` kernel — all of them at 4 and 8 bits across the zoo,
+//! none at 16 — and each ok line carries per-pass wall-clock timings; pass
 //! `--filter <substring>` to restrict the sweep to matching model names
 //! while debugging a single proof.
 //!
@@ -63,6 +66,7 @@ use tqt_graph::{quantize_graph, QuantizeOptions, WeightBits};
 use tqt_nn::loss::softmax_cross_entropy;
 use tqt_nn::Mode;
 use tqt_tensor::init;
+use tqt_fixedpoint::GemmRoute;
 use tqt_graph::FloatPlan;
 use tqt_verify::{
     analyze, certify, check_batch_schedules, check_containment, check_float_plan,
@@ -141,10 +145,14 @@ fn main() {
     for &model in &models {
         for &wb in &bits {
             let mut report = Report::new();
-            let timings = check_model(model, wb, batch, seed, &mut report);
+            let mut routes = None;
+            let timings = check_model(model, wb, batch, seed, &mut report, &mut routes);
+            let routes = routes.map_or("i32 GEMM -".to_string(), |(i32s, gemms)| {
+                format!("i32 GEMM {i32s}/{gemms}")
+            });
             if report.is_clean() {
                 println!(
-                    "verify {:<16} w{:<2} ... ok ({})",
+                    "verify {:<16} w{:<2} ... ok, {routes} ({})",
                     model.name(),
                     wb.bits(),
                     render_timings(&timings)
@@ -152,7 +160,7 @@ fn main() {
             } else {
                 failures += report.diags.len();
                 println!(
-                    "verify {:<16} w{:<2} ... {} finding(s)",
+                    "verify {:<16} w{:<2} ... {} finding(s), {routes}",
                     model.name(),
                     wb.bits(),
                     report.diags.len()
@@ -189,12 +197,16 @@ fn main() {
     println!("verify: zoo clean across {} model(s) x {} bit-width(s)", models.len(), bits.len());
 }
 
+/// Runs the full suite on one (model, bit-width) into `report`, and sets
+/// `routes` to (i32-routed, all) GEMM nodes of the probe-batch plan once
+/// the graph is lowered. Returns the per-pass timings.
 fn check_model(
     model: tqt_models::ModelKind,
     wb: WeightBits,
     batch: usize,
     seed: u64,
     report: &mut Report,
+    routes: &mut Option<(usize, usize)>,
 ) -> Vec<(&'static str, Duration)> {
     let mut timings = Vec::new();
     let mut t = Instant::now();
@@ -295,6 +307,12 @@ fn check_model(
         bdims[0] = b;
         let plan = ig.plan(&bdims);
         report.merge(check_plan(&ig, &plan));
+        if b == batch {
+            let gemm: Vec<GemmRoute> =
+                (0..plan.num_nodes()).filter_map(|i| plan.route(i)).collect();
+            let i32s = gemm.iter().filter(|r| matches!(r, GemmRoute::I32 { .. })).count();
+            *routes = Some((i32s, gemm.len()));
+        }
     }
     lap(&mut timings, &mut t, "plan");
 

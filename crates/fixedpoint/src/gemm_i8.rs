@@ -34,12 +34,33 @@
 //! `crates/fixedpoint/tests/gemm_i8_oracle.rs` check all of this against
 //! an i64 scalar oracle).
 //!
-//! Contract: `k·127² < 2³¹` (i.e. `k ≤ 133 000`) keeps raw accumulators
-//! exact in i32; beyond that both kernels wrap identically in release
-//! mode. Workspace comes from the typed thread-local scratch arenas.
+//! **Serving entry point.** [`gemm_i8_narrow_fused`] runs the same
+//! micro-kernel for the engine's conv/dense nodes. Activations live in
+//! i64 plan slots and may be unsigned 8-bit (post-ReLU, `[0, 255]`), which
+//! does not fit in i8, so they take the **A** side — the i16-pair panel —
+//! packed straight from the slot (a conv stages each image once,
+//! zero-padded, and gathers its windows into the panel: no im2col
+//! buffer), while the i8 weights take the **B** side, packed once at plan
+//! time. The finished i32 tile is widened to i64, the
+//! bias added, and the result runs through the same per-element epilogue
+//! as `intgemm::gemm_i64_narrow_fused`, so both routes agree bit for bit,
+//! counters included.
+//!
+//! Contract: raw accumulators are exact in i32 when every partial sum
+//! is, which holds whenever `Σₖ |a|·|b| < 2³¹` per output element. For
+//! i8 operands that is `k·128² < 2³¹` (`k ≤ 131 071`); for u8 activations
+//! against i8 weights, `k·255·128 < 2³¹` (`k ≤ 65 793`). The serving plan
+//! proves the tighter per-channel bound `Σₖ|w|·max(|qmin|,|qmax|) < 2³¹`
+//! before routing a node here. Beyond the contract both micro-kernels
+//! wrap identically. Each `madd` pair sum is exact regardless (at most
+//! `2·255·128`). Workspace comes from the typed thread-local scratch
+//! arenas.
 
+use crate::intgemm::{finish, TileStep};
 use crate::requant::{requant_affine, requant_pow2, requant_real, NormalizedMultiplier};
 use tqt_rt::pool;
+use tqt_rt::sync::Counter;
+use tqt_tensor::conv::Conv2dGeom;
 use tqt_tensor::scratch::{ScratchI32, ScratchI8};
 
 /// Register-tile rows (A micro-panel height), as in the f32 kernel.
@@ -371,6 +392,295 @@ fn acc32_inner(
     } else {
         for (bi, chunk) in out.chunks_mut(MC * n).enumerate() {
             run_block(bi * MC, chunk);
+        }
+    }
+}
+
+/// The left operand of [`gemm_i8_narrow_fused`]: activations held in
+/// i64 slots, every value within i16 (the plan only routes formats of at
+/// most 8 bits here, signed or unsigned).
+#[derive(Debug, Clone, Copy)]
+pub enum NarrowLhs<'a> {
+    /// Row-major `[m, k]`; the output is row-major `[m, n]`.
+    Rows(&'a [i64]),
+    /// A batch of NCHW images `[nb, c, h, w]`, unfolded on the fly: GEMM
+    /// row `img·oh·ow + pixel`, reduction index `(ci, ki, kj)` in filter
+    /// order. The output is NCHW `[nb, n, oh, ow]` — the tile is stored
+    /// transposed, one output channel per GEMM column.
+    Conv {
+        /// The images.
+        x: &'a [i64],
+        /// Input channels.
+        c: usize,
+        /// Input height.
+        h: usize,
+        /// Input width.
+        w: usize,
+        /// Window geometry.
+        geom: Conv2dGeom,
+    },
+}
+
+/// `out = epilogue(narrow(a · b + bias))` on the i32 `madd_epi16`
+/// kernel: `a` is `[m, k]` (or conv windows, see [`NarrowLhs`]), `b` is
+/// `[k, n]` i8 weights packed once, `bias` has one entry per column (per
+/// output channel). Each finished i32 accumulator is widened to i64
+/// before the bias is added, then narrowed and run through `epi` by the
+/// same per-element tail as `intgemm::gemm_i64_narrow_fused`, counting
+/// wraps into `overflowed` and clamps into `saturated`. `AddResidual`
+/// operands are indexed by output position.
+///
+/// Bit-identical to the i64 kernel whenever every i32 partial sum is
+/// exact (see the module contract); the caller proves that.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with the dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_i8_narrow_fused(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: NarrowLhs,
+    b: &PackedB,
+    bias: Option<&[i64]>,
+    epi: &[TileStep],
+    out: &mut [i64],
+    overflowed: &Counter,
+    saturated: &Counter,
+    parallel: bool,
+) {
+    let avx = has_avx2();
+    narrow_inner(m, n, k, a, b, bias, epi, out, overflowed, saturated, parallel, avx);
+}
+
+/// [`gemm_i8_narrow_fused`] pinned to the portable scalar micro-kernel,
+/// so tests can hold both micro-kernels to the same results on an AVX2
+/// host.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_i8_narrow_fused_scalar(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: NarrowLhs,
+    b: &PackedB,
+    bias: Option<&[i64]>,
+    epi: &[TileStep],
+    out: &mut [i64],
+    overflowed: &Counter,
+    saturated: &Counter,
+    parallel: bool,
+) {
+    narrow_inner(m, n, k, a, b, bias, epi, out, overflowed, saturated, parallel, false);
+}
+
+/// i32 elements of one [`gemm_i8_narrow_fused`] block's scratch
+/// checkout for reduction length `k`: the MR-tall A panel, plus for a
+/// conv over `[c, h, w]` images the zero-padded image and its tap table
+/// (see [`pad_image`]).
+pub(crate) fn narrow_scratch_len(
+    k: usize,
+    conv: Option<(usize, usize, usize, Conv2dGeom)>,
+) -> usize {
+    let image = conv.map_or(0, |(c, h, w, g)| c * (h + 2 * g.pad) * (w + 2 * g.pad) + k);
+    k.div_ceil(2) * MR + image
+}
+
+/// Shared body of the narrow entry points. Row operands split into
+/// `MC`-row blocks of the row-major output; conv operands split per
+/// image, whose NCHW output plane is contiguous.
+#[allow(clippy::too_many_arguments)]
+fn narrow_inner(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: NarrowLhs,
+    b: &PackedB,
+    bias: Option<&[i64]>,
+    epi: &[TileStep],
+    out: &mut [i64],
+    overflowed: &Counter,
+    saturated: &Counter,
+    parallel: bool,
+    avx: bool,
+) {
+    assert_eq!((b.k, b.n), (k, n), "packed rhs dims mismatch");
+    assert_eq!(out.len(), m * n, "output length mismatch");
+    if let Some(bv) = bias {
+        assert_eq!(bv.len(), n, "bias length mismatch (one per output column)");
+    }
+    for step in epi {
+        if let TileStep::AddResidual(res) = step {
+            assert_eq!(res.len(), m * n, "residual length mismatch");
+        }
+    }
+    // Rows per parallel block: a conv block is one image, whose output
+    // plane is stored transposed (NCHW); a row block is MC rows.
+    let (block_rows, conv) = match a {
+        NarrowLhs::Rows(s) => {
+            assert_eq!(s.len(), m * k, "lhs length mismatch");
+            (MC, None)
+        }
+        NarrowLhs::Conv { x, c, h, w, geom } => {
+            assert_eq!(k, c * geom.kh * geom.kw, "conv reduction length mismatch");
+            let (oh, ow) = geom.out_size(h, w);
+            let img = c * h * w;
+            assert!(img > 0 && x.len() % img == 0, "conv input length mismatch");
+            assert_eq!(m, x.len() / img * oh * ow, "conv row count mismatch");
+            (oh * ow, Some((x, c, h, w, geom)))
+        }
+    };
+    if m == 0 || n == 0 {
+        return;
+    }
+    let kpairs = k.div_ceil(2);
+    let npanels = n.div_ceil(NR);
+    let run_block = |bi: usize, ochunk: &mut [i64]| {
+        let row0 = bi * block_rows;
+        let rows = ochunk.len() / n;
+        let base = row0 * n;
+        let (mut ovf, mut sat) = (0u64, 0u64);
+        let shape = conv.map(|(_, c, h, w, geom)| (c, h, w, geom));
+        let mut ws = ScratchI32::uninit(narrow_scratch_len(k, shape));
+        let (apack, image) = ws.split_at_mut(kpairs * MR);
+        if let Some((x, c, h, w, geom)) = conv {
+            pad_image(&x[bi * c * h * w..(bi + 1) * c * h * w], c, h, w, geom, image);
+        }
+        for p in 0..rows.div_ceil(MR) {
+            let r0 = p * MR;
+            let mr = MR.min(rows - r0);
+            match (a, conv) {
+                (_, Some((_, c, h, w, geom))) => {
+                    pack_a_window(image, c, h, w, geom, k, r0, mr, apack)
+                }
+                (NarrowLhs::Rows(s), None) => pack_a_rows(s, k, row0 + r0, mr, apack),
+                (NarrowLhs::Conv { .. }, None) => unreachable!("conv operands carry a shape"),
+            }
+            for q in 0..npanels {
+                let nr = NR.min(n - q * NR);
+                let mut acc = [0i32; MR * NR];
+                microkernel(kpairs, apack, &b.data[q * kpairs * 2 * NR..], &mut acc, avx);
+                for r in 0..mr {
+                    for j in 0..nr {
+                        let gj = q * NR + j;
+                        let at = if conv.is_some() {
+                            gj * rows + r0 + r
+                        } else {
+                            (r0 + r) * n + gj
+                        };
+                        let wide = i128::from(acc[r * NR + j])
+                            + bias.map_or(0, |bv| i128::from(bv[gj]));
+                        ochunk[at] = finish(wide, epi, base + at, &mut ovf, &mut sat);
+                    }
+                }
+            }
+        }
+        overflowed.add(ovf);
+        saturated.add(sat);
+    };
+    let chunk = block_rows * n;
+    if parallel && m > block_rows && pool::threads() > 1 {
+        pool::par_chunks_mut(out, chunk, run_block);
+    } else {
+        for (bi, ochunk) in out.chunks_mut(chunk).enumerate() {
+            run_block(bi, ochunk);
+        }
+    }
+}
+
+/// An activation as the low half of a k-pair word: its i16 bits,
+/// zero-extended. Exact because the plan only routes formats of at most
+/// 8 bits here.
+#[inline(always)]
+fn low_half(v: i64) -> i32 {
+    i32::from(v as i16 as u16) // tqt:allow(narrowing-cast): activation formats are at most 8 bits, so v fits in i16
+}
+
+/// Two low halves as one packed k-pair word (the [`pack_pair`] layout).
+#[inline(always)]
+fn pair_word(lo: i32, hi: i32) -> i32 {
+    lo | hi.wrapping_shl(16)
+}
+
+/// [`pack_a`] over i64 rows: packs rows `[r0, r0+mr)` of the row-major
+/// `[·, k]` operand `s` into one MR-tall k-pair panel. Rows past `mr`
+/// and the odd-`k` tail are zero.
+fn pack_a_rows(s: &[i64], k: usize, r0: usize, mr: usize, dst: &mut [i32]) {
+    for r in 0..MR {
+        let row = if r < mr { &s[(r0 + r) * k..(r0 + r + 1) * k] } else { &[][..] };
+        for p in 0..k.div_ceil(2) {
+            let lo = row.get(2 * p).map_or(0, |&v| low_half(v));
+            let hi = row.get(2 * p + 1).map_or(0, |&v| low_half(v));
+            dst[p * MR + r] = pair_word(lo, hi);
+        }
+    }
+}
+
+/// Stages one `[c, h, w]` image for window gathers: `ws[..c·hp·wp]`
+/// receives the image zero-padded to `hp = h + 2·pad`, `wp = w + 2·pad`,
+/// each value as its [`low_half`], and the next `c·kh·kw` entries the
+/// offset of every reduction tap `(ci, ki, kj)` within one padded
+/// window. Output pixel `(oi, oj)`'s tap `t` is then
+/// `ws[oi·stride·wp + oj·stride + tap[t]]`, with no bounds branches.
+fn pad_image(x: &[i64], c: usize, h: usize, w: usize, geom: Conv2dGeom, ws: &mut [i32]) {
+    let (hp, wp, pad) = (h + 2 * geom.pad, w + 2 * geom.pad, geom.pad);
+    let (padded, taps) = ws.split_at_mut(c * hp * wp);
+    padded.fill(0);
+    for (i, src) in x.chunks_exact(w).enumerate() {
+        let (ci, row) = (i / h, i % h);
+        let dst = &mut padded[(ci * hp + row + pad) * wp + pad..][..w];
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = low_half(v);
+        }
+    }
+    let window = geom.kh * geom.kw;
+    for (t, tap) in taps[..c * window].iter_mut().enumerate() {
+        let (ci, ki, kj) = (t / window, t / geom.kw % geom.kh, t % geom.kw);
+        // Offsets index a slice of at most i32::MAX elements in practice;
+        // saturating keeps an absurd one an out-of-bounds panic, not a wrap.
+        *tap = i32::try_from((ci * hp + ki) * wp + kj).unwrap_or(i32::MAX);
+    }
+}
+
+/// [`pack_a`] over conv windows: packs output pixels `[p0, p0+mr)` of one
+/// image, staged by [`pad_image`] in `image`, into one MR-tall k-pair
+/// panel. Rows past `mr` and the odd-`k` tail are zero.
+#[allow(clippy::too_many_arguments)]
+fn pack_a_window(
+    image: &[i32],
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: Conv2dGeom,
+    k: usize,
+    p0: usize,
+    mr: usize,
+    dst: &mut [i32],
+) {
+    let wp = w + 2 * geom.pad;
+    let (padded, taps) = image.split_at(c * (h + 2 * geom.pad) * wp);
+    let (_, ow) = geom.out_size(h, w);
+    let mut off = [0usize; MR];
+    for (r, o) in off.iter_mut().enumerate().take(mr) {
+        let pix = p0 + r;
+        *o = pix / ow * geom.stride * wp + pix % ow * geom.stride;
+    }
+    let mut pairs = taps[..k].chunks_exact(2);
+    for (col, t) in dst.chunks_exact_mut(MR).zip(pairs.by_ref()) {
+        let (t0, t1) = (t[0] as usize, t[1] as usize);
+        for (r, slot) in col.iter_mut().enumerate() {
+            *slot = if r < mr {
+                pair_word(padded[off[r] + t0], padded[off[r] + t1])
+            } else {
+                0
+            };
+        }
+    }
+    if let [t0] = *pairs.remainder() {
+        let col = &mut dst[k / 2 * MR..(k / 2 + 1) * MR];
+        for (r, slot) in col.iter_mut().enumerate() {
+            *slot = if r < mr { padded[off[r] + t0 as usize] } else { 0 };
         }
     }
 }

@@ -1,16 +1,20 @@
 //! Blocked, pool-parallel `i64 × i64` GEMM with **exact i128
-//! accumulation** — the compute core of the reference [`crate::lower`]
-//! engine's conv/dense fast path.
+//! accumulation** — the engine's proven fallback for conv/dense nodes
+//! the i32 route cannot take.
 //!
-//! The reference engine stores activations as `i64` and must count, per
+//! The executor's plan ([`crate::plan`]) routes a conv/dense node onto
+//! the `madd_epi16` kernel ([`crate::gemm_i8::gemm_i8_narrow_fused`])
+//! whenever its input is at most 8 bits wide, its weights fit in i8 and
+//! the per-channel bound `Σ|w|·max(|qmin|,|qmax|)` stays below `2³¹`.
+//! Everything else — 16-bit configs, anything the bound rejects — runs
+//! here. Activations are stored as `i64`, and the kernel counts, per
 //! output element, whether the exact accumulator escaped the i64 range
 //! (`narrow` semantics: truncation equals two's-complement wrapping, so
 //! the stored bits match a pure-i64 engine while the count feeds the
-//! `sanitize` feature and the tqt-verify containment check). That rules
-//! out the narrow `i8` deployment kernel here; instead this is the same
-//! register-blocking idea applied to wide integers: `MRB×NCB` i128
-//! accumulator tiles held on the stack, B rows streamed once per row
-//! tile, and the row-block loop fanned out over the `tqt-rt` pool.
+//! `sanitize` feature and the tqt-verify containment check). It applies
+//! register blocking to wide integers: `MRB×NCB` i128 accumulator tiles
+//! held on the stack, B rows streamed once per row tile, and the
+//! row-block loop fanned out over the `tqt-rt` pool.
 //!
 //! **Packed operands.** Either operand may be supplied pre-packed in the
 //! exact panel layout the kernel walks ([`Lhs::Packed`] /
@@ -25,9 +29,11 @@
 //! ordered list of [`TileStep`]s to each element while the narrowed
 //! value is still in registers: requantization (with saturation
 //! counting), a residual add (with wrap counting), and (capped) ReLU.
-//! Each step replays the corresponding standalone kernel of
-//! [`crate::plan`] per element, which is what makes graph-level fusion
-//! bit-exact (`tests/fusion_parity.rs`).
+//! The per-element tail lives in one function shared with the i32
+//! kernel and the depthwise loop; each step replays the corresponding
+//! standalone kernel of [`crate::plan`] per element, which is what makes
+//! graph-level fusion bit-exact (`tests/fusion_parity.rs`) and the two
+//! GEMM routes bit-identical.
 //!
 //! **Determinism.** Every output element is accumulated in ascending-`k`
 //! order by exactly one closure invocation, and integer addition is
@@ -134,6 +140,49 @@ pub enum TileStep<'a> {
     /// counting (the `LeakyRelu` node kernel; the element moves to the
     /// `frac + LEAKY_ALPHA_FRAC` grid).
     Leaky(i64),
+}
+
+/// Narrows one exact accumulator (biases already added) to i64, counting
+/// a wrap into `overflowed`, then applies the fused epilogue `epi` to it.
+/// This is the single per-element tail of every integer compute route —
+/// this kernel, the i32 kernel ([`crate::gemm_i8::gemm_i8_narrow_fused`])
+/// and the depthwise loop — so requantization, residual add, relu and
+/// leaky saturate, wrap and count identically whichever kernel produced
+/// the accumulator. `at` is the element's index into any
+/// [`TileStep::AddResidual`] operand.
+#[inline(always)]
+pub(crate) fn finish(
+    wide: i128,
+    epi: &[TileStep],
+    at: usize,
+    overflowed: &mut u64,
+    saturated: &mut u64,
+) -> i64 {
+    let mut v = narrow(wide, overflowed);
+    for step in epi {
+        match *step {
+            TileStep::Requant { shift, qmin, qmax } => {
+                let r = shift_round(v, shift);
+                let c = r.clamp(qmin, qmax);
+                if c != r {
+                    *saturated += 1;
+                }
+                v = c;
+            }
+            TileStep::AddResidual(res) => {
+                v = narrow(i128::from(v) + i128::from(res[at]), overflowed);
+            }
+            TileStep::ReluCap(cap) => {
+                v = v.max(0).min(cap);
+            }
+            TileStep::Leaky(alpha) => {
+                let wide =
+                    (i128::from(v) << LEAKY_ALPHA_FRAC).max(i128::from(v) * i128::from(alpha));
+                v = narrow(wide, overflowed);
+            }
+        }
+    }
+    v
 }
 
 /// `out[m,n] = narrow(a[m,k] · b[k,n] + bias)` with exact i128
@@ -272,34 +321,7 @@ pub fn gemm_i64_narrow_fused(
                         if let Some(bc) = bias_col {
                             wide += i128::from(bc[jc + j]);
                         }
-                        let mut v = narrow(wide, &mut local_ovf);
-                        for step in epi {
-                            match *step {
-                                TileStep::Requant { shift, qmin, qmax } => {
-                                    let r = shift_round(v, shift);
-                                    let c = r.clamp(qmin, qmax);
-                                    if c != r {
-                                        local_sat += 1;
-                                    }
-                                    v = c;
-                                }
-                                TileStep::AddResidual(res) => {
-                                    v = narrow(
-                                        i128::from(v) + i128::from(res[gi * n + jc + j]),
-                                        &mut local_ovf,
-                                    );
-                                }
-                                TileStep::ReluCap(cap) => {
-                                    v = v.max(0).min(cap);
-                                }
-                                TileStep::Leaky(alpha) => {
-                                    let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
-                                        .max(i128::from(v) * i128::from(alpha));
-                                    v = narrow(wide, &mut local_ovf);
-                                }
-                            }
-                        }
-                        *slot = v;
+                        *slot = finish(wide, epi, gi * n + jc + j, &mut local_ovf, &mut local_sat);
                     }
                 }
             }

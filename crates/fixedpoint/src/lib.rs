@@ -8,9 +8,12 @@
 //!   zero-point cross-terms);
 //! * [`kernels`] — naive narrow `i8` kernels (the oracle/baseline);
 //! * [`gemm_i8`] — the blocked, packed, SIMD-dispatched `i8` GEMM whose
-//!   epilogue fuses bias, zero-point corrections, and requantization;
-//! * [`intgemm`] — the blocked exact-i128 `i64` GEMM behind the
-//!   reference engine's conv/dense path;
+//!   epilogue fuses bias, zero-point corrections, and requantization,
+//!   and whose i32-accumulating entry point serves every conv/dense node
+//!   the plan proves narrow;
+//! * [`intgemm`] — the blocked exact-i128 `i64` GEMM, the engine's
+//!   proven fallback for everything else (16-bit configs, bound
+//!   rejections);
 //! * [`mod@plan`] — static execution plans and the buffer-reusing
 //!   [`IntExecutor`] for repeated integer inference;
 //! * [`mod@lower`] with the [`lower()`](lower::lower) entry point — lowering a quantized float graph to an [`IntGraph`]
@@ -39,12 +42,12 @@ pub use rebalance::{
     rebalance, rebalance_with_provenance, rebalance_with_records, RebalanceRecord,
 };
 pub use gemm_i8::{
-    gemm_i8_acc32, gemm_i8_acc32_prepacked, gemm_i8_fused, gemm_i8_fused_prepacked, PackedB,
-    RequantMode,
+    gemm_i8_acc32, gemm_i8_acc32_prepacked, gemm_i8_fused, gemm_i8_fused_prepacked,
+    gemm_i8_narrow_fused, NarrowLhs, PackedB, RequantMode,
 };
 pub use lower::{
     lower, lower_with_provenance, EpiStep, IntGraph, NodeProv, NodeStats, Provenance, RoundMode,
     RunStats,
 };
-pub use plan::{IntExecutor, IntPlan};
+pub use plan::{GemmRoute, IntExecutor, IntPlan};
 pub use qtensor::{QFormat, QTensor};

@@ -17,13 +17,28 @@
 //! saturation/overflow count — is independent of the thread count.
 //! Serial and parallel runs are bit-identical; counters are merged
 //! through order-independent `tqt_rt::sync::Counter` sums.
+//!
+//! **GEMM routes.** The plan also decides, per conv/dense node, which
+//! kernel accumulates it ([`GemmRoute`]). A node whose input format has
+//! at most 8 bits, whose weights all fit in i8, and whose per-channel
+//! bound `Σₖ|w|·max(|qmin|,|qmax|)` is below `2³¹` runs on the i32
+//! `madd_epi16` kernel ([`gemm_i8_narrow_fused`]) over i8 weight panels
+//! packed here; every partial sum in every summation order is then exact
+//! in i32. Every other node — 16-bit configs, anything the bound
+//! rejects — runs the exact i128 kernel ([`gemm_i64_narrow_fused`]).
+//! Both share one epilogue, so the route never changes a bit of output
+//! or a count. The route is not configurable: the proof decides it, and
+//! `tqt-verify`'s plan checker re-derives it (`TQT-V035`).
 
+use crate::gemm_i8::{gemm_i8_narrow_fused, narrow_scratch_len, NarrowLhs, PackedB};
 use crate::intgemm::{
-    gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Lhs, Rhs, TileStep,
+    finish, gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Lhs, Rhs,
+    TileStep,
 };
 use crate::lower::{narrow, EpiStep, IntGraph, IntOp, RunStats, LEAKY_ALPHA_FRAC};
 use crate::qtensor::{QFormat, QTensor};
 use crate::requant::shift_round;
+use std::sync::Arc;
 use tqt_quant::round_half_even;
 use tqt_rt::pool;
 use tqt_rt::sync::Counter;
@@ -45,6 +60,72 @@ fn core_op(op: &IntOp) -> &IntOp {
     }
 }
 
+/// Which kernel accumulates a conv/dense node (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmRoute {
+    /// The `madd_epi16` kernel, accumulating in i32. `bound` is the
+    /// proven maximum over output channels of `Σₖ|w|·max(|qmin|,|qmax|)`,
+    /// below `2³¹`, so no partial sum can leave i32.
+    I32 {
+        /// The proven per-channel bound.
+        bound: u64,
+    },
+    /// The exact i128 kernel, narrowed to i64.
+    I64,
+}
+
+/// An i32-routed node's proof and its i8 weights.
+#[derive(Debug, Clone)]
+struct NarrowPanel {
+    bound: u64,
+    /// `W^T` (`[k, cout]`) for a conv, `W` (`[in, out]`) for a dense
+    /// layer: the kernel's B operand, packed once.
+    panel: PackedB,
+}
+
+/// The i32 route's bound for a GEMM core with `channels` output channels
+/// over reduction length `k` reading an `input`-format operand: the
+/// maximum over channels of `Σₖ|w|·max(|qmin|,|qmax|)`, when the input
+/// has at most 8 bits, every weight fits in i8, and that maximum is below
+/// `2³¹`; `None` otherwise. Conv weights are `[channels, k]`, dense
+/// weights `[k, channels]`.
+fn narrow_bound(w: &[i64], channels: usize, conv: bool, input: QFormat) -> Option<u64> {
+    if input.bits > 8 || w.iter().any(|&v| i8::try_from(v).is_err()) {
+        return None;
+    }
+    let amax = input.qmin().unsigned_abs().max(input.qmax().unsigned_abs());
+    let mut sums = vec![0u64; channels];
+    if conv {
+        let k = (w.len() / channels.max(1)).max(1);
+        for (sum, filter) in sums.iter_mut().zip(w.chunks_exact(k)) {
+            *sum = filter.iter().map(|v| v.unsigned_abs()).sum();
+        }
+    } else {
+        for row in w.chunks_exact(channels.max(1)) {
+            for (sum, v) in sums.iter_mut().zip(row) {
+                *sum += v.unsigned_abs();
+            }
+        }
+    }
+    let bound = sums.into_iter().max().unwrap_or(0) * amax;
+    (bound < 1 << 31).then_some(bound)
+}
+
+/// Packs i8-range weights as the i32 kernel's B operand: a conv's
+/// `[channels, k]` filter transposed to `[k, channels]`, a dense layer's
+/// `[k, channels]` matrix as is. Callers have proven every weight fits.
+fn pack_i8(w: &[i64], channels: usize, k: usize, conv: bool) -> PackedB {
+    let narrow = |v: i64| v as i8; // exact: narrow_bound proved every weight fits in i8
+    let b: Vec<i8> = if conv {
+        (0..k)
+            .flat_map(|kk| (0..channels).map(move |co| narrow(w[co * k + kk])))
+            .collect()
+    } else {
+        w.iter().map(|&v| narrow(v)).collect()
+    };
+    PackedB::pack(&b, k, channels)
+}
+
 /// A static execution plan for one [`IntGraph`] at one input shape:
 /// per-node output shapes and Q-formats, plus a liveness-based assignment
 /// of nodes to reusable buffer slots.
@@ -57,15 +138,96 @@ pub struct IntPlan {
     slot: Vec<usize>,
     slot_lens: Vec<usize>,
     scratch_elems: usize,
-    /// Plan-owned weight arena: every conv/dense weight matrix (fused or
-    /// not), packed once at build time into the exact panel layout the
-    /// blocked GEMM consumes ([`pack_lhs`] for conv, [`pack_rhs`] for
-    /// dense). Read-only after construction, so any number of executors
-    /// may share one plan ([`IntExecutor::with_plan`]) without
-    /// synchronization.
+    /// High-water mark (i32 elements) of the i32 route's per-block
+    /// scratch checkout.
+    panel_scratch_elems: usize,
+    /// The packed weights and kernel routes. They depend on the graph
+    /// alone, not the batch, so the plans of one ladder share one copy
+    /// ([`IntGraph::plan_ladder`]).
+    weights: Arc<Weights>,
+}
+
+/// Plan-owned weight arena: every conv/dense weight matrix (fused or
+/// not), packed once at build time into the exact panel layout the
+/// blocked GEMM consumes ([`pack_lhs`] for conv, [`pack_rhs`] for dense),
+/// plus the i32 route's proof and i8 panel for each node routed there.
+/// Read-only after construction, so any number of executors may share
+/// one plan ([`IntExecutor::with_plan`]), and any number of plans one
+/// arena, without synchronization.
+#[derive(Debug, Clone)]
+struct Weights {
     wpack: Vec<i64>,
     /// Per-node `(offset, len)` of the node's packed panels in `wpack`.
     wpack_at: Vec<Option<(usize, usize)>>,
+    /// Per node: the i32 route's proof and i8 panel, for nodes routed
+    /// there. A GEMM node without one runs the i64 kernel.
+    narrow: Vec<Option<NarrowPanel>>,
+}
+
+impl Weights {
+    /// Packs every conv/dense weight matrix of `g` (fused or not) once,
+    /// in the exact panel layout the blocked GEMM walks, so per-call
+    /// packing cost is zero. Packing only permutes the operand —
+    /// accumulation order is unchanged, so results are bit-identical to
+    /// the row-major path. Nodes the i32 route takes (judged on the node
+    /// formats `formats`) also get their i8 panel; the i64 panel stays
+    /// for every GEMM node, so the arena layout is route-independent.
+    fn pack(g: &IntGraph, formats: &[QFormat]) -> Self {
+        let nodes = g.nodes();
+        let mut wpack: Vec<i64> = Vec::new();
+        let mut wpack_at: Vec<Option<(usize, usize)>> = vec![None; nodes.len()];
+        let mut narrow: Vec<Option<NarrowPanel>> = (0..nodes.len()).map(|_| None).collect();
+        for (id, node) in nodes.iter().enumerate() {
+            let input = node.inputs.first().map(|&i| formats[i]);
+            match (core_op(&node.op), input) {
+                (
+                    IntOp::Conv {
+                        w,
+                        wdims,
+                        depthwise: false,
+                        ..
+                    },
+                    Some(input),
+                ) => {
+                    let krows = wdims[1] * wdims[2] * wdims[3];
+                    let len = packed_lhs_len(wdims[0], krows);
+                    let off = wpack.len();
+                    wpack.resize(off + len, 0);
+                    pack_lhs(w, wdims[0], krows, &mut wpack[off..]);
+                    wpack_at[id] = Some((off, len));
+                    narrow[id] = narrow_bound(w, wdims[0], true, input).map(|bound| NarrowPanel {
+                        bound,
+                        panel: pack_i8(w, wdims[0], krows, true),
+                    });
+                }
+                (
+                    IntOp::Dense {
+                        w,
+                        in_dim,
+                        out_dim,
+                        ..
+                    },
+                    Some(input),
+                ) => {
+                    let len = packed_rhs_len(*in_dim, *out_dim);
+                    let off = wpack.len();
+                    wpack.resize(off + len, 0);
+                    pack_rhs(w, *in_dim, *out_dim, &mut wpack[off..]);
+                    wpack_at[id] = Some((off, len));
+                    narrow[id] = narrow_bound(w, *out_dim, false, input).map(|bound| NarrowPanel {
+                        bound,
+                        panel: pack_i8(w, *out_dim, *in_dim, false),
+                    });
+                }
+                _ => {}
+            }
+        }
+        Weights {
+            wpack,
+            wpack_at,
+            narrow,
+        }
+    }
 }
 
 impl IntPlan {
@@ -76,6 +238,11 @@ impl IntPlan {
     /// Panics where the runtime would: dense feature mismatches, add or
     /// concat format mismatches, non-power-of-two global average pools.
     pub fn new(g: &IntGraph, input_dims: &[usize]) -> Self {
+        Self::build(g, input_dims, None)
+    }
+
+    /// [`new`](Self::new), reusing `weights` (packed for `g`) when given.
+    fn build(g: &IntGraph, input_dims: &[usize], weights: Option<Arc<Weights>>) -> Self {
         let nodes = g.nodes();
         let n = nodes.len();
         let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(n);
@@ -246,58 +413,39 @@ impl IntPlan {
         }
         let lens: Vec<usize> = shapes.iter().map(|s| s.iter().product()).collect();
 
-        // High-water mark of the per-image im2col scratch checkout
-        // (`conv_into`): the only executor workspace that lives outside
-        // the slot buffers. Recorded so the plan verifier can prove the
-        // scratch arena never doubles as slot storage. Fused nodes run
-        // their conv core through the same im2col path.
-        let mut scratch_elems = 0usize;
-        for node in nodes {
-            if let IntOp::Conv {
-                geom,
-                depthwise: false,
-                ..
-            } = core_op(&node.op)
-            {
-                let ish = &shapes[node.inputs[0]];
-                let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                scratch_elems = scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
-            }
-        }
+        let weights = weights.unwrap_or_else(|| Arc::new(Weights::pack(g, &formats)));
 
-        // Plan-owned weight arena: pack every conv/dense weight matrix
-        // (fused or not) once, in the exact panel layout the blocked GEMM
-        // walks, so per-call packing cost is zero. Packing only permutes
-        // the operand — accumulation order is unchanged, so results are
-        // bit-identical to the row-major path.
-        let mut wpack: Vec<i64> = Vec::new();
-        let mut wpack_at: Vec<Option<(usize, usize)>> = vec![None; n];
+        // Workspace outside the slot buffers, recorded so the plan
+        // verifier can prove it sized and held apart from slot storage:
+        // the per-image im2col checkout of i64-routed convs (fused cores
+        // included), and the per-block checkout of i32-routed nodes.
+        let mut scratch_elems = 0usize;
+        let mut panel_scratch_elems = 0usize;
         for (id, node) in nodes.iter().enumerate() {
-            match core_op(&node.op) {
-                IntOp::Conv {
-                    w,
-                    wdims,
-                    depthwise: false,
-                    ..
-                } => {
-                    let krows = wdims[1] * wdims[2] * wdims[3];
-                    let len = packed_lhs_len(wdims[0], krows);
-                    let off = wpack.len();
-                    wpack.resize(off + len, 0);
-                    pack_lhs(w, wdims[0], krows, &mut wpack[off..]);
-                    wpack_at[id] = Some((off, len));
+            let Some(&i0) = node.inputs.first() else {
+                continue;
+            };
+            let ish = &shapes[i0];
+            match (core_op(&node.op), &weights.narrow[id]) {
+                (IntOp::Conv { wdims, geom, .. }, Some(_)) => {
+                    let k = wdims[1] * wdims[2] * wdims[3];
+                    let image = Some((ish[1], ish[2], ish[3], *geom));
+                    panel_scratch_elems = panel_scratch_elems.max(narrow_scratch_len(k, image));
                 }
-                IntOp::Dense {
-                    w,
-                    in_dim,
-                    out_dim,
-                    ..
-                } => {
-                    let len = packed_rhs_len(*in_dim, *out_dim);
-                    let off = wpack.len();
-                    wpack.resize(off + len, 0);
-                    pack_rhs(w, *in_dim, *out_dim, &mut wpack[off..]);
-                    wpack_at[id] = Some((off, len));
+                (IntOp::Dense { in_dim, .. }, Some(_)) => {
+                    let ws = narrow_scratch_len(*in_dim, None);
+                    panel_scratch_elems = panel_scratch_elems.max(ws);
+                }
+                (
+                    IntOp::Conv {
+                        geom,
+                        depthwise: false,
+                        ..
+                    },
+                    None,
+                ) => {
+                    let (oh, ow) = geom.out_size(ish[2], ish[3]);
+                    scratch_elems = scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
                 }
                 _ => {}
             }
@@ -323,8 +471,8 @@ impl IntPlan {
             slot,
             slot_lens,
             scratch_elems,
-            wpack,
-            wpack_at,
+            panel_scratch_elems,
+            weights,
         }
     }
 
@@ -379,47 +527,100 @@ impl IntPlan {
         &self.input_dims
     }
 
-    /// High-water mark (elements) of the executor's im2col scratch
-    /// checkout — workspace held in the thread-local arena, disjoint from
-    /// the slot buffers by construction. The plan verifier re-derives
-    /// this number independently (`TQT-V018`).
+    /// High-water mark (i64 elements) of the executor's im2col scratch
+    /// checkout, taken by i64-routed convs only — workspace held in the
+    /// thread-local arena, disjoint from the slot buffers by
+    /// construction. The plan verifier re-derives this number
+    /// independently (`TQT-V018`).
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
+    }
+
+    /// High-water mark (i32 elements) of the i32 route's per-block scratch
+    /// checkout: the A panel, plus a conv's zero-padded input image and
+    /// tap table (`gemm_i8::narrow_scratch_len`). Re-derived by the plan
+    /// verifier (`TQT-V018`).
+    pub fn panel_scratch_elems(&self) -> usize {
+        self.panel_scratch_elems
+    }
+
+    /// The kernel node `id`'s GEMM runs on, or `None` for nodes that run
+    /// no GEMM (depthwise convs included). The plan verifier re-derives
+    /// every route from the graph alone (`TQT-V035`).
+    pub fn route(&self, id: usize) -> Option<GemmRoute> {
+        self.weights.wpack_at[id]?;
+        Some(match &self.weights.narrow[id] {
+            Some(np) => GemmRoute::I32 { bound: np.bound },
+            None => GemmRoute::I64,
+        })
+    }
+
+    /// The i8 weight panel of an i32-routed node.
+    pub fn weight_panel_i8(&self, id: usize) -> Option<&PackedB> {
+        self.weights.narrow[id].as_ref().map(|np| &np.panel)
     }
 
     /// Total elements of the plan-owned packed weight arena (read-only
     /// after construction; shared by every executor on this plan).
     pub fn weight_arena_elems(&self) -> usize {
-        self.wpack.len()
+        self.weights.wpack.len()
     }
 
     /// `(offset, len)` of node `id`'s packed weight panels in the arena,
     /// or `None` for nodes without a packed GEMM operand. The plan
     /// verifier re-derives these extents independently (`TQT-V018`).
     pub fn weight_panel(&self, id: usize) -> Option<(usize, usize)> {
-        self.wpack_at[id]
+        self.weights.wpack_at[id]
     }
 
     /// The packed panels of node `id`, if any.
     pub fn weight_panel_data(&self, id: usize) -> Option<&[i64]> {
-        self.wpack_at[id].map(|(off, len)| &self.wpack[off..off + len])
+        let w = &self.weights;
+        w.wpack_at[id].map(|(off, len)| &w.wpack[off..off + len])
     }
 
     /// Node `id`'s GEMM left operand: its arena panels when packed, the
     /// row-major weights otherwise.
     fn panel_lhs<'a>(&'a self, id: usize, w: &'a [i64]) -> Lhs<'a> {
-        match self.wpack_at[id] {
-            Some((off, len)) => Lhs::Packed(&self.wpack[off..off + len]),
+        match self.weight_panel_data(id) {
+            Some(panel) => Lhs::Packed(panel),
             None => Lhs::Rows(w),
         }
     }
 
     /// Node `id`'s GEMM right operand, packed or row-major.
     fn panel_rhs<'a>(&'a self, id: usize, w: &'a [i64]) -> Rhs<'a> {
-        match self.wpack_at[id] {
-            Some((off, len)) => Rhs::Packed(&self.wpack[off..off + len]),
+        match self.weight_panel_data(id) {
+            Some(panel) => Rhs::Packed(panel),
             None => Rhs::Rows(w),
         }
+    }
+
+    /// Test-only mutation hook: forces the first i64-routed conv whose
+    /// input format is 16 bits wide onto the i32 route, with its weights
+    /// truncated to i8 and a bound of 0 — the plan a planner that skipped
+    /// the eligibility proof would build. Returns the node, or `None` if
+    /// the graph has no such conv. The mutated plan must never be
+    /// executed; it exists to prove the plan verifier refutes it
+    /// (`TQT-V035`).
+    #[doc(hidden)]
+    pub fn inject_narrow_route(&mut self, g: &IntGraph) -> Option<usize> {
+        for (id, node) in g.nodes().iter().enumerate() {
+            let IntOp::Conv { w, wdims, .. } = core_op(&node.op) else {
+                continue;
+            };
+            if self.route(id) != Some(GemmRoute::I64) || self.formats[node.inputs[0]].bits != 16 {
+                continue;
+            }
+            let k = wdims[1] * wdims[2] * wdims[3];
+            let truncated: Vec<i64> = w.iter().map(|&v| i64::from(v as i8)).collect();
+            Arc::make_mut(&mut self.weights).narrow[id] = Some(NarrowPanel {
+                bound: 0,
+                panel: pack_i8(&truncated, wdims[0], k, true),
+            });
+            return Some(id);
+        }
+        None
     }
 
     /// Test-only mutation hook: shrinks one slot's capacity below a
@@ -551,7 +752,7 @@ pub struct IntExecutor<'g> {
 /// read-only during execution either way — each executor owns its slot
 /// buffers, so sharing a plan shares only immutable state.
 enum PlanRef<'g> {
-    Owned(IntPlan),
+    Owned(Box<IntPlan>),
     Shared(&'g IntPlan),
 }
 
@@ -568,6 +769,21 @@ impl IntGraph {
     /// Plans this graph for inputs of shape `input_dims`.
     pub fn plan(&self, input_dims: &[usize]) -> IntPlan {
         IntPlan::new(self, input_dims)
+    }
+
+    /// Plans this graph once per rung of `ladder`, each for `base_dims`
+    /// with the batch set to the rung. The weights are packed once and
+    /// shared by every plan, so a serving ladder holds one weight arena
+    /// instead of one per rung.
+    pub fn plan_ladder(&self, base_dims: &[usize], ladder: &[usize]) -> Vec<IntPlan> {
+        let mut plans: Vec<IntPlan> = Vec::with_capacity(ladder.len());
+        for &rung in ladder {
+            let mut dims = base_dims.to_vec();
+            dims[0] = rung;
+            let shared = plans.first().map(|p| Arc::clone(&p.weights));
+            plans.push(IntPlan::build(self, &dims, shared));
+        }
+        plans
     }
 
     /// Builds a reusable executor for inputs of shape `input_dims`.
@@ -588,7 +804,7 @@ impl<'g> IntExecutor<'g> {
         let slot_allocs = bufs.len() as u64;
         IntExecutor {
             graph,
-            plan: PlanRef::Owned(plan),
+            plan: PlanRef::Owned(Box::new(plan)),
             bufs,
             slot_allocs,
         }
@@ -745,58 +961,11 @@ impl<'g> IntExecutor<'g> {
                             out,
                         );
                     }
-                    IntOp::Conv {
-                        w,
-                        wdims,
-                        bias,
-                        geom,
-                        depthwise,
-                        ..
-                    } => {
+                    IntOp::Conv { .. } | IntOp::Dense { .. } => {
                         let i0 = node.inputs[0];
                         let a = input_slice(bufs, plan, i0);
-                        let ish = &plan.shapes[i0];
-                        let (ovf, _) = if *depthwise {
-                            depthwise_into(a, ish, w, *geom, bias.as_deref(), &[], out)
-                        } else {
-                            conv_into(
-                                a,
-                                ish,
-                                plan.panel_lhs(id, w),
-                                *wdims,
-                                *geom,
-                                bias.as_deref(),
-                                &[],
-                                out,
-                            )
-                        };
+                        let (ovf, _) = run_core(plan, id, &node.op, a, &plan.shapes[i0], &[], out);
                         st.overflowed += ovf;
-                    }
-                    IntOp::Dense {
-                        w,
-                        in_dim,
-                        out_dim,
-                        bias,
-                        ..
-                    } => {
-                        let i0 = node.inputs[0];
-                        let a = input_slice(bufs, plan, i0);
-                        let (ovf, sat) = (Counter::new(), Counter::new());
-                        gemm_i64_narrow_fused(
-                            plan.shapes[i0][0],
-                            *out_dim,
-                            *in_dim,
-                            Lhs::Rows(a),
-                            plan.panel_rhs(id, w),
-                            None,
-                            bias.as_deref(),
-                            &[],
-                            out,
-                            &ovf,
-                            &sat,
-                            true,
-                        );
-                        st.overflowed += ovf.get();
                     }
                     IntOp::Relu { cap_q } => {
                         let a = input_slice(bufs, plan, node.inputs[0]);
@@ -910,64 +1079,7 @@ impl<'g> IntExecutor<'g> {
                                 }
                             }
                         }
-                        let (ovf, sat) = match core.as_ref() {
-                            IntOp::Conv {
-                                w,
-                                wdims,
-                                bias,
-                                geom,
-                                depthwise,
-                                ..
-                            } => {
-                                if *depthwise {
-                                    depthwise_into(
-                                        a,
-                                        ish,
-                                        w,
-                                        *geom,
-                                        bias.as_deref(),
-                                        &steps,
-                                        out,
-                                    )
-                                } else {
-                                    conv_into(
-                                        a,
-                                        ish,
-                                        plan.panel_lhs(id, w),
-                                        *wdims,
-                                        *geom,
-                                        bias.as_deref(),
-                                        &steps,
-                                        out,
-                                    )
-                                }
-                            }
-                            IntOp::Dense {
-                                w,
-                                in_dim,
-                                out_dim,
-                                bias,
-                                ..
-                            } => {
-                                let (ovf, sat) = (Counter::new(), Counter::new());
-                                gemm_i64_narrow_fused(
-                                    ish[0],
-                                    *out_dim,
-                                    *in_dim,
-                                    Lhs::Rows(a),
-                                    plan.panel_rhs(id, w),
-                                    None,
-                                    bias.as_deref(),
-                                    &steps,
-                                    out,
-                                    &ovf,
-                                    &sat,
-                                    true,
-                                );
-                                (ovf.get(), sat.get())
-                            }
-                            _ => unreachable!("checked above"),
-                        };
+                        let (ovf, sat) = run_core(plan, id, core, a, ish, &steps, out);
                         st.overflowed += ovf;
                         st.saturated += sat;
                     }
@@ -998,9 +1110,90 @@ impl<'g> IntExecutor<'g> {
     }
 }
 
+/// Runs one conv/dense core — standalone (`epi` empty) or the core of a
+/// fused node — on the route the plan chose for node `id`, reading input
+/// `a` of shape `ish`. Returns `(wrapped, saturated)` counts.
+fn run_core(
+    plan: &IntPlan,
+    id: usize,
+    core: &IntOp,
+    a: &[i64],
+    ish: &[usize],
+    epi: &[TileStep],
+    out: &mut [i64],
+) -> (u64, u64) {
+    let narrow = plan.weight_panel_i8(id);
+    let (ovf, sat) = (Counter::new(), Counter::new());
+    match core {
+        IntOp::Conv {
+            w,
+            bias,
+            geom,
+            depthwise: true,
+            ..
+        } => return depthwise_into(a, ish, w, *geom, bias.as_deref(), epi, out),
+        IntOp::Conv {
+            w,
+            wdims,
+            bias,
+            geom,
+            ..
+        } => {
+            let Some(b) = narrow else {
+                let w = plan.panel_lhs(id, w);
+                return conv_into(a, ish, w, *wdims, *geom, bias.as_deref(), epi, out);
+            };
+            let (oh, ow) = geom.out_size(ish[2], ish[3]);
+            let lhs = NarrowLhs::Conv {
+                x: a,
+                c: ish[1],
+                h: ish[2],
+                w: ish[3],
+                geom: *geom,
+            };
+            let k = wdims[1] * wdims[2] * wdims[3];
+            let m = ish[0] * oh * ow;
+            let bias = bias.as_deref();
+            gemm_i8_narrow_fused(m, wdims[0], k, lhs, b, bias, epi, out, &ovf, &sat, true);
+        }
+        IntOp::Dense {
+            w,
+            in_dim,
+            out_dim,
+            bias,
+            ..
+        } => {
+            let (m, n, k, bias) = (ish[0], *out_dim, *in_dim, bias.as_deref());
+            match narrow {
+                Some(b) => gemm_i8_narrow_fused(
+                    m, n, k, NarrowLhs::Rows(a), b, bias, epi, out, &ovf, &sat, true,
+                ),
+                None => gemm_i64_narrow_fused(
+                    m,
+                    n,
+                    k,
+                    Lhs::Rows(a),
+                    plan.panel_rhs(id, w),
+                    None,
+                    bias,
+                    epi,
+                    out,
+                    &ovf,
+                    &sat,
+                    true,
+                ),
+            }
+        }
+        other => panic!("fused core must be conv or dense, got {other:?}"),
+    }
+    (ovf.get(), sat.get())
+}
+
 /// Quantizes a float slice into `format` (round-half-even, saturating),
 /// returning the number of clamped elements. Bit-identical to
-/// [`QTensor::quantize`] plus the legacy saturation count.
+/// [`QTensor::quantize`] plus the saturation count. Non-finite inputs
+/// count as saturated: `±∞` clamps to the range edge and NaN becomes 0,
+/// so a NaN pixel shows in the counters instead of passing silently.
 fn quantf32_into(xd: &[f32], format: QFormat, out: &mut [i64]) -> u64 {
     assert_eq!(xd.len(), out.len(), "quantize length mismatch");
     let s = format.scale();
@@ -1011,9 +1204,10 @@ fn quantf32_into(xd: &[f32], format: QFormat, out: &mut [i64]) -> u64 {
         let mut local = 0u64;
         let end = base + chunk.len();
         for (o, &v) in chunk.iter_mut().zip(&xd[base..end]) {
-            let raw = round_half_even(v / s) as i64;
+            let q = round_half_even(v / s);
+            let raw = q as i64;
             let c = raw.clamp(qmin, qmax);
-            if c != raw {
+            if c != raw || q.is_nan() {
                 local += 1;
             }
             *o = c;
@@ -1152,34 +1346,8 @@ fn depthwise_into(
                 if let Some(b) = bias {
                     acc += i128::from(b[co]);
                 }
-                let mut v = narrow(acc, &mut local);
-                for step in epi {
-                    match *step {
-                        TileStep::Requant { shift, qmin, qmax } => {
-                            let r = shift_round(v, shift);
-                            let cl = r.clamp(qmin, qmax);
-                            if cl != r {
-                                local_sat += 1;
-                            }
-                            v = cl;
-                        }
-                        TileStep::AddResidual(res) => {
-                            v = narrow(
-                                i128::from(v) + i128::from(res[img * ncols + oi * ow + oj]),
-                                &mut local,
-                            );
-                        }
-                        TileStep::ReluCap(cap) => {
-                            v = v.max(0).min(cap);
-                        }
-                        TileStep::Leaky(alpha) => {
-                            let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
-                                .max(i128::from(v) * i128::from(alpha));
-                            v = narrow(wide, &mut local);
-                        }
-                    }
-                }
-                ochunk[oi * ow + oj] = v;
+                let at = img * ncols + oi * ow + oj;
+                ochunk[oi * ow + oj] = finish(acc, epi, at, &mut local, &mut local_sat);
             }
         }
         ovf.add(local);
@@ -1278,6 +1446,44 @@ mod tests {
         let sat2 = requant_into(&a, 6, QFormat::new(8, 16, true), &mut l);
         assert_eq!(l, [400, -400, 12]); // exact left shift
         assert_eq!(sat + sat2, 0, "no value saturates in either direction");
+    }
+
+    #[test]
+    fn ladder_plans_share_one_weight_arena() {
+        let g = chain(vec![
+            IntOp::Input,
+            IntOp::QuantF32 {
+                format: QFormat::new(4, 8, false),
+            },
+            IntOp::Dense {
+                w: (0..8 * 5).map(|i| i % 11 - 5).collect(),
+                in_dim: 8,
+                out_dim: 5,
+                bias: Some(vec![3; 5]),
+                w_frac: 6,
+            },
+        ]);
+        let plans = g.plan_ladder(&[1, 8], &[1, 2, 4]);
+        assert_eq!(plans.len(), 3);
+        for (plan, batch) in plans.iter().zip([1, 2, 4]) {
+            assert!(Arc::ptr_eq(&plan.weights, &plans[0].weights));
+            let fresh = g.plan(&[batch, 8]);
+            assert_eq!(plan.input_dims(), fresh.input_dims());
+            assert_eq!(plan.slot, fresh.slot);
+            assert_eq!(plan.route(2), fresh.route(2));
+            assert!(matches!(plan.route(2), Some(GemmRoute::I32 { .. })));
+            assert_eq!(plan.weight_panel_data(2), fresh.weight_panel_data(2));
+        }
+    }
+
+    #[test]
+    fn non_finite_inputs_count_as_saturated() {
+        let f = QFormat::new(4, 8, true);
+        let x = [f32::NAN, 1.0, f32::INFINITY, f32::NEG_INFINITY, -0.5, -f32::NAN];
+        let mut q = [7i64; 6];
+        let sat = quantf32_into(&x, f, &mut q);
+        assert_eq!(q, [0, 16, 127, -128, -8, 0]);
+        assert_eq!(sat, 4, "both NaNs and both infinities are saturated");
     }
 
     #[test]

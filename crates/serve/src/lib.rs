@@ -3,9 +3,12 @@
 //!
 //! Serving turns the repo's throughput story end-to-end: clients submit
 //! single images, and the engine coalesces them into the largest batch
-//! the backlog supports, because the blocked integer GEMM amortizes its
-//! packed-weight panels far better at batch 4–8 than at batch 1. The
-//! pieces:
+//! the backlog supports, so one executor run, one walk over each packed
+//! weight panel and one hand-off serve several requests. How much that
+//! buys depends on the model: the per-request work of the GEMMs themselves
+//! scales with the batch, so the gain is the per-run overhead saved,
+//! which `BENCH_serve.json` and the benchmark's `resnet20_b8` and
+//! `mobilenet_v1_serve` workloads measure. The pieces:
 //!
 //! * **Batch ladder** ([`Engine::build`]) — one [`IntPlan`] per rung of
 //!   [`LADDER`], each *proven at build time*: the interval analyzer
@@ -15,8 +18,9 @@
 //!   a plan that carries both proofs.
 //! * **Shared-weight sessions** ([`Engine::serve`]) — every worker
 //!   builds one [`IntExecutor::with_plan`] session per rung, all
-//!   borrowing the engine's plans: one packed-weight arena per (model,
-//!   rung) regardless of worker count. Sessions reuse their slot and
+//!   borrowing the engine's plans, and the plans of every rung share
+//!   one packed-weight arena (`IntGraph::plan_ladder`): one arena per
+//!   model regardless of rung or worker count. Sessions reuse their slot and
 //!   output buffers across requests; the steady state performs no
 //!   executor-side allocation ([`IntExecutor::slot_allocs`]).
 //! * **Admission queue** (`tqt_rt::queue`) — coalescing decisions are
@@ -128,7 +132,6 @@ impl Engine {
             ladder.first() == Some(&1) && ladder.windows(2).all(|w| w[0] < w[1]),
             "ladder must be sorted ascending starting at rung 1"
         );
-        let mut plans = Vec::with_capacity(ladder.len());
         for &rung in ladder {
             let mut dims = base_dims.to_vec();
             dims[0] = rung;
@@ -139,15 +142,17 @@ impl Engine {
                     iv.report.render()
                 ));
             }
-            let plan = graph.plan(&dims);
-            let pr = check_plan(&graph, &plan);
+        }
+        // One plan per rung, all sharing one packed weight arena.
+        let plans = graph.plan_ladder(base_dims, ladder);
+        for (&rung, plan) in ladder.iter().zip(&plans) {
+            let pr = check_plan(&graph, plan);
             if !pr.is_clean() {
                 return Err(format!(
                     "batch-{rung} plan refused: plan proof failed\n{}",
                     pr.render()
                 ));
             }
-            plans.push(plan);
         }
         let image_elems = base_dims[1..].iter().product();
         Ok(Engine {

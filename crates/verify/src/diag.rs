@@ -142,6 +142,13 @@ pub enum Code {
     /// outside `[-63, 63]` or a zero-point that overflows the target
     /// format's representable range.
     IllegalCoercion,
+    /// `TQT-V035` — kernel-route disagreement: the plan routes a conv or
+    /// dense node onto the i32 `madd_epi16` kernel (or the i64 fallback)
+    /// against the plan checker's own re-derivation of the eligibility
+    /// proof — input grid at most 8 bits, every weight in i8, and the
+    /// per-channel bound `Σₖ|w|·max(|qmin|,|qmax|) < 2³¹` — or claims a
+    /// different bound; refutations carry the producer path.
+    NarrowRoute,
 }
 
 impl Code {
@@ -182,6 +189,7 @@ impl Code {
             Code::UninferableGrid => "TQT-V032",
             Code::RedundantRequant => "TQT-V033",
             Code::IllegalCoercion => "TQT-V034",
+            Code::NarrowRoute => "TQT-V035",
         }
     }
 
@@ -222,6 +230,7 @@ impl Code {
             Code::UninferableGrid => "uninferable grid type",
             Code::RedundantRequant => "redundant requantization",
             Code::IllegalCoercion => "illegal grid coercion",
+            Code::NarrowRoute => "GEMM kernel-route disagreement",
         }
     }
 }
@@ -364,6 +373,7 @@ mod tests {
             Code::UninferableGrid,
             Code::RedundantRequant,
             Code::IllegalCoercion,
+            Code::NarrowRoute,
         ];
         let mut ids: Vec<&str> = all.iter().map(|c| c.id()).collect();
         ids.sort_unstable();

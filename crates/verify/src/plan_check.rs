@@ -1,5 +1,6 @@
-//! Plan verifier (`TQT-V016`–`TQT-V018`): an independent alias-freedom
-//! proof over [`IntPlan`]'s buffer-slot assignment.
+//! Plan verifier (`TQT-V016`–`TQT-V018`, `TQT-V035`): an independent
+//! alias-freedom proof over [`IntPlan`]'s buffer-slot assignment, and an
+//! independent re-derivation of every GEMM node's kernel route.
 //!
 //! The executor ([`tqt_fixedpoint::IntExecutor`]) reads every operand
 //! from, and writes every result into, a small set of reusable slots the
@@ -17,12 +18,20 @@
 //!   write into a slot holding a live value is `TQT-V016`, every read
 //!   that does not see its producing write is `TQT-V017`, every
 //!   capacity shortfall is `TQT-V018`;
-//! * the executor's only workspace outside the slots — the per-image
-//!   im2col checkout from the thread-local scratch arena — is re-derived
-//!   and compared with the plan's accounting (`TQT-V018`), proving
-//!   im2col scratch is sized and held apart from slot storage (the arena
-//!   is a distinct allocation by construction; the sanitizer's
-//!   `TQT-V022` covers its checkout discipline at runtime).
+//! * the executor's workspace outside the slots — the per-image im2col
+//!   checkout of i64-routed convs and the A-panel checkout of i32-routed
+//!   nodes, both from the thread-local scratch arenas — is re-derived and
+//!   compared with the plan's accounting (`TQT-V018`), proving scratch is
+//!   sized and held apart from slot storage (the arenas are distinct
+//!   allocations by construction; the sanitizer's `TQT-V022` covers their
+//!   checkout discipline at runtime);
+//! * every conv/dense node's route is re-derived from the graph alone:
+//!   the input's bit-width from this crate's own grid inference
+//!   ([`infer_int_grids`]), the i8 fit of every baked weight, and the
+//!   per-channel bound `Σₖ|w|·max(|qmin|,|qmax|) < 2³¹` with the clip
+//!   limits derived from bits and signedness. Any disagreement with the
+//!   plan's route or bound is `TQT-V035`; an i32-routed node's i8 panel
+//!   must have the packing contract's dims and length (`TQT-V018`).
 //!
 //! Every refutation carries the producer-chain path of the offending
 //! node as a counterexample. The mutation tests
@@ -31,13 +40,15 @@
 //! both with the correct node.
 
 use crate::diag::{Code, Report};
+use crate::gridtype::{infer_int_grids, Grid};
 use crate::interval::path_to;
+use tqt_fixedpoint::gemm_i8::{MR, NR};
 use tqt_fixedpoint::intgemm::{packed_lhs_len, packed_rhs_len};
 use tqt_fixedpoint::lower::{IntGraph, IntOp, LEAKY_ALPHA_FRAC};
-use tqt_fixedpoint::IntPlan;
+use tqt_fixedpoint::{GemmRoute, IntPlan};
 use tqt_graph::fplan::FloatPlan;
 use tqt_graph::{Graph, Op as FOp};
-use tqt_tensor::conv::{conv2d_bwd_ws, conv2d_fwd_ws};
+use tqt_tensor::conv::{conv2d_bwd_ws, conv2d_fwd_ws, Conv2dGeom};
 use tqt_tensor::gemm::packed_a_len;
 
 /// Independently re-derived facts about one planned graph.
@@ -48,20 +59,34 @@ struct Derived {
     /// Last node id that needs each node's value (`usize::MAX` for the
     /// graph output, which must survive the whole run).
     last_use: Vec<usize>,
-    /// im2col scratch high-water mark in elements.
+    /// im2col scratch high-water mark in elements (i64-routed convs).
     scratch_elems: usize,
+    /// i32-route scratch high-water mark in i32 elements.
+    panel_scratch_elems: usize,
 }
 
 /// Re-derives per-node output element counts from the op semantics. This
 /// intentionally re-implements the shape rules against the kernel
 /// contracts instead of calling the planner, so a planner bug cannot
 /// vouch for itself.
-fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
+/// The i32 route's per-block checkout for a conv (i32 elements): the
+/// `⌈k/2⌉·MR` A panel, the input image zero-padded on every side, and
+/// one tap offset per reduction index.
+fn window_ws(k: usize, ish: &[usize], geom: &Conv2dGeom) -> usize {
+    let padded = ish[1] * (ish[2] + 2 * geom.pad) * (ish[3] + 2 * geom.pad);
+    k.div_ceil(2) * MR + padded + k
+}
+
+/// `acc32[id]` marks the nodes whose re-derived route is i32: they take
+/// the i32 route's checkout ([`window_ws`] for a conv, the `⌈k/2⌉·MR`
+/// A panel for a dense layer) instead of an im2col buffer.
+fn derive(g: &IntGraph, input_dims: &[usize], acc32: &[bool]) -> Derived {
     let nodes = g.nodes();
     let n = nodes.len();
     let mut dims: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut scratch_elems = 0usize;
-    for node in nodes {
+    let mut panel_scratch_elems = 0usize;
+    for (id, node) in nodes.iter().enumerate() {
         let i0 = node.inputs.first().copied();
         let d = match &node.op {
             // The float input placeholder owns no integer storage.
@@ -79,16 +104,21 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
             } => {
                 let ish = &dims[i0.expect("conv arity")]; // tqt:allow(expect): from_parts guarantees arity
                 let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                if !depthwise {
+                let k = ish[1] * geom.kh * geom.kw;
+                if acc32[id] {
+                    panel_scratch_elems = panel_scratch_elems.max(window_ws(k, ish, geom));
+                } else if !depthwise {
                     // The kernel's per-image im2col checkout:
                     // (c·kh·kw) × (oh·ow) elements.
-                    scratch_elems =
-                        scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
+                    scratch_elems = scratch_elems.max(k * oh * ow);
                 }
                 vec![ish[0], wdims[0], oh, ow]
             }
-            IntOp::Dense { out_dim, .. } => {
+            IntOp::Dense { in_dim, out_dim, .. } => {
                 let ish = &dims[i0.expect("dense arity")]; // tqt:allow(expect): from_parts guarantees arity
+                if acc32[id] {
+                    panel_scratch_elems = panel_scratch_elems.max(in_dim.div_ceil(2) * MR);
+                }
                 vec![ish[0], *out_dim]
             }
             IntOp::MaxPool { geom } => {
@@ -125,13 +155,22 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
                         ..
                     } => {
                         let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                        if !depthwise {
-                            scratch_elems =
-                                scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
+                        let k = ish[1] * geom.kh * geom.kw;
+                        if acc32[id] {
+                            panel_scratch_elems =
+                                panel_scratch_elems.max(window_ws(k, ish, geom));
+                        } else if !depthwise {
+                            scratch_elems = scratch_elems.max(k * oh * ow);
                         }
                         vec![ish[0], wdims[0], oh, ow]
                     }
-                    IntOp::Dense { out_dim, .. } => vec![ish[0], *out_dim],
+                    IntOp::Dense { in_dim, out_dim, .. } => {
+                        if acc32[id] {
+                            panel_scratch_elems =
+                                panel_scratch_elems.max(in_dim.div_ceil(2) * MR);
+                        }
+                        vec![ish[0], *out_dim]
+                    }
                     // Illegal core: the interval pass refutes it as
                     // TQT-V023; keep the storage derivation harmless.
                     _ => vec![0],
@@ -152,7 +191,70 @@ fn derive(g: &IntGraph, input_dims: &[usize]) -> Derived {
         lens,
         last_use,
         scratch_elems,
+        panel_scratch_elems,
     }
+}
+
+/// The route a node's GEMM must take, re-derived without the planner:
+/// `None` for nodes that run no GEMM (depthwise convs, non-compute ops),
+/// `Some(Ok(bound))` for the i32 route with its per-channel bound,
+/// `Some(Err(why))` for the i64 route with the reason the i32 route is
+/// refused. `input` is the grid this crate's inference derived for the
+/// node's input edge.
+fn expected_route(op: &IntOp, input: Option<Grid>) -> Option<Result<u64, String>> {
+    let core = match op {
+        IntOp::Fused { core, .. } => core,
+        other => other,
+    };
+    // Conv filters are `[channels, k]`, dense weights `[k, channels]`.
+    let (w, channels, conv) = match core {
+        IntOp::Conv {
+            w,
+            wdims,
+            depthwise: false,
+            ..
+        } => (w, wdims[0], true),
+        IntOp::Dense { w, out_dim, .. } => (w, *out_dim, false),
+        _ => return None,
+    };
+    let Some(grid) = input else {
+        return Some(Err("the input edge has no inferred grid".into()));
+    };
+    if grid.bits > 8 {
+        return Some(Err(format!("the input grid is {} bits wide (> 8)", grid.bits)));
+    }
+    if let Some((i, v)) = w.iter().enumerate().find(|(_, v)| !(-128..=127).contains(*v)) {
+        return Some(Err(format!("weight {i} = {v} does not fit in i8")));
+    }
+    // eq. 3 clip limits: [-2^(b-1), 2^(b-1)-1] signed, [0, 2^b-1] unsigned.
+    let amax: i128 = if grid.signed {
+        1 << (grid.bits - 1)
+    } else {
+        (1 << grid.bits) - 1
+    };
+    let mut sums = vec![0i128; channels];
+    if conv {
+        let k = (w.len() / channels.max(1)).max(1);
+        for (sum, filter) in sums.iter_mut().zip(w.chunks_exact(k)) {
+            *sum = filter.iter().map(|&v| i128::from(v).abs()).sum();
+        }
+    } else {
+        for row in w.chunks_exact(channels.max(1)) {
+            for (sum, &v) in sums.iter_mut().zip(row) {
+                *sum += i128::from(v).abs();
+            }
+        }
+    }
+    let (ch, worst) = sums
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, s)| *s)
+        .map_or((0, 0), |(c, &s)| (c, s * amax));
+    Some(if worst < 1 << 31 {
+        Ok(worst as u64)
+    } else {
+        Err(format!("channel {ch} bounds |Σ| by {worst} >= 2^31"))
+    })
 }
 
 /// The packed-panel element count the weight arena must reserve for a
@@ -186,14 +288,95 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
     let mut r = Report::new();
     let nodes = g.nodes();
     let n = nodes.len();
-    let d = derive(g, plan.input_dims());
-
     if plan.num_nodes() != n {
         r.push_global(
             Code::PlanStorage,
             format!("plan covers {} nodes, graph has {n}", plan.num_nodes()),
         );
         return r;
+    }
+    let grids = infer_int_grids(g, plan.input_dims()).grids;
+    let routes: Vec<Option<Result<u64, String>>> = nodes
+        .iter()
+        .map(|node| {
+            let input = node.inputs.first().and_then(|&i| grids[i]);
+            expected_route(&node.op, input)
+        })
+        .collect();
+    let acc32: Vec<bool> = routes.iter().map(|r| matches!(r, Some(Ok(_)))).collect();
+    let d = derive(g, plan.input_dims(), &acc32);
+
+    // 0. Kernel routes (V035): the plan's route and bound must be the
+    // ones re-derived here, and an i32 route needs its i8 panel (V018).
+    for (id, want) in routes.iter().enumerate() {
+        let name = &nodes[id].name;
+        let got = plan.route(id);
+        let disagree = match (got, want) {
+            (None, None) | (Some(GemmRoute::I64), Some(Err(_))) => None,
+            (Some(GemmRoute::I32 { bound }), Some(Ok(b))) if bound == *b => None,
+            (Some(GemmRoute::I32 { bound }), Some(Ok(b))) => Some(format!(
+                "plan proves the i32 bound {bound}, re-derivation says {b}"
+            )),
+            (Some(GemmRoute::I32 { .. }), Some(Err(why))) => {
+                Some(format!("plan routes onto i32 accumulation, but {why}"))
+            }
+            (Some(GemmRoute::I64), Some(Ok(b))) => Some(format!(
+                "plan routes onto the i64 kernel, but the i32 bound {b} < 2^31 holds"
+            )),
+            (Some(route), None) => Some(format!("plan routes a non-GEMM node onto {route:?}")),
+            (None, Some(_)) => Some("plan assigns no route to a GEMM node".into()),
+        };
+        if let Some(msg) = disagree {
+            r.push(
+                Code::NarrowRoute,
+                name,
+                format!("{msg} (path: {})", path_to(nodes, id)),
+            );
+        }
+        let core = match &nodes[id].op {
+            IntOp::Fused { core, .. } => core.as_ref(),
+            other => other,
+        };
+        // The i8 panel an i32 route needs: `[k, cols]`.
+        let dims = match (core, got) {
+            (IntOp::Conv { wdims, .. }, Some(GemmRoute::I32 { .. })) => {
+                Some((wdims[1] * wdims[2] * wdims[3], wdims[0]))
+            }
+            (IntOp::Dense { in_dim, out_dim, .. }, Some(GemmRoute::I32 { .. })) => {
+                Some((*in_dim, *out_dim))
+            }
+            _ => None,
+        };
+        match (plan.weight_panel_i8(id), dims) {
+            (Some(p), Some((k, cols))) => {
+                let len = cols.div_ceil(NR) * k.div_ceil(2) * 2 * NR;
+                if (p.k(), p.n(), p.data().len()) != (k, cols, len) {
+                    r.push(
+                        Code::PlanStorage,
+                        name,
+                        format!(
+                            "i8 weight panel is {}x{} in {} bytes, packing re-derivation \
+                             says {k}x{cols} in {len} (path: {})",
+                            p.k(),
+                            p.n(),
+                            p.data().len(),
+                            path_to(nodes, id)
+                        ),
+                    );
+                }
+            }
+            (None, Some(_)) => r.push(
+                Code::PlanStorage,
+                name,
+                format!("i32-routed node has no i8 weight panel (path: {})", path_to(nodes, id)),
+            ),
+            (Some(_), None) => r.push(
+                Code::PlanStorage,
+                name,
+                "i8 weight panel assigned to a node not routed onto i32",
+            ),
+            (None, None) => {}
+        }
     }
 
     // 1. Storage facts: re-derived lengths and slot capacities (V018).
@@ -237,6 +420,16 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
                 "plan accounts {} im2col scratch elements, kernel contracts require {}",
                 plan.scratch_elems(),
                 d.scratch_elems
+            ),
+        );
+    }
+    if plan.panel_scratch_elems() != d.panel_scratch_elems {
+        r.push_global(
+            Code::PlanStorage,
+            format!(
+                "plan accounts {} i32-route scratch elements, kernel contracts require {}",
+                plan.panel_scratch_elems(),
+                d.panel_scratch_elems
             ),
         );
     }

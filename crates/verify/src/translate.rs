@@ -42,6 +42,17 @@
 //!   (`TQT-V011`); the certifier's job reduces to re-deriving every baked
 //!   constant (quantized weights, grid-snapped biases) from the recorded
 //!   original floats in exact arithmetic.
+//! * **The i32 route** (`GemmRoute::I32`), the same lemma one width
+//!   down: the i32 dot product *is* the exact sum provided every weight
+//!   of output channel `c` fits in i8, every input lies in its format's
+//!   `[qmin, qmax]` with at most 8 bits, and
+//!   `B_c = Σₖ|w_ck|·max(|qmin|,|qmax|) < 2³¹` — which the plan checker
+//!   re-derives separately (`TQT-V035`). Every partial sum, in any
+//!   summation order, then lies in `[-B_c, B_c]`, so no i32 addition
+//!   wraps. Widened to i64 the result equals the i64 kernel's
+//!   accumulator; the bias is added after widening and the one shared
+//!   epilogue runs on both routes, so the certificate for the i64
+//!   realization covers the i32 one node for node.
 //! * **Epilogues** (`Relu`, `LeakyRelu`, `Add`, fused chains): monotone
 //!   lattice maps commute with on-grid clipping, and
 //!   `max(v·2^-f, α·2^-A·v·2^-f) = 2^-(f+A)·max(v<<A, αv)` is an exact

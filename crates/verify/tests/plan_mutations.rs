@@ -1,5 +1,6 @@
 //! Mutation tests for the plan verifier: inject known slot-assignment
-//! bugs through `IntPlan`'s test-only hooks and assert `check_plan`
+//! and kernel-route bugs through `IntPlan`'s test-only hooks and assert
+//! `check_plan`
 //! refutes each with the correct stable code *and* the correct
 //! counterexample node. A prover that cannot refute seeded bugs proves
 //! nothing — this is the teeth behind the zoo-wide "plan proven" gate.
@@ -7,7 +8,7 @@
 //! The mutated plans are never executed.
 
 use tqt_fixedpoint::lower::{IntGraph, IntNode, IntOp};
-use tqt_fixedpoint::{EpiStep, QFormat};
+use tqt_fixedpoint::{EpiStep, GemmRoute, QFormat};
 use tqt_graph::fplan::FloatPlan;
 use tqt_graph::{Graph, Op};
 use tqt_nn::{BatchNorm, Conv2d, Dense, EltwiseAdd, Flatten, GlobalAvgPool, MaxPool2d, Relu};
@@ -290,5 +291,80 @@ fn storage_shrink_is_refuted_as_v018() {
             .iter()
             .any(|d| d.code == Code::PlanStorage && d.node.as_deref() == Some(short_name)),
         "refutation must name the under-stored node `{short_name}`:\n{r}"
+    );
+}
+
+/// in -> q -> conv (3x3, pad 1, 2 -> 3 channels): the conv's route hangs
+/// on the input format's width.
+fn conv_graph(input: QFormat) -> IntGraph {
+    let nodes = vec![
+        IntNode {
+            name: "in".into(),
+            op: IntOp::Input,
+            inputs: vec![],
+        },
+        IntNode {
+            name: "q".into(),
+            op: IntOp::QuantF32 { format: input },
+            inputs: vec![0],
+        },
+        IntNode {
+            name: "conv".into(),
+            op: IntOp::Conv {
+                w: (0..3 * 2 * 9).map(|i| (i as i64 % 7) - 3).collect(),
+                wdims: [3, 2, 3, 3],
+                bias: Some(vec![5, -5, 0]),
+                geom: Conv2dGeom::new(3, 1, 1),
+                depthwise: false,
+                w_frac: 4,
+            },
+            inputs: vec![1],
+        },
+    ];
+    IntGraph::from_parts(nodes, 2)
+}
+
+#[test]
+fn eight_bit_conv_is_proven_onto_i32() {
+    // Every channel's Σ|w| is 53 or 54 here; a signed 8-bit input
+    // bounds |x| by 128.
+    let g = conv_graph(QFormat::new(4, 8, true));
+    let plan = g.plan(&[1, 2, 5, 5]);
+    let r = check_plan(&g, &plan);
+    assert!(r.is_clean(), "{r}");
+    let Some(GemmRoute::I32 { bound }) = plan.route(2) else {
+        panic!("8-bit conv must take the i32 route, got {:?}", plan.route(2));
+    };
+    let w: Vec<i64> = (0..54).map(|i| (i % 7) - 3).collect();
+    let worst = w.chunks(18).map(|ch| ch.iter().map(|v| v.unsigned_abs()).sum::<u64>()).max();
+    assert_eq!(Some(bound), worst.map(|s| s * 128));
+    assert_eq!(plan.route(1), None, "a quantize node runs no GEMM");
+}
+
+#[test]
+fn narrow_route_on_a_16_bit_input_is_refuted_as_v035() {
+    let g = conv_graph(QFormat::new(4, 16, true));
+    let mut plan = g.plan(&[1, 2, 5, 5]);
+    assert_eq!(plan.route(2), Some(GemmRoute::I64), "16-bit inputs stay on i64");
+    assert!(check_plan(&g, &plan).is_clean());
+    let forced = plan
+        .inject_narrow_route(&g)
+        .expect("graph must offer a 16-bit-input conv");
+    assert_eq!(forced, 2);
+    let r = check_plan(&g, &plan);
+    assert!(r.has(Code::NarrowRoute), "V035 expected, got:\n{r}");
+    let diag = r
+        .diags
+        .iter()
+        .find(|d| d.code == Code::NarrowRoute)
+        .expect("checked above");
+    assert_eq!(
+        diag.node.as_deref(),
+        Some("conv"),
+        "refutation must name the mis-routed node:\n{r}"
+    );
+    assert!(
+        diag.detail.contains("16 bits") && diag.detail.contains("in -> q -> conv"),
+        "refutation must give the reason and the producer path:\n{r}"
     );
 }
