@@ -15,9 +15,11 @@
 //! with `TQT-V023`, and `checked_fuse` wraps this pass the way
 //! `checked_optimize` wraps the float pipeline.
 //!
-//! Fusion cannot change results: each [`EpiStep`] replays its standalone
-//! node kernel per element (`tests/fusion_parity.rs` proves outputs and
-//! total saturation/overflow counts bit-identical across the zoo).
+//! Fusion cannot change results: a fused [`EpiStep`] and the standalone
+//! node it replaces are the same step (`IntOp::epi_step`), resolved by
+//! the same `TileStep::resolve` and run by the same per-element tail
+//! ([`crate::intgemm`]); `tests/fusion_parity.rs` checks outputs and total
+//! saturation/overflow counts bit-identical across the zoo.
 //!
 //! The pass composes with [`crate::rebalance`]: a rebalancing coercion
 //! inserted on a single-consumer conv/dense chain is an ordinary
@@ -124,24 +126,20 @@ pub fn fuse_with_chains(g: IntGraph) -> (IntGraph, Vec<ChainRecord>) {
             if claimed[c] {
                 break;
             }
-            let step = match nodes[c].op {
-                IntOp::Requant { format } => EpiStep::Requant { format },
-                IntOp::Relu { cap_q } => EpiStep::Relu { cap_q },
-                IntOp::LeakyRelu { alpha_q } => EpiStep::LeakyRelu { alpha_q },
-                IntOp::Add => {
-                    let other = if nodes[c].inputs[0] == tail {
-                        nodes[c].inputs[1]
-                    } else {
-                        nodes[c].inputs[0]
-                    };
-                    if residual.is_some() || members.contains(&other) {
-                        break;
-                    }
-                    residual = Some(other);
-                    EpiStep::AddResidual
-                }
-                _ => break,
+            let Some(step) = nodes[c].op.epi_step() else {
+                break;
             };
+            if step == EpiStep::AddResidual {
+                let other = if nodes[c].inputs[0] == tail {
+                    nodes[c].inputs[1]
+                } else {
+                    nodes[c].inputs[0]
+                };
+                if residual.is_some() || members.contains(&other) {
+                    break;
+                }
+                residual = Some(other);
+            }
             epi.push(step);
             members.push(c);
             tail = c;

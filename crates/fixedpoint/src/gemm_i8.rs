@@ -61,7 +61,7 @@ use crate::requant::{requant_affine, requant_pow2, requant_real, NormalizedMulti
 use tqt_rt::pool;
 use tqt_rt::sync::Counter;
 use tqt_tensor::conv::Conv2dGeom;
-use tqt_tensor::scratch::{ScratchI32, ScratchI8};
+use tqt_tensor::scratch::ScratchI32;
 
 /// Register-tile rows (A micro-panel height), as in the f32 kernel.
 pub const MR: usize = 6;
@@ -107,11 +107,9 @@ pub enum RequantMode<'a> {
 /// A `[k, n]` RHS packed **once** into the NR-wide k-pair panel layout
 /// the micro-kernel consumes (see [`pack_b`]). Build it when the weight
 /// matrix is known (e.g. at plan time) and pass it to
-/// [`gemm_i8_fused_prepacked`] / [`gemm_i8_acc32_prepacked`]: per-call
-/// packing disappears. Packing is element-wise order-preserving, so the
-/// prepacked path is bit-identical to the pack-per-call path. Read-only
-/// after construction — one `PackedB` can be shared across threads and
-/// sessions.
+/// [`gemm_i8_fused_prepacked`] or [`gemm_i8_narrow_fused`]: no call packs
+/// B. Read-only after construction — one `PackedB` can be shared across
+/// threads and sessions.
 #[derive(Debug, Clone)]
 pub struct PackedB {
     data: Vec<i8>,
@@ -152,44 +150,14 @@ impl PackedB {
 }
 
 /// Blocked, pool-parallel `out[m,n] = requant(a[m,k] · b[k,n] + bias)`
-/// writing `i8` directly: bias add (per output row, on the accumulator
-/// grid), zero-point corrections, and requantization are fused into the
-/// accumulator-tile epilogue. With [`RequantMode::Affine`], `bias` is
-/// added to the raw `Σ q1·q2` *before* the cross-term correction.
+/// over a pre-packed RHS, writing `i8` directly: bias add (per output
+/// row, on the accumulator grid), zero-point corrections, and
+/// requantization are fused into the accumulator-tile epilogue. With
+/// [`RequantMode::Affine`], `bias` is added to the raw `Σ q1·q2` *before*
+/// the cross-term correction.
 ///
 /// Overwrites `out` (no `C +=` semantics — a fused requantizing GEMM has
-/// no meaningful accumulate-into form). Packs `b` into thread-local
-/// scratch on every call; hoist that with [`PackedB`] +
-/// [`gemm_i8_fused_prepacked`] when `b` is reused.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_fused(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &[i8],
-    bias: Option<&[i32]>,
-    mode: RequantMode,
-    out: &mut [i8],
-    parallel: bool,
-) {
-    assert_eq!(b.len(), k * n, "rhs length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let kpairs = k.div_ceil(2);
-    let npanels = n.div_ceil(NR);
-    let mut bpack = ScratchI8::uninit(npanels * kpairs * 2 * NR);
-    pack_b(b, k, n, kpairs, &mut bpack);
-    fused_inner(m, n, k, a, &bpack, bias, mode, out, parallel);
-}
-
-/// [`gemm_i8_fused`] over a pre-packed RHS: identical semantics and
-/// bit-identical output, no per-call B packing.
+/// no meaningful accumulate-into form).
 ///
 /// # Panics
 ///
@@ -211,22 +179,6 @@ pub fn gemm_i8_fused_prepacked(
     if m == 0 || n == 0 {
         return;
     }
-    fused_inner(m, n, k, a, &b.data, bias, mode, out, parallel);
-}
-
-/// Shared body of the fused entry points, over an already-packed B.
-#[allow(clippy::too_many_arguments)]
-fn fused_inner(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    bpack: &[i8],
-    bias: Option<&[i32]>,
-    mode: RequantMode,
-    out: &mut [i8],
-    parallel: bool,
-) {
     assert_eq!(a.len(), m * k, "lhs length mismatch");
     assert_eq!(out.len(), m * n, "output length mismatch");
     if let Some(bv) = bias {
@@ -238,6 +190,7 @@ fn fused_inner(
     }
     let kpairs = k.div_ceil(2);
     let npanels = n.div_ceil(NR);
+    let bpack = &b.data;
     assert_eq!(bpack.len(), npanels * kpairs * 2 * NR, "packed rhs length mismatch");
     let avx = has_avx2();
     let run_block = |row0: usize, ochunk: &mut [i8]| {
@@ -287,102 +240,6 @@ fn fused_inner(
                             ) as i8,
                         };
                     }
-                }
-            }
-        }
-    };
-    if parallel && m > MC && pool::threads() > 1 {
-        pool::par_chunks_mut(out, MC * n, |bi, chunk| run_block(bi * MC, chunk));
-    } else {
-        for (bi, chunk) in out.chunks_mut(MC * n).enumerate() {
-            run_block(bi * MC, chunk);
-        }
-    }
-}
-
-/// Blocked, pool-parallel raw-accumulator entry point:
-/// `out[m,n] = a[m,k] · b[k,n]` in i32, overwriting `out`. The blocked
-/// counterpart of [`crate::kernels::matmul_i8_acc32`] for callers that
-/// need the accumulators themselves (benches, oracles, custom
-/// epilogues).
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-pub fn gemm_i8_acc32(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-    parallel: bool,
-) {
-    assert_eq!(b.len(), k * n, "rhs length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let kpairs = k.div_ceil(2);
-    let npanels = n.div_ceil(NR);
-    let mut bpack = ScratchI8::uninit(npanels * kpairs * 2 * NR);
-    pack_b(b, k, n, kpairs, &mut bpack);
-    acc32_inner(m, n, k, a, &bpack, out, parallel);
-}
-
-/// [`gemm_i8_acc32`] over a pre-packed RHS: identical semantics and
-/// bit-identical output, no per-call B packing.
-///
-/// # Panics
-///
-/// Panics if `b` was packed for different `(k, n)` dims or slice
-/// lengths disagree with the dimensions.
-pub fn gemm_i8_acc32_prepacked(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &PackedB,
-    out: &mut [i32],
-    parallel: bool,
-) {
-    assert_eq!((b.k, b.n), (k, n), "packed rhs dims mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    acc32_inner(m, n, k, a, &b.data, out, parallel);
-}
-
-/// Shared body of the raw-accumulator entry points, over an
-/// already-packed B.
-fn acc32_inner(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    bpack: &[i8],
-    out: &mut [i32],
-    parallel: bool,
-) {
-    assert_eq!(a.len(), m * k, "lhs length mismatch");
-    assert_eq!(out.len(), m * n, "output length mismatch");
-    let kpairs = k.div_ceil(2);
-    let npanels = n.div_ceil(NR);
-    assert_eq!(bpack.len(), npanels * kpairs * 2 * NR, "packed rhs length mismatch");
-    let avx = has_avx2();
-    let run_block = |row0: usize, ochunk: &mut [i32]| {
-        let rows = ochunk.len() / n;
-        let mut apack = ScratchI32::uninit(kpairs * MR);
-        for p in 0..rows.div_ceil(MR) {
-            let r0 = row0 + p * MR;
-            let mr = MR.min(rows - p * MR);
-            pack_a(a, k, kpairs, r0, mr, &mut apack);
-            for q in 0..npanels {
-                let nr = NR.min(n - q * NR);
-                let mut acc = [0i32; MR * NR];
-                microkernel(kpairs, &apack, &bpack[q * kpairs * 2 * NR..], &mut acc, avx);
-                for r in 0..mr {
-                    let orow = (p * MR + r) * n + q * NR;
-                    ochunk[orow..orow + nr].copy_from_slice(&acc[r * NR..r * NR + nr]);
                 }
             }
         }
@@ -838,15 +695,32 @@ mod tests {
     use super::*;
     use crate::kernels;
 
+    /// Raw accumulators of the serving kernel: `a · b` with an empty
+    /// epilogue, over `b` packed once.
+    fn raw_acc(m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i64> {
+        let packed = PackedB::pack(b, k, n);
+        assert_eq!((packed.k(), packed.n()), (k, n));
+        let a: Vec<i64> = a.iter().map(|&v| i64::from(v)).collect();
+        let mut out = vec![0i64; m * n];
+        let (ovf, sat) = (Counter::new(), Counter::new());
+        let lhs = NarrowLhs::Rows(&a);
+        let b = &packed;
+        gemm_i8_narrow_fused(m, n, k, lhs, b, None, &[], &mut out, &ovf, &sat, false);
+        assert_eq!((ovf.get(), sat.get()), (0, 0));
+        out
+    }
+
     #[test]
     fn blocked_acc_matches_naive_small() {
-        let (m, k, n) = (7, 13, 19);
-        let a: Vec<i8> = (0..m * k).map(|v| ((v * 37 + 11) % 255) as i8).collect();
-        let b: Vec<i8> = (0..k * n).map(|v| ((v * 53 + 5) % 255) as i8).collect();
-        let naive = kernels::matmul_i8_acc32(&a, &b, m, k, n);
-        let mut blocked = vec![0i32; m * n];
-        gemm_i8_acc32(m, n, k, &a, &b, &mut blocked, false);
-        assert_eq!(naive, blocked);
+        for &(m, k, n) in &[(7, 13, 19), (5, 9, 23), (12, 32, 16), (1, 7, 1)] {
+            let a: Vec<i8> = (0..m * k).map(|v| ((v * 37 + 11) % 255) as i8).collect();
+            let b: Vec<i8> = (0..k * n).map(|v| ((v * 53 + 5) % 255) as i8).collect();
+            let naive: Vec<i64> = kernels::matmul_i8_acc32(&a, &b, m, k, n)
+                .into_iter()
+                .map(i64::from)
+                .collect();
+            assert_eq!(naive, raw_acc(m, n, k, &a, &b), "shape ({m},{k},{n})");
+        }
     }
 
     #[test]
@@ -872,12 +746,12 @@ mod tests {
         }
         let expected = kernels::requant_buffer_pow2(&acc, 5);
         let mut got = vec![0i8; m * n];
-        gemm_i8_fused(
+        gemm_i8_fused_prepacked(
             m,
             n,
             k,
             &a,
-            &b,
+            &PackedB::pack(&b, k, n),
             Some(&bias),
             RequantMode::Pow2 { shift: 5 },
             &mut got,
@@ -887,54 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_matches_pack_per_call() {
-        for &(m, k, n) in &[(5usize, 9usize, 23usize), (12, 32, 16), (1, 7, 1)] {
-            let a: Vec<i8> = (0..m * k).map(|v| ((v * 29 + 13) % 255) as i8).collect();
-            let b: Vec<i8> = (0..k * n).map(|v| ((v * 31 + 17) % 255) as i8).collect();
-            let packed = PackedB::pack(&b, k, n);
-            assert_eq!((packed.k(), packed.n()), (k, n));
-
-            let mut acc_ref = vec![0i32; m * n];
-            gemm_i8_acc32(m, n, k, &a, &b, &mut acc_ref, false);
-            let mut acc_pp = vec![0i32; m * n];
-            gemm_i8_acc32_prepacked(m, n, k, &a, &packed, &mut acc_pp, false);
-            assert_eq!(acc_ref, acc_pp);
-
-            let mut out_ref = vec![0i8; m * n];
-            gemm_i8_fused(
-                m,
-                n,
-                k,
-                &a,
-                &b,
-                None,
-                RequantMode::Pow2 { shift: 4 },
-                &mut out_ref,
-                false,
-            );
-            let mut out_pp = vec![0i8; m * n];
-            gemm_i8_fused_prepacked(
-                m,
-                n,
-                k,
-                &a,
-                &packed,
-                None,
-                RequantMode::Pow2 { shift: 4 },
-                &mut out_pp,
-                false,
-            );
-            assert_eq!(out_ref, out_pp);
-        }
-    }
-
-    #[test]
     fn odd_k_and_single_row_edge() {
-        let (m, k, n) = (1, 1, 1);
-        let a = vec![-128i8];
-        let b = vec![-128i8];
-        let mut out = vec![0i32; 1];
-        gemm_i8_acc32(m, n, k, &a, &b, &mut out, false);
-        assert_eq!(out[0], 16384);
+        assert_eq!(raw_acc(1, 1, 1, &[-128], &[-128]), vec![16384]);
     }
 }

@@ -25,15 +25,19 @@
 //! operand; every product is still accumulated in ascending-`k` order,
 //! so packed and row-major calls are bit-identical.
 //!
-//! **Fused epilogue.** [`gemm_i64_narrow_fused`] additionally applies an
-//! ordered list of [`TileStep`]s to each element while the narrowed
-//! value is still in registers: requantization (with saturation
-//! counting), a residual add (with wrap counting), and (capped) ReLU.
-//! The per-element tail lives in one function shared with the i32
-//! kernel and the depthwise loop; each step replays the corresponding
-//! standalone kernel of [`crate::plan`] per element, which is what makes
-//! graph-level fusion bit-exact (`tests/fusion_parity.rs`) and the two
-//! GEMM routes bit-identical.
+//! **Fused epilogue.** [`gemm_i64_narrow_fused`] applies an ordered list
+//! of [`TileStep`]s to each element while the narrowed value is still in
+//! registers: requantization (with saturation counting), a residual add
+//! (with wrap counting), and (capped or leaky) ReLU. That per-element tail
+//! is one function, `finish`, and every integer kernel of the engine
+//! calls it: this GEMM, the i32 GEMM, the depthwise loop, and the
+//! executor's elementwise loop, which runs each standalone
+//! `Requant`/`Relu`/`LeakyRelu`/`Add` node as a one-step epilogue over its
+//! input. One resolver, `TileStep::resolve`, turns a graph-level
+//! [`EpiStep`] into a tile step for fused and standalone nodes alike. Each
+//! step therefore has one definition, which is what makes graph-level
+//! fusion bit-exact (`tests/fusion_parity.rs`) and the two GEMM routes
+//! bit-identical.
 //!
 //! **Determinism.** Every output element is accumulated in ascending-`k`
 //! order by exactly one closure invocation, and integer addition is
@@ -42,7 +46,8 @@
 //! value. Per-block counts are merged into one [`Counter`] (a sum of
 //! non-negative integers, order-independent).
 
-use crate::lower::{narrow, LEAKY_ALPHA_FRAC};
+use crate::lower::{narrow, EpiStep, LEAKY_ALPHA_FRAC};
+use crate::qtensor::QFormat;
 use crate::requant::shift_round;
 use tqt_rt::pool;
 use tqt_rt::sync::Counter;
@@ -121,35 +126,54 @@ pub fn pack_rhs(b: &[i64], k: usize, n: usize, dst: &mut [i64]) {
 }
 
 /// One register-resident epilogue step, applied per element after the
-/// narrowed accumulator (plus biases) is formed. Each variant replays
-/// the corresponding standalone executor kernel bit-for-bit, including
-/// its saturation / wrap counting — the fused-graph parity contract.
+/// narrowed accumulator (plus biases) is formed — or, for a standalone
+/// elementwise node, to each input element. Built from graph-level
+/// [`EpiStep`]s by `TileStep::resolve`.
 #[derive(Clone, Copy)]
 pub enum TileStep<'a> {
     /// Round-half-even shift by `shift` then clamp to `[qmin, qmax]`,
-    /// counting clamped elements (the `Requant` node kernel).
+    /// counting clamped elements (a `Requant` node).
     Requant { shift: i32, qmin: i64, qmax: i64 },
     /// Exact i128 add of the same-index element of a residual operand,
-    /// narrowed with wrap counting (the `Add` node kernel). The slice is
-    /// indexed by the element's position in the full `[m, n]` output.
+    /// narrowed with wrap counting (an `Add` node). The slice is indexed
+    /// by the element's position in the full `[m, n]` output.
     AddResidual(&'a [i64]),
-    /// `max(0)` then `min(cap)` (the `Relu` node kernel; pass
-    /// `i64::MAX` for an uncapped ReLU).
+    /// `max(0)` then `min(cap)` (a `Relu` node; `i64::MAX` for an
+    /// uncapped ReLU).
     ReluCap(i64),
     /// `max(v << LEAKY_ALPHA_FRAC, v * alpha_q)` narrowed with wrap
-    /// counting (the `LeakyRelu` node kernel; the element moves to the
+    /// counting (a `LeakyRelu` node; the element moves to the
     /// `frac + LEAKY_ALPHA_FRAC` grid).
     Leaky(i64),
 }
 
+impl<'a> TileStep<'a> {
+    /// The tile step that performs `step` on a value on the `input` grid
+    /// (shifts are relative, formats absolute); `residual` is the operand
+    /// of an [`EpiStep::AddResidual`]. Standalone elementwise nodes and
+    /// fused epilogues both resolve their steps here.
+    pub(crate) fn resolve(step: EpiStep, input: QFormat, residual: &'a [i64]) -> Self {
+        match step {
+            EpiStep::Requant { format } => TileStep::Requant {
+                shift: input.frac - format.frac,
+                qmin: format.qmin(),
+                qmax: format.qmax(),
+            },
+            EpiStep::AddResidual => TileStep::AddResidual(residual),
+            EpiStep::Relu { cap_q } => TileStep::ReluCap(cap_q.unwrap_or(i64::MAX)),
+            EpiStep::LeakyRelu { alpha_q } => TileStep::Leaky(alpha_q),
+        }
+    }
+}
+
 /// Narrows one exact accumulator (biases already added) to i64, counting
 /// a wrap into `overflowed`, then applies the fused epilogue `epi` to it.
-/// This is the single per-element tail of every integer compute route —
-/// this kernel, the i32 kernel ([`crate::gemm_i8::gemm_i8_narrow_fused`])
-/// and the depthwise loop — so requantization, residual add, relu and
-/// leaky saturate, wrap and count identically whichever kernel produced
-/// the accumulator. `at` is the element's index into any
-/// [`TileStep::AddResidual`] operand.
+/// This is the single per-element tail of the engine — this kernel, the
+/// i32 kernel ([`crate::gemm_i8::gemm_i8_narrow_fused`]), the depthwise
+/// loop and the standalone elementwise nodes — so requantization,
+/// residual add, relu and leaky saturate, wrap and count identically
+/// whichever kernel produced the value. `at` is the element's index into
+/// any [`TileStep::AddResidual`] operand.
 #[inline(always)]
 pub(crate) fn finish(
     wide: i128,
@@ -185,50 +209,14 @@ pub(crate) fn finish(
     v
 }
 
-/// `out[m,n] = narrow(a[m,k] · b[k,n] + bias)` with exact i128
-/// accumulation per element; values escaping the i64 range are counted
-/// into `overflowed` and stored wrapped (the reference-engine contract).
-/// `bias_row` adds one value per output row (conv channel bias),
-/// `bias_col` one per output column (dense feature bias).
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i64_narrow(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i64],
-    b: &[i64],
-    bias_row: Option<&[i64]>,
-    bias_col: Option<&[i64]>,
-    out: &mut [i64],
-    overflowed: &Counter,
-    parallel: bool,
-) {
-    let saturated = Counter::new();
-    gemm_i64_narrow_fused(
-        m,
-        n,
-        k,
-        Lhs::Rows(a),
-        Rhs::Rows(b),
-        bias_row,
-        bias_col,
-        &[],
-        out,
-        overflowed,
-        &saturated,
-        parallel,
-    );
-    debug_assert_eq!(saturated.get(), 0, "no epilogue steps, nothing saturates");
-}
-
-/// [`gemm_i64_narrow`] generalized over packed operands and a fused
-/// per-element epilogue. Clamped elements of `Requant` steps are counted
-/// into `saturated`; wrapped narrows (the accumulator itself and any
-/// `AddResidual` step) into `overflowed`.
+/// `out[m,n] = epi(narrow(a[m,k] · b[k,n] + bias))` with exact i128
+/// accumulation per element, over row-major or packed operands. Values
+/// escaping the i64 range are stored wrapped (the reference-engine
+/// contract). `bias_row` adds one value per output row (conv channel
+/// bias), `bias_col` one per output column (dense feature bias); pass an
+/// empty `epi` for the raw accumulators. Clamped elements of `Requant`
+/// steps are counted into `saturated`; wrapped narrows (the accumulator
+/// itself and any `AddResidual` or `Leaky` step) into `overflowed`.
 ///
 /// # Panics
 ///
@@ -359,17 +347,46 @@ mod tests {
         (out, ovf)
     }
 
+    /// Raw accumulators of row-major operands: the kernel with an empty
+    /// epilogue. Returns the outputs and the wrap count.
+    fn raw(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[i64],
+        b: &[i64],
+        bias_row: Option<&[i64]>,
+        bias_col: Option<&[i64]>,
+    ) -> (Vec<i64>, u64) {
+        let mut out = vec![0i64; m * n];
+        let (ovf, sat) = (Counter::new(), Counter::new());
+        gemm_i64_narrow_fused(
+            m,
+            n,
+            k,
+            Lhs::Rows(a),
+            Rhs::Rows(b),
+            bias_row,
+            bias_col,
+            &[],
+            &mut out,
+            &ovf,
+            &sat,
+            false,
+        );
+        assert_eq!(sat.get(), 0, "no epilogue steps, nothing saturates");
+        (out, ovf.get())
+    }
+
     #[test]
     fn matches_oracle_including_ragged_tiles() {
         for &(m, n, k) in &[(1, 1, 1), (5, 67, 9), (33, 130, 17), (4, 3, 0)] {
             let a: Vec<i64> = (0..m * k).map(|v| (v as i64 * 37 % 1001) - 500).collect();
             let b: Vec<i64> = (0..k * n).map(|v| (v as i64 * 53 % 997) - 498).collect();
             let (want, _) = oracle(m, n, k, &a, &b);
-            let mut got = vec![0i64; m * n];
-            let ovf = Counter::new();
-            gemm_i64_narrow(m, n, k, &a, &b, None, None, &mut got, &ovf, false);
+            let (got, ovf) = raw(m, n, k, &a, &b, None, None);
             assert_eq!(want, got, "shape ({m},{n},{k})");
-            assert_eq!(ovf.get(), 0);
+            assert_eq!(ovf, 0);
         }
     }
 
@@ -378,9 +395,7 @@ mod tests {
         for &(m, n, k) in &[(1, 1, 3), (5, 67, 9), (33, 130, 17), (16, 64, 8)] {
             let a: Vec<i64> = (0..m * k).map(|v| (v as i64 * 41 % 811) - 400).collect();
             let b: Vec<i64> = (0..k * n).map(|v| (v as i64 * 59 % 773) - 380).collect();
-            let mut want = vec![0i64; m * n];
-            let ovf = Counter::new();
-            gemm_i64_narrow(m, n, k, &a, &b, None, None, &mut want, &ovf, false);
+            let (want, _) = raw(m, n, k, &a, &b, None, None);
             let mut ap = vec![0i64; packed_lhs_len(m, k)];
             pack_lhs(&a, m, k, &mut ap);
             let mut bp = vec![0i64; packed_rhs_len(k, n)];
@@ -405,11 +420,9 @@ mod tests {
         // 2 * (2^62 * 2) = 2^64 wraps to 0 in i64 and must be counted.
         let a = vec![1i64 << 62, 1 << 62];
         let b = vec![2i64, 2];
-        let mut got = vec![0i64; 1];
-        let ovf = Counter::new();
-        gemm_i64_narrow(1, 1, 2, &a, &b, None, None, &mut got, &ovf, false);
+        let (got, ovf) = raw(1, 1, 2, &a, &b, None, None);
         assert_eq!(got[0], 0);
-        assert_eq!(ovf.get(), 1);
+        assert_eq!(ovf, 1);
     }
 
     #[test]
@@ -417,20 +430,7 @@ mod tests {
         let a = vec![2i64, 3];
         let b = vec![10i64, 100, 1000, 10000];
         // [2,3] @ [[10,100],[1000,10000]] = [3020, 30200]
-        let mut got = vec![0i64; 2];
-        let ovf = Counter::new();
-        gemm_i64_narrow(
-            1,
-            2,
-            2,
-            &a,
-            &b,
-            Some(&[7]),
-            Some(&[1, 2]),
-            &mut got,
-            &ovf,
-            false,
-        );
+        let (got, _) = raw(1, 2, 2, &a, &b, Some(&[7]), Some(&[1, 2]));
         assert_eq!(got, vec![3020 + 7 + 1, 30200 + 7 + 2]);
     }
 

@@ -13,7 +13,8 @@
 //!   the plan proves narrow;
 //! * [`intgemm`] — the blocked exact-i128 `i64` GEMM, the engine's
 //!   proven fallback for everything else (16-bit configs, bound
-//!   rejections);
+//!   rejections), and the per-element epilogue tail that every kernel
+//!   and every standalone elementwise node runs through;
 //! * [`mod@plan`] — static execution plans and the buffer-reusing
 //!   [`IntExecutor`] for repeated integer inference;
 //! * [`mod@lower`] with the [`lower()`](lower::lower) entry point — lowering a quantized float graph to an [`IntGraph`]
@@ -41,10 +42,7 @@ pub use fuse::{fuse, fuse_with_chains, ChainRecord};
 pub use rebalance::{
     rebalance, rebalance_with_provenance, rebalance_with_records, RebalanceRecord,
 };
-pub use gemm_i8::{
-    gemm_i8_acc32, gemm_i8_acc32_prepacked, gemm_i8_fused, gemm_i8_fused_prepacked,
-    gemm_i8_narrow_fused, NarrowLhs, PackedB, RequantMode,
-};
+pub use gemm_i8::{gemm_i8_fused_prepacked, gemm_i8_narrow_fused, NarrowLhs, PackedB, RequantMode};
 pub use lower::{
     lower, lower_with_provenance, EpiStep, IntGraph, NodeProv, NodeStats, Provenance, RoundMode,
     RunStats,

@@ -217,10 +217,10 @@ pub enum IntOp {
     /// store (produced by [`crate::fuse::fuse`], never by [`lower`]).
     ///
     /// Inputs are `[x]`, or `[x, residual]` when `epi` contains an
-    /// [`EpiStep::AddResidual`]. Every step replays the standalone node
-    /// kernel it replaced per element, so a fused graph is bit-identical —
-    /// outputs *and* total saturation/overflow counts — to its unfused
-    /// original (`tests/fusion_parity.rs`).
+    /// [`EpiStep::AddResidual`]. Every step runs through the same
+    /// per-element tail as the standalone node it replaced, so a fused
+    /// graph is bit-identical — outputs *and* total saturation/overflow
+    /// counts — to its unfused original (`tests/fusion_parity.rs`).
     Fused {
         /// The producing op: always a `Conv` or `Dense`.
         core: Box<IntOp>,
@@ -230,9 +230,10 @@ pub enum IntOp {
     },
 }
 
-/// One step of a fused node's per-element epilogue, in graph-level terms
-/// (formats, not shifts — the executor resolves shifts against the
-/// chain's running fractional length at plan time).
+/// One per-element epilogue step, in graph-level terms (formats, not
+/// shifts — the executor resolves shifts against the running fractional
+/// length): a step of a fused node's chain, or the whole of a standalone
+/// `Requant`/`Relu`/`LeakyRelu`/`Add` node (`IntOp::epi_step`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpiStep {
     /// Requantize into `format` (round-half-even shift + saturation,
@@ -257,6 +258,46 @@ pub enum EpiStep {
         /// Slope in QA fixed point.
         alpha_q: i64,
     },
+}
+
+impl IntOp {
+    /// The epilogue step a standalone elementwise node performs, or `None`
+    /// for every other op. `Requant`, `Relu`, `LeakyRelu` and `Add` (whose
+    /// second input is the residual) run as this one step, fused or not.
+    pub(crate) fn epi_step(&self) -> Option<EpiStep> {
+        match *self {
+            IntOp::Requant { format } => Some(EpiStep::Requant { format }),
+            IntOp::Relu { cap_q } => Some(EpiStep::Relu { cap_q }),
+            IntOp::LeakyRelu { alpha_q } => Some(EpiStep::LeakyRelu { alpha_q }),
+            IntOp::Add => Some(EpiStep::AddResidual),
+            _ => None,
+        }
+    }
+
+    /// The output format of a conv/dense core reading an `input`-format
+    /// operand: the raw accumulator at `input.frac + w_frac`. `None` for
+    /// every other op.
+    pub(crate) fn acc_format(&self, input: QFormat) -> Option<QFormat> {
+        match self {
+            IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
+                Some(QFormat::new(input.frac + w_frac, 64, true))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl EpiStep {
+    /// The output format of this step applied to an `input`-format value,
+    /// the same for the standalone node and the fused step.
+    pub(crate) fn out_format(self, input: QFormat) -> QFormat {
+        match self {
+            EpiStep::Requant { format } => format,
+            EpiStep::AddResidual => QFormat::new(input.frac, 64, true),
+            EpiStep::Relu { .. } => input,
+            EpiStep::LeakyRelu { .. } => QFormat::new(input.frac + LEAKY_ALPHA_FRAC, 64, true),
+        }
+    }
 }
 
 /// A node of the integer graph.

@@ -18,6 +18,16 @@
 //! Serial and parallel runs are bit-identical; counters are merged
 //! through order-independent `tqt_rt::sync::Counter` sums.
 //!
+//! **One definition per elementwise step.** A standalone `Requant`,
+//! `Relu`, `LeakyRelu` or `Add` node is one epilogue step
+//! ([`EpiStep`]) over its input: the executor resolves it to a
+//! [`TileStep`] with the same resolver a fused node's chain uses and runs
+//! it through `intgemm::finish`, the per-element tail every GEMM route
+//! and the depthwise loop call. The plan's format inference applies the
+//! same per-step output-format rule to both, and one accumulator-format
+//! rule to every conv/dense core, fused or not. Fused and unfused graphs
+//! therefore compute each step with the same code.
+//!
 //! **GEMM routes.** The plan also decides, per conv/dense node, which
 //! kernel accumulates it ([`GemmRoute`]). A node whose input format has
 //! at most 8 bits, whose weights all fit in i8, and whose per-channel
@@ -35,9 +45,8 @@ use crate::intgemm::{
     finish, gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Lhs, Rhs,
     TileStep,
 };
-use crate::lower::{narrow, EpiStep, IntGraph, IntOp, RunStats, LEAKY_ALPHA_FRAC};
+use crate::lower::{narrow, EpiStep, IntGraph, IntOp, RunStats};
 use crate::qtensor::{QFormat, QTensor};
-use crate::requant::shift_round;
 use std::sync::Arc;
 use tqt_quant::round_half_even;
 use tqt_rt::pool;
@@ -249,53 +258,33 @@ impl IntPlan {
         let mut formats: Vec<QFormat> = Vec::with_capacity(n);
         for node in nodes {
             let i0 = node.inputs.first().copied();
-            let (shape, format) = match &node.op {
+            if let IntOp::Fused { core, .. } = &node.op {
+                assert!(
+                    matches!(**core, IntOp::Conv { .. } | IntOp::Dense { .. }),
+                    "fused core must be conv or dense, got {core:?}"
+                );
+            }
+            // A fused node's shape is its core's. Conv and dense arms pass
+            // their input format on; the core's accumulator rule and the
+            // epilogue steps are applied once, below.
+            let (shape, format) = match core_op(&node.op) {
                 // The raw float input placeholder owns no integer buffer;
                 // its consumer (QuantF32) reads the float tensor directly.
                 IntOp::Input => (vec![0], QFormat::new(0, 8, true)),
                 IntOp::QuantF32 { format } => (input_dims.to_vec(), *format),
-                IntOp::Requant { format } => {
-                    let i0 = i0.expect("requant needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    (shapes[i0].clone(), *format)
-                }
-                IntOp::Conv {
-                    wdims,
-                    geom,
-                    w_frac,
-                    ..
-                } => {
+                IntOp::Conv { wdims, geom, .. } => {
                     let i0 = i0.expect("conv needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
                     let ish = &shapes[i0];
                     let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                    (
-                        vec![ish[0], wdims[0], oh, ow],
-                        QFormat::new(formats[i0].frac + w_frac, 64, true),
-                    )
+                    (vec![ish[0], wdims[0], oh, ow], formats[i0])
                 }
                 IntOp::Dense {
-                    in_dim,
-                    out_dim,
-                    w_frac,
-                    ..
+                    in_dim, out_dim, ..
                 } => {
                     let i0 = i0.expect("dense needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
                     let ish = &shapes[i0];
                     assert_eq!(ish[1], *in_dim, "dense input feature mismatch");
-                    (
-                        vec![ish[0], *out_dim],
-                        QFormat::new(formats[i0].frac + w_frac, 64, true),
-                    )
-                }
-                IntOp::Relu { .. } => {
-                    let i0 = i0.expect("relu needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    (shapes[i0].clone(), formats[i0])
-                }
-                IntOp::LeakyRelu { .. } => {
-                    let i0 = i0.expect("leaky relu needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    (
-                        shapes[i0].clone(),
-                        QFormat::new(formats[i0].frac + LEAKY_ALPHA_FRAC, 64, true),
-                    )
+                    (vec![ish[0], *out_dim], formats[i0])
                 }
                 IntOp::MaxPool { geom } => {
                     let i0 = i0.expect("maxpool needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
@@ -319,19 +308,6 @@ impl IntPlan {
                         QFormat::new(formats[i0].frac + hw.trailing_zeros() as i32, 64, true),
                     )
                 }
-                IntOp::Add => {
-                    let (a, b) = (node.inputs[0], node.inputs[1]);
-                    assert_eq!(
-                        formats[a], formats[b],
-                        "eltwise-add formats must match (scale merging)"
-                    );
-                    assert_eq!(
-                        shapes[a].iter().product::<usize>(),
-                        shapes[b].iter().product::<usize>(),
-                        "eltwise-add operand sizes must match"
-                    );
-                    (shapes[a].clone(), QFormat::new(formats[a].frac, 64, true))
-                }
                 IntOp::Concat => {
                     let f = formats[node.inputs[0]];
                     for &i in &node.inputs {
@@ -349,65 +325,37 @@ impl IntPlan {
                     let feat: usize = ish.iter().product::<usize>() / ish[0];
                     (vec![ish[0], feat], formats[i0])
                 }
-                // A fused node's shape is its core's; its format folds the
-                // epilogue through the exact per-step rules of the
-                // standalone nodes it replaced.
-                IntOp::Fused { core, epi } => {
-                    let i0 = i0.expect("fused needs an input"); // tqt:allow(expect): the fuse pass guarantees arity
-                    let (shape, mut f) = match core.as_ref() {
-                        IntOp::Conv {
-                            wdims,
-                            geom,
-                            w_frac,
-                            ..
-                        } => {
-                            let ish = &shapes[i0];
-                            let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                            (
-                                vec![ish[0], wdims[0], oh, ow],
-                                QFormat::new(formats[i0].frac + w_frac, 64, true),
-                            )
-                        }
-                        IntOp::Dense {
-                            in_dim,
-                            out_dim,
-                            w_frac,
-                            ..
-                        } => {
-                            let ish = &shapes[i0];
-                            assert_eq!(ish[1], *in_dim, "dense input feature mismatch");
-                            (
-                                vec![ish[0], *out_dim],
-                                QFormat::new(formats[i0].frac + w_frac, 64, true),
-                            )
-                        }
-                        other => panic!("fused core must be conv or dense, got {other:?}"),
-                    };
-                    for step in epi {
-                        match step {
-                            EpiStep::Requant { format } => f = *format,
-                            EpiStep::AddResidual => {
-                                let r = node.inputs[1];
-                                assert_eq!(
-                                    formats[r], f,
-                                    "fused residual-add formats must match (scale merging)"
-                                );
-                                assert_eq!(
-                                    shapes[r].iter().product::<usize>(),
-                                    shape.iter().product::<usize>(),
-                                    "fused residual operand size must match"
-                                );
-                                f = QFormat::new(f.frac, 64, true);
-                            }
-                            EpiStep::Relu { .. } => {}
-                            EpiStep::LeakyRelu { .. } => {
-                                f = QFormat::new(f.frac + LEAKY_ALPHA_FRAC, 64, true);
-                            }
-                        }
-                    }
-                    (shape, f)
+                IntOp::Fused { .. } => unreachable!("fused cores are checked above"),
+                // One epilogue step over input 0.
+                IntOp::Requant { .. }
+                | IntOp::Relu { .. }
+                | IntOp::LeakyRelu { .. }
+                | IntOp::Add => {
+                    let i0 = i0.expect("elementwise node needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
+                    (shapes[i0].clone(), formats[i0])
                 }
             };
+            let mut format = core_op(&node.op).acc_format(format).unwrap_or(format);
+            let standalone = node.op.epi_step();
+            let epi = match &node.op {
+                IntOp::Fused { epi, .. } => epi.as_slice(),
+                _ => standalone.as_slice(),
+            };
+            for step in epi {
+                if *step == EpiStep::AddResidual {
+                    let r = node.inputs[1];
+                    assert_eq!(
+                        formats[r], format,
+                        "eltwise-add formats must match (scale merging)"
+                    );
+                    assert_eq!(
+                        shapes[r].iter().product::<usize>(),
+                        shape.iter().product::<usize>(),
+                        "eltwise-add operand sizes must match"
+                    );
+                }
+                format = step.out_format(format);
+            }
             shapes.push(shape);
             formats.push(format);
         }
@@ -796,6 +744,12 @@ fn input_slice<'a>(bufs: &'a [Vec<i64>], plan: &IntPlan, i: usize) -> &'a [i64] 
     &bufs[plan.slot[i]][..plan.lens[i]]
 }
 
+/// The residual operand of an add (standalone or fused): the node's second
+/// input, empty for single-input nodes.
+fn residual_slice<'a>(bufs: &'a [Vec<i64>], plan: &IntPlan, inputs: &[usize]) -> &'a [i64] {
+    inputs.get(1).map_or(&[], |&r| input_slice(bufs, plan, r))
+}
+
 impl<'g> IntExecutor<'g> {
     /// Creates an executor with freshly planned, zeroed slot buffers.
     pub fn new(graph: &'g IntGraph, input_dims: &[usize]) -> Self {
@@ -952,52 +906,37 @@ impl<'g> IntExecutor<'g> {
                         float_consumed = true;
                         st.saturated += quantf32_into(x.data(), *format, out);
                     }
-                    IntOp::Requant { format } => {
-                        let i0 = node.inputs[0];
-                        st.saturated += requant_into(
-                            input_slice(bufs, plan, i0),
-                            plan.formats[i0].frac,
-                            *format,
-                            out,
-                        );
-                    }
-                    IntOp::Conv { .. } | IntOp::Dense { .. } => {
+                    IntOp::Conv { .. } | IntOp::Dense { .. } | IntOp::Fused { .. } => {
                         let i0 = node.inputs[0];
                         let a = input_slice(bufs, plan, i0);
-                        let (ovf, _) = run_core(plan, id, &node.op, a, &plan.shapes[i0], &[], out);
+                        let residual = residual_slice(bufs, plan, &node.inputs);
+                        let core = core_op(&node.op);
+                        let acc = core.acc_format(plan.formats[i0]);
+                        let steps = match (&node.op, acc) {
+                            (IntOp::Fused { epi, .. }, Some(acc)) => {
+                                fused_steps(epi, acc, residual)
+                            }
+                            _ => Vec::new(),
+                        };
+                        let ish = &plan.shapes[i0];
+                        let (ovf, sat) = run_core(plan, id, core, a, ish, &steps, out);
                         st.overflowed += ovf;
+                        st.saturated += sat;
                     }
-                    IntOp::Relu { cap_q } => {
-                        let a = input_slice(bufs, plan, node.inputs[0]);
-                        let cap = *cap_q;
-                        pool::par_chunks_mut(out, ELEM_BLOCK, |ci, chunk| {
-                            let base = ci * ELEM_BLOCK;
-                            let end = base + chunk.len();
-                            for (o, &v) in chunk.iter_mut().zip(&a[base..end]) {
-                                let mut y = v.max(0);
-                                if let Some(c) = cap {
-                                    y = y.min(c);
-                                }
-                                *o = y;
-                            }
-                        });
-                    }
-                    IntOp::LeakyRelu { alpha_q } => {
-                        let a = input_slice(bufs, plan, node.inputs[0]);
-                        let alpha = *alpha_q;
-                        let ovf = Counter::new();
-                        pool::par_chunks_mut(out, ELEM_BLOCK, |ci, chunk| {
-                            let base = ci * ELEM_BLOCK;
-                            let mut local = 0u64;
-                            let end = base + chunk.len();
-                            for (o, &v) in chunk.iter_mut().zip(&a[base..end]) {
-                                let wide = (i128::from(v) << LEAKY_ALPHA_FRAC)
-                                    .max(i128::from(v) * i128::from(alpha));
-                                *o = narrow(wide, &mut local);
-                            }
-                            ovf.add(local);
-                        });
-                        st.overflowed += ovf.get();
+                    IntOp::Requant { .. }
+                    | IntOp::Relu { .. }
+                    | IntOp::LeakyRelu { .. }
+                    | IntOp::Add => {
+                        let Some(step) = node.op.epi_step() else {
+                            unreachable!("requant, relu, leaky relu and add are epilogue steps")
+                        };
+                        let i0 = node.inputs[0];
+                        let residual = residual_slice(bufs, plan, &node.inputs);
+                        let tile = TileStep::resolve(step, plan.formats[i0], residual);
+                        let a = input_slice(bufs, plan, i0);
+                        let (ovf, sat) = elementwise_into(a, tile, out);
+                        st.overflowed += ovf;
+                        st.saturated += sat;
                     }
                     IntOp::MaxPool { geom } => {
                         let i0 = node.inputs[0];
@@ -1012,23 +951,6 @@ impl<'g> IntExecutor<'g> {
                             &mut st.overflowed,
                         );
                     }
-                    IntOp::Add => {
-                        let a = input_slice(bufs, plan, node.inputs[0]);
-                        let b = input_slice(bufs, plan, node.inputs[1]);
-                        let ovf = Counter::new();
-                        pool::par_chunks_mut(out, ELEM_BLOCK, |ci, chunk| {
-                            let base = ci * ELEM_BLOCK;
-                            let mut local = 0u64;
-                            for (j, o) in chunk.iter_mut().enumerate() {
-                                *o = narrow(
-                                    i128::from(a[base + j]) + i128::from(b[base + j]),
-                                    &mut local,
-                                );
-                            }
-                            ovf.add(local);
-                        });
-                        st.overflowed += ovf.get();
-                    }
                     IntOp::Concat => {
                         let ins: Vec<(&[i64], &[usize])> = node
                             .inputs
@@ -1039,49 +961,6 @@ impl<'g> IntExecutor<'g> {
                     }
                     IntOp::Flatten => {
                         out.copy_from_slice(input_slice(bufs, plan, node.inputs[0]));
-                    }
-                    IntOp::Fused { core, epi } => {
-                        let i0 = node.inputs[0];
-                        let a = input_slice(bufs, plan, i0);
-                        let ish = &plan.shapes[i0];
-                        // Resolve the graph-level epilogue into tile steps
-                        // against the chain's running fractional length
-                        // (shifts are relative, formats absolute).
-                        let w_frac = match core.as_ref() {
-                            IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => *w_frac,
-                            other => panic!("fused core must be conv or dense, got {other:?}"),
-                        };
-                        let mut cur_frac = plan.formats[i0].frac + w_frac;
-                        let mut steps: Vec<TileStep> = Vec::with_capacity(epi.len());
-                        for step in epi {
-                            match step {
-                                EpiStep::Requant { format } => {
-                                    steps.push(TileStep::Requant {
-                                        shift: cur_frac - format.frac,
-                                        qmin: format.qmin(),
-                                        qmax: format.qmax(),
-                                    });
-                                    cur_frac = format.frac;
-                                }
-                                EpiStep::AddResidual => {
-                                    steps.push(TileStep::AddResidual(input_slice(
-                                        bufs,
-                                        plan,
-                                        node.inputs[1],
-                                    )));
-                                }
-                                EpiStep::Relu { cap_q } => {
-                                    steps.push(TileStep::ReluCap(cap_q.unwrap_or(i64::MAX)));
-                                }
-                                EpiStep::LeakyRelu { alpha_q } => {
-                                    steps.push(TileStep::Leaky(*alpha_q));
-                                    cur_frac += LEAKY_ALPHA_FRAC;
-                                }
-                            }
-                        }
-                        let (ovf, sat) = run_core(plan, id, core, a, ish, &steps, out);
-                        st.overflowed += ovf;
-                        st.saturated += sat;
                     }
                 }
             }
@@ -1108,6 +987,19 @@ impl<'g> IntExecutor<'g> {
         }
         stats
     }
+}
+
+/// Resolves a fused node's epilogue into tile steps against the chain's
+/// running format, starting from the core's accumulator format `acc`
+/// (shifts are relative, formats absolute).
+fn fused_steps<'a>(epi: &[EpiStep], mut f: QFormat, residual: &'a [i64]) -> Vec<TileStep<'a>> {
+    epi.iter()
+        .map(|&step| {
+            let tile = TileStep::resolve(step, f, residual);
+            f = step.out_format(f);
+            tile
+        })
+        .collect()
 }
 
 /// Runs one conv/dense core — standalone (`epi` empty) or the core of a
@@ -1217,28 +1109,49 @@ fn quantf32_into(xd: &[f32], format: QFormat, out: &mut [i64]) -> u64 {
     sat.get()
 }
 
-/// Requantizes from `in_frac` into `format` by round-half-even bit-shift
-/// with saturation (eq. 16), returning the number of clamped elements.
-fn requant_into(a: &[i64], in_frac: i32, format: QFormat, out: &mut [i64]) -> u64 {
-    assert_eq!(a.len(), out.len(), "requant length mismatch");
-    let shift = in_frac - format.frac;
-    let (qmin, qmax) = (format.qmin(), format.qmax());
-    let sat = Counter::new();
+/// Runs a standalone elementwise node — `Requant`, `Relu`, `LeakyRelu` or
+/// `Add`, resolved to its one tile step `step` — over input `a` through
+/// the same per-element tail as the fused epilogues ([`finish`]),
+/// returning `(wrapped, saturated)` counts.
+fn elementwise_into(a: &[i64], step: TileStep, out: &mut [i64]) -> (u64, u64) {
+    // Each arm rebuilds its step inside the loop body, so the variant is a
+    // constant there: `finish`'s match folds away and every loop compiles
+    // to a kernel for one step.
+    match step {
+        TileStep::Requant { shift, qmin, qmax } => elementwise_loop(a, out, move |v, at, o, s| {
+            finish(v, &[TileStep::Requant { shift, qmin, qmax }], at, o, s)
+        }),
+        TileStep::AddResidual(r) => elementwise_loop(a, out, move |v, at, o, s| {
+            finish(v, &[TileStep::AddResidual(r)], at, o, s)
+        }),
+        TileStep::ReluCap(cap) => elementwise_loop(a, out, move |v, at, o, s| {
+            finish(v, &[TileStep::ReluCap(cap)], at, o, s)
+        }),
+        TileStep::Leaky(alpha) => elementwise_loop(a, out, move |v, at, o, s| {
+            finish(v, &[TileStep::Leaky(alpha)], at, o, s)
+        }),
+    }
+}
+
+/// `out[i] = tail(a[i], i, wrapped, saturated)` over fixed `ELEM_BLOCK`
+/// chunks, so the counts do not depend on the thread count.
+fn elementwise_loop<F>(a: &[i64], out: &mut [i64], tail: F) -> (u64, u64)
+where
+    F: Fn(i128, usize, &mut u64, &mut u64) -> i64 + Sync,
+{
+    assert_eq!(a.len(), out.len(), "elementwise length mismatch");
+    let (ovf, sat) = (Counter::new(), Counter::new());
     pool::par_chunks_mut(out, ELEM_BLOCK, |ci, chunk| {
         let base = ci * ELEM_BLOCK;
-        let mut local = 0u64;
+        let (mut local_ovf, mut local_sat) = (0u64, 0u64);
         let end = base + chunk.len();
-        for (o, &v) in chunk.iter_mut().zip(&a[base..end]) {
-            let r = shift_round(v, shift);
-            let c = r.clamp(qmin, qmax);
-            if c != r {
-                local += 1;
-            }
-            *o = c;
+        for (j, (o, &v)) in chunk.iter_mut().zip(&a[base..end]).enumerate() {
+            *o = tail(i128::from(v), base + j, &mut local_ovf, &mut local_sat);
         }
-        sat.add(local);
+        ovf.add(local_ovf);
+        sat.add(local_sat);
     });
-    sat.get()
+    (ovf.get(), sat.get())
 }
 
 /// Standard convolution: per-image i64 im2col into the thread-local
@@ -1436,16 +1349,71 @@ mod tests {
         IntGraph::from_parts(nodes, out)
     }
 
+    /// Runs `g` on the row `x = q / 16`, which the `f4` input quantizer
+    /// maps back to `q` exactly. Returns the output values and the output
+    /// node's `(overflowed, saturated)` counts.
+    fn run_q(g: &IntGraph, q: &[i64]) -> (Vec<i64>, u64, u64) {
+        let x = Tensor::from_vec(
+            vec![1, q.len()],
+            q.iter().map(|&v| v as f32 / 16.0).collect(),
+        );
+        let (y, stats) = g.executor(x.dims()).run_with_stats(&x);
+        let st = stats.nodes[g.output_id()];
+        (y.data().to_vec(), st.overflowed, st.saturated)
+    }
+
+    /// The standalone counterpart of
+    /// `intgemm::tests::epilogue_steps_replay_standalone_kernels`: Requant,
+    /// LeakyRelu and Add nodes through the executor, every output and
+    /// count worked out by hand.
     #[test]
-    fn requant_into_shifts_between_formats() {
-        let a = [100i64, -100, 3];
-        let mut r = [0i64; 3];
-        let sat = requant_into(&a, 6, QFormat::new(4, 8, true), &mut r);
-        assert_eq!(r, [25, -25, 1]); // 3/4 = 0.75 -> 1
-        let mut l = [0i64; 3];
-        let sat2 = requant_into(&a, 6, QFormat::new(8, 16, true), &mut l);
-        assert_eq!(l, [400, -400, 12]); // exact left shift
-        assert_eq!(sat + sat2, 0, "no value saturates in either direction");
+    fn standalone_elementwise_nodes_match_hand_computed() {
+        let q8 = IntOp::QuantF32 {
+            format: QFormat::new(4, 8, true),
+        };
+        let requant = |frac, bits| IntOp::Requant {
+            format: QFormat::new(frac, bits, true),
+        };
+
+        // f4 -> f2 s4: v/4 half-even (1.5 -> 2, 2.5 -> 2, -1.5 -> -2,
+        // 3.5 -> 4, 0.25 -> 0), 25 and -25 clamp to [-8, 7].
+        let g = chain(vec![IntOp::Input, q8.clone(), requant(2, 4)]);
+        let q = [6, 10, -6, 14, 100, -100, 1, 0];
+        assert_eq!(run_q(&g, &q), (vec![2, 2, -2, 4, 7, -8, 0, 0], 0, 2));
+        // f4 -> f6 s16: an exact left shift.
+        let g = chain(vec![IntOp::Input, q8.clone(), requant(6, 16)]);
+        assert_eq!(
+            run_q(&g, &q),
+            (vec![24, 40, -24, 56, 400, -400, 4, 0], 0, 0)
+        );
+
+        // max(v << 7, 13·v) on f4 -> f11.
+        let leaky = IntOp::LeakyRelu { alpha_q: 13 };
+        let g = chain(vec![IntOp::Input, q8.clone(), leaky.clone()]);
+        assert_eq!(
+            run_q(&g, &[6, -6, 0, -100]),
+            (vec![768, -78, 0, -1300], 0, 0)
+        );
+        // On f60 (v << 56) the positive branch reaches 2^63 and 2^64,
+        // which wrap to i64::MIN and 0.
+        let g = chain(vec![IntOp::Input, q8.clone(), requant(60, 64), leaky]);
+        let want = vec![i64::MIN, -13 << 56, 0, 0];
+        assert_eq!(run_q(&g, &[1, -1, 0, 2]), (want, 2, 0));
+
+        // Add of two f60 copies (v << 56): 2^62 + 2^62 = 2^63 wraps to
+        // i64::MIN, -2^63 fits, and 254·2^56 wraps to -2^57.
+        let (mut nodes, out) = chain(vec![
+            IntOp::Input,
+            q8,
+            requant(60, 64),
+            requant(60, 64),
+            IntOp::Add,
+        ])
+        .into_parts();
+        nodes[out].inputs = vec![2, 3];
+        let g = IntGraph::from_parts(nodes, out);
+        let want = vec![i64::MIN, i64::MIN, 6 << 56, -1 << 57];
+        assert_eq!(run_q(&g, &[64, -64, 3, 127]), (want, 2, 0));
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! a single-consumer conv/dense chain becomes just one more
 //! `EpiStep::Requant`).
 
-use crate::lower::{EpiStep, IntGraph, IntNode, IntOp, NodeProv, Provenance, RoundMode, LEAKY_ALPHA_FRAC};
+use crate::lower::{EpiStep, IntGraph, IntNode, IntOp, NodeProv, Provenance, RoundMode};
 use crate::qtensor::QFormat;
+use crate::requant::shift_round;
 use std::collections::BTreeMap;
 use tqt_quant::round_half_even;
 
@@ -73,47 +74,33 @@ impl Provenance {
     }
 }
 
-/// Static per-node output Q-formats, with the same transfer functions the
-/// executor plan resolves shifts against. `None` marks formats that need
-/// shapes to resolve (global average pools) or raw float edges; merges
-/// with an unresolved operand are left for the grid-type checker to
-/// refute.
+/// Static per-node output Q-formats, from the same format rules the
+/// executor plan uses (`IntOp::acc_format`, `EpiStep::out_format`).
+/// `None` marks formats that need shapes to resolve (global average pools)
+/// or raw float edges; merges with an unresolved operand are left for the
+/// grid-type checker to refute.
 fn infer_formats(nodes: &[IntNode]) -> Vec<Option<QFormat>> {
+    // A requant's format is its own, so it resolves even after an
+    // unresolved edge; every other step needs its input's format.
+    let apply = |cur: Option<QFormat>, step: EpiStep| match step {
+        EpiStep::Requant { format } => Some(format),
+        _ => cur.map(|f| step.out_format(f)),
+    };
     let mut fmts: Vec<Option<QFormat>> = Vec::with_capacity(nodes.len());
     for node in nodes {
         let fin = node.inputs.first().and_then(|&i| fmts[i]);
         let f = match &node.op {
             IntOp::Input | IntOp::GlobalAvgPool => None,
-            IntOp::QuantF32 { format } | IntOp::Requant { format } => Some(*format),
-            IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
-                fin.map(|f| QFormat::new(f.frac + w_frac, 64, true))
-            }
-            IntOp::Relu { .. } | IntOp::MaxPool { .. } | IntOp::Flatten | IntOp::Concat => fin,
-            IntOp::LeakyRelu { .. } => {
-                fin.map(|f| QFormat::new(f.frac + LEAKY_ALPHA_FRAC, 64, true))
-            }
-            IntOp::Add => fin.map(|f| QFormat::new(f.frac, 64, true)),
+            IntOp::QuantF32 { format } => Some(*format),
+            IntOp::MaxPool { .. } | IntOp::Flatten | IntOp::Concat => fin,
             IntOp::Fused { core, epi } => {
-                let mut cur = match &**core {
-                    IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
-                        fin.map(|f| QFormat::new(f.frac + w_frac, 64, true))
-                    }
-                    _ => fin,
-                };
-                for step in epi {
-                    match step {
-                        EpiStep::Requant { format } => cur = Some(*format),
-                        EpiStep::AddResidual => {
-                            cur = cur.map(|f| QFormat::new(f.frac, 64, true))
-                        }
-                        EpiStep::Relu { .. } => {}
-                        EpiStep::LeakyRelu { .. } => {
-                            cur = cur.map(|f| QFormat::new(f.frac + LEAKY_ALPHA_FRAC, 64, true))
-                        }
-                    }
-                }
-                cur
+                let acc = fin.and_then(|f| core.acc_format(f));
+                epi.iter().fold(acc, |cur, &s| apply(cur, s))
             }
+            op => match op.epi_step() {
+                Some(s) => apply(fin, s),
+                None => fin.and_then(|f| op.acc_format(f)),
+            },
         };
         fmts.push(f);
     }
@@ -255,31 +242,16 @@ pub fn rebalance_with_records(g: IntGraph) -> (IntGraph, Vec<RebalanceRecord>) {
         }
         let d = fo.frac - fnew.frac;
         match &mut out_nodes[nid].op {
-            IntOp::Relu { cap_q: Some(c) } => *c = rshift_half_even(*c, d),
+            IntOp::Relu { cap_q: Some(c) } => *c = shift_round(*c, d),
             IntOp::Conv { bias: Some(b), .. } | IntOp::Dense { bias: Some(b), .. } => {
                 for v in b.iter_mut() {
-                    *v = rshift_half_even(*v, d);
+                    *v = shift_round(*v, d);
                 }
             }
             _ => {}
         }
     }
     (IntGraph::from_parts(out_nodes, newid[output]), records)
-}
-
-/// `v / 2^d` rounded half-to-even (`d <= 0` is an exact left shift).
-fn rshift_half_even(v: i64, d: i32) -> i64 {
-    if d <= 0 {
-        return v << (-d);
-    }
-    let floor = v >> d;
-    let rem = v - (floor << d);
-    let half = 1i64 << (d - 1);
-    if rem > half || (rem == half && (floor & 1) == 1) {
-        floor + 1
-    } else {
-        floor
-    }
 }
 
 /// [`rebalance_with_records`] threading a [`Provenance`] map through the

@@ -27,7 +27,7 @@ pub fn shift_round(v: i64, shift: i32) -> i64 {
         return v << (-shift);
     }
     let half = 1i64 << (shift - 1);
-    let mask = (1i64 << shift) - 1;
+    let mask = !(-1i64 << shift); // 2^shift - 1, without overflow at shift 63
     let rem = v & mask; // non-negative remainder (arithmetic semantics)
     let floor = v >> shift;
     if rem > half || (rem == half && (floor & 1) != 0) {
@@ -140,6 +140,14 @@ mod tests {
     #[test]
     fn left_shift_is_exact() {
         assert_eq!(shift_round(-3, -4), -48);
+    }
+
+    #[test]
+    fn widest_shift_rounds_half_even() {
+        assert_eq!(shift_round(i64::MAX, 63), 1);
+        assert_eq!(shift_round(1 << 62, 63), 0, "0.5 ties to even");
+        assert_eq!(shift_round(3 << 61, 63), 1);
+        assert_eq!(shift_round(i64::MIN, 63), -1);
     }
 
     #[test]

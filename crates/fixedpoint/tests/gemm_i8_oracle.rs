@@ -17,7 +17,7 @@ use tqt_fixedpoint::intgemm::{gemm_i64_narrow_fused, Lhs, Rhs, TileStep};
 use tqt_fixedpoint::kernels;
 use tqt_fixedpoint::requant::{requant_affine, requant_pow2, requant_real, NormalizedMultiplier};
 use tqt_fixedpoint::{
-    gemm_i8_acc32, gemm_i8_fused, gemm_i8_narrow_fused, NarrowLhs, PackedB, RequantMode,
+    gemm_i8_fused_prepacked, gemm_i8_narrow_fused, NarrowLhs, PackedB, RequantMode,
 };
 use tqt_rt::check::{self, Config, Gen};
 use tqt_rt::pool;
@@ -157,14 +157,15 @@ fn fused_gemm_matches_i64_oracle_all_modes() {
                 },
             };
             let expected = oracle(c, &a, &b, bias.as_deref(), mult);
+            let bpack = PackedB::pack(&b, c.k, c.n);
             for parallel in [false, true] {
                 let mut got = vec![0i8; c.m * c.n];
-                gemm_i8_fused(
+                gemm_i8_fused_prepacked(
                     c.m,
                     c.n,
                     c.k,
                     &a,
-                    &b,
+                    &bpack,
                     bias.as_deref(),
                     mode,
                     &mut got,
@@ -190,12 +191,21 @@ fn raw_accumulator_gemm_matches_naive() {
             let mut rng = Rng::new(c.seed ^ 0x51_7cc1);
             let a = fill_i8(c.m * c.k, &mut rng);
             let b = fill_i8(c.k * c.n, &mut rng);
-            let expected = kernels::matmul_i8_acc32(&a, &b, c.m, c.k, c.n);
+            let expected: Vec<i64> = kernels::matmul_i8_acc32(&a, &b, c.m, c.k, c.n)
+                .into_iter()
+                .map(i64::from)
+                .collect();
+            // The serving kernel with an empty epilogue leaves the raw
+            // accumulators, widened to i64.
+            let wide: Vec<i64> = a.iter().map(|&v| i64::from(v)).collect();
+            let bpack = PackedB::pack(&b, c.k, c.n);
             for parallel in [false, true] {
-                let mut got = vec![0i32; c.m * c.n];
-                gemm_i8_acc32(c.m, c.n, c.k, &a, &b, &mut got, parallel);
+                let got = outcome(c.m * c.n, |out, ovf, sat| {
+                    let (lhs, b) = (NarrowLhs::Rows(&wide), &bpack);
+                    gemm_i8_narrow_fused(c.m, c.n, c.k, lhs, b, None, &[], out, ovf, sat, parallel)
+                });
                 prop_assert!(
-                    got == expected,
+                    got == (expected.clone(), 0, 0),
                     "blocked acc (parallel={parallel}) disagrees with naive on {c:?}"
                 );
             }
@@ -231,9 +241,10 @@ fn saturating_extremes_round_trip() {
             m: mult,
         },
     ];
+    let bpack = PackedB::pack(&b, k, n);
     for mode in modes {
         let mut fused = vec![0i8; m * n];
-        gemm_i8_fused(m, n, k, &a, &b, None, mode, &mut fused, false);
+        gemm_i8_fused_prepacked(m, n, k, &a, &bpack, None, mode, &mut fused, false);
         let acc = kernels::matmul_i8_acc32(&a, &b, m, k, n);
         let expected = match mode {
             RequantMode::Pow2 { shift } => kernels::requant_buffer_pow2(&acc, shift),

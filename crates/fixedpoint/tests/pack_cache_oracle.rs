@@ -1,9 +1,11 @@
-//! Property tests for the pre-packed weight-panel paths: packing a
-//! weight operand **once** (into a [`PackedB`], a [`tqt_tensor::gemm::PackedA`],
-//! or an `IntPlan`-owned arena panel) must be bit-identical to packing
-//! per call, on both the serial and parallel dispatch, and a plan shared
-//! between concurrently running executor sessions must never expose a
-//! torn or half-initialized panel.
+//! Property tests for the pre-packed weight-panel paths: a weight operand
+//! packed **once** (into a [`PackedB`], a [`tqt_tensor::gemm::PackedA`],
+//! or an `IntPlan`-owned arena panel) and reused across calls must give
+//! the same bits as the unpacked reference — the `kernels` oracle for the
+//! i8 panels, the row-major operand for the i64 and float panels — on
+//! both the serial and parallel dispatch, and a plan shared between
+//! concurrently running executor sessions must never expose a torn or
+//! half-initialized panel.
 //!
 //! The panels are written during construction and read-only afterwards,
 //! so bit-identity here is a memoization proof: same bytes in, same
@@ -13,8 +15,7 @@ use tqt_fixedpoint::intgemm::{
     gemm_i64_narrow_fused, pack_lhs, pack_rhs, packed_lhs_len, packed_rhs_len, Lhs, Rhs, TileStep,
 };
 use tqt_fixedpoint::{
-    gemm_i8_acc32, gemm_i8_acc32_prepacked, gemm_i8_fused, gemm_i8_fused_prepacked, IntExecutor,
-    PackedB, RequantMode,
+    gemm_i8_fused_prepacked, gemm_i8_narrow_fused, IntExecutor, NarrowLhs, PackedB, RequantMode,
 };
 use tqt_fixedpoint::requant::NormalizedMultiplier;
 use tqt_fixedpoint::kernels;
@@ -74,9 +75,9 @@ fn fill_i64(len: usize, rng: &mut Rng) -> Vec<i64> {
 }
 
 #[test]
-fn prepacked_i8_panels_match_pack_per_call() {
+fn prepacked_i8_panels_match_oracle() {
     check::run(
-        "prepacked_i8_panels_match_pack_per_call",
+        "prepacked_i8_panels_match_oracle",
         Config::cases(100),
         gen_case(),
         |c: &Case| {
@@ -99,25 +100,52 @@ fn prepacked_i8_panels_match_pack_per_call() {
                     m: mult,
                 },
             };
+            // The naive oracle: matmul, row bias, then a separate requant
+            // pass over the whole buffer.
+            let acc = kernels::matmul_i8_acc32(&a, &b, c.m, c.k, c.n);
+            let biased: Vec<i32> = acc
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| v.wrapping_add(bias[i / c.n]))
+                .collect();
+            let want = match mode {
+                RequantMode::Pow2 { shift } => kernels::requant_buffer_pow2(&biased, shift),
+                RequantMode::Real { m } => kernels::requant_buffer_real(&biased, m),
+                RequantMode::Affine { z1, z2, z3, m, .. } => {
+                    kernels::requant_buffer_affine(&biased, &asums, &bsums, c.k, z1, z2, z3, m)
+                }
+            };
+            let want_acc: Vec<i64> = acc.iter().map(|&v| i64::from(v)).collect();
+            let wide: Vec<i64> = a.iter().map(|&v| i64::from(v)).collect();
+            // One panel, reused by every call below.
             let bpack = PackedB::pack(&b, c.k, c.n);
             for parallel in [false, true] {
-                let mut per_call = vec![0i8; c.m * c.n];
-                gemm_i8_fused(c.m, c.n, c.k, &a, &b, Some(&bias), mode, &mut per_call, parallel);
                 let mut pre = vec![0i8; c.m * c.n];
                 gemm_i8_fused_prepacked(
                     c.m, c.n, c.k, &a, &bpack, Some(&bias), mode, &mut pre, parallel,
                 );
                 prop_assert!(
-                    pre == per_call,
+                    pre == want,
                     "fused prepacked (parallel={parallel}) diverged on {c:?}"
                 );
-                let mut acc_per_call = vec![0i32; c.m * c.n];
-                gemm_i8_acc32(c.m, c.n, c.k, &a, &b, &mut acc_per_call, parallel);
-                let mut acc_pre = vec![0i32; c.m * c.n];
-                gemm_i8_acc32_prepacked(c.m, c.n, c.k, &a, &bpack, &mut acc_pre, parallel);
+                let mut acc_pre = vec![0i64; c.m * c.n];
+                let (ovf, sat) = (Counter::new(), Counter::new());
+                gemm_i8_narrow_fused(
+                    c.m,
+                    c.n,
+                    c.k,
+                    NarrowLhs::Rows(&wide),
+                    &bpack,
+                    None,
+                    &[],
+                    &mut acc_pre,
+                    &ovf,
+                    &sat,
+                    parallel,
+                );
                 prop_assert!(
-                    acc_pre == acc_per_call,
-                    "acc32 prepacked (parallel={parallel}) diverged on {c:?}"
+                    acc_pre == want_acc && ovf.get() == 0 && sat.get() == 0,
+                    "raw prepacked (parallel={parallel}) diverged on {c:?}"
                 );
             }
             Ok(())

@@ -21,6 +21,13 @@ cargo test -q --offline --test int_pool_parity
 # including concurrent executor sessions borrowing one plan arena.
 cargo test -q --offline --features tqt-fixedpoint/sanitize --test fusion_parity
 cargo test -q --offline -p tqt-fixedpoint --features sanitize --test pack_cache_oracle
+# Bit-accuracy gate, also sanitized. Fused and unfused graphs now run
+# every requant/relu/leaky/add step through one shared per-element tail,
+# so fusion_parity no longer compares two implementations of a step; this
+# test (the float emulation of the baked graph vs the integer engine) is
+# the gate that checks the standalone nodes against an oracle outside the
+# engine.
+cargo test -q --offline --features tqt-fixedpoint/sanitize --test bit_accuracy
 # Grid-type / rebalance gate, also sanitized: unmerged-lowered graphs
 # repaired by the rebalance pass must be well-typed (TQT-V031..V034),
 # re-certify end-to-end, fuse through the inserted coercions, and match
