@@ -2,16 +2,20 @@
 //! backward) over the slot buffers of a [`FloatPlan`], with zero
 //! steady-state allocations.
 //!
-//! **Bit-identity contract.** Every op handler either calls the exact
-//! `_into` kernel the allocating layer path wraps ([`tqt_tensor::conv`],
-//! [`tqt_tensor::gemm`], [`tqt_quant::tqt`]) or replicates the layer's
-//! scalar loop statement for statement (pooling, batch-norm, channel
-//! reductions). Gradient fan-in follows the legacy executor's
-//! move-then-axpy order (first contribution in descending-node order
-//! writes, later ones accumulate), weight-gradient reductions stay in
-//! ascending image order, and threshold gradients accumulate in the same
-//! descending node order. `crates/graph/tests/planned_parity.rs` and the
-//! trainer parity test assert bit-equality against the allocating path.
+//! **Bit-identity contract.** Every op's arithmetic is the slice kernel
+//! the allocating layer wraps: conv and depthwise ([`tqt_tensor::conv`]),
+//! dense ([`tqt_tensor::gemm`]), per-channel bias add and sum
+//! ([`tqt_tensor::ops`]), pooling ([`tqt_nn::pool`]), batch norm
+//! ([`tqt_nn::batchnorm`]), concat ([`tqt_nn::merge`]) and the quantizer
+//! ([`tqt_quant::tqt`]). The `tqt-nn` unit tests and finite-difference
+//! gradchecks check that arithmetic. What this executor owns, and what
+//! `crates/graph/tests/planned_parity.rs` and the trainer's
+//! `train_parity` test compare bit-for-bit against `Graph::backward`, is
+//! the rest: slot liveness, gradient fan-in order (the legacy
+//! move-then-axpy order: the first contribution in descending-node order
+//! writes, later ones accumulate), threshold gradients accumulated in the
+//! same descending node order, arena plumbing, and quantized-weight
+//! staging.
 //!
 //! Parameters are read from a [`ParamArena`] (the pooled-optimizer
 //! layout); thresholds and batch-norm running statistics stay
@@ -20,6 +24,12 @@
 
 use crate::fplan::FloatPlan;
 use crate::ir::{Graph, Op, ThresholdMode};
+use tqt_nn::batchnorm::{batch_norm_backward_into, batch_norm_into, BnStats};
+use tqt_nn::merge::{concat_into, split_into};
+use tqt_nn::pool::{
+    avg_pool2d_backward_into, avg_pool2d_into, global_avg_pool_backward_into, global_avg_pool_into,
+    max_pool2d_backward_into, max_pool2d_into,
+};
 use tqt_nn::ParamArena;
 use tqt_quant::tqt::{quantize_backward_inplace, quantize_backward_into, quantize_into};
 use tqt_tensor::conv::{
@@ -27,36 +37,8 @@ use tqt_tensor::conv::{
     depthwise_conv2d_into,
 };
 use tqt_tensor::gemm::{gemm_nn, gemm_nt, gemm_tn, pack_a_full_into, packed_a_len};
+use tqt_tensor::ops::{add_channel_into, sum_channel_into};
 use tqt_tensor::Tensor;
-
-/// Per-batch-norm-node scratch: statistics of the last forward pass,
-/// retained for the backward pass (the planned analogue of `BnCache`).
-#[derive(Debug)]
-struct BnScratch {
-    mean: Vec<f32>,
-    var: Vec<f32>,
-    inv_std: Vec<f32>,
-    scale: Vec<f32>,
-    sum_gy: Vec<f32>,
-    sum_gy_xhat: Vec<f32>,
-    /// Whether the forward used batch statistics (full BN backward) or
-    /// frozen moving statistics (affine backward).
-    batch: bool,
-}
-
-impl BnScratch {
-    fn new(channels: usize) -> Self {
-        BnScratch {
-            mean: vec![0.0; channels],
-            var: vec![0.0; channels],
-            inv_std: vec![0.0; channels],
-            scale: vec![0.0; channels],
-            sum_gy: vec![0.0; channels],
-            sum_gy_xhat: vec![0.0; channels],
-            batch: true,
-        }
-    }
-}
 
 /// Executes planned training steps for one `(graph, input shape)` pair.
 /// All buffers — value slots, conv workspace, packed-filter panel,
@@ -72,7 +54,7 @@ pub struct FloatExecutor {
     qw: Vec<f32>,
     /// Per-node max-pool argmaxes (flat input indices), empty elsewhere.
     argmax: Vec<Vec<usize>>,
-    bn: Vec<Option<BnScratch>>,
+    bn: Vec<Option<BnStats>>,
     slot_allocs: u64,
     forward_ran: bool,
 }
@@ -90,7 +72,7 @@ impl FloatExecutor {
                     *am = vec![0usize; plan.shape(id).iter().product()];
                     bn.push(None);
                 }
-                Op::BatchNorm(_) => bn.push(Some(BnScratch::new(plan.shape(id)[1]))),
+                Op::BatchNorm(_) => bn.push(Some(BnStats::new(plan.shape(id)[1]))),
                 _ => bn.push(None),
             }
         }
@@ -206,8 +188,7 @@ impl FloatExecutor {
                     let wslen = nb * conv2d_fwd_ws(c, h, w, geom);
                     conv2d_into(xin, nb, c, h, w, &wpack[..plen], cout, geom, out, &mut ws[..wslen]);
                     if let Some(&bseg) = segs.get(1) {
-                        let spatial = olen / (nb * cout);
-                        add_channel_slice(out, nb, cout, spatial, arena.val(bseg));
+                        add_channel_into(out, nb, arena.val(bseg));
                     }
                 }
                 Op::Depthwise(l) => {
@@ -220,8 +201,7 @@ impl FloatExecutor {
                     let wsrc = quantized_or_plain(node, id, plan, thresholds, arena, qw, segs[0]);
                     depthwise_conv2d_into(xin, nb, c, h, w, wsrc, geom, out);
                     if let Some(&bseg) = segs.get(1) {
-                        let spatial = olen / (nb * c);
-                        add_channel_slice(out, nb, c, spatial, arena.val(bseg));
+                        add_channel_into(out, nb, arena.val(bseg));
                     }
                 }
                 Op::Dense(_) => {
@@ -234,81 +214,31 @@ impl FloatExecutor {
                     out.fill(0.0);
                     gemm_nn(nb, outd, ind, xin, wsrc, out, true);
                     if let Some(&bseg) = segs.get(1) {
-                        add_channel_slice(out, nb, outd, 1, arena.val(bseg));
+                        add_channel_into(out, nb, arena.val(bseg));
                     }
                 }
                 Op::BatchNorm(l) => {
                     let i0 = node.inputs[0];
-                    let sh = plan.shape(id);
-                    let (nb, c) = (sh[0], sh[1]);
-                    let spatial = olen / (nb * c);
-                    let count = (nb * spatial) as f32;
                     let xh_val = plan.xhat_of(id).expect("batch-norm has an xhat value"); // tqt:allow(expect): the plan allocates an xhat slot per batch-norm
                     let mut xhbuf = std::mem::take(&mut slots[plan.slot_of(xh_val)]);
                     let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
-                    let xh = &mut xhbuf[..olen];
                     let st = bn[id].as_mut().expect("batch-norm scratch missing"); // tqt:allow(expect): scratch is allocated per batch-norm at plan build
-                    st.batch = !l.stats_frozen();
-                    if st.batch {
-                        // reduce::mean_over_channel: per-(image, channel)
-                        // block sums accumulated, one divide at the end.
-                        st.mean.fill(0.0);
-                        for ni in 0..nb {
-                            for (ci, o) in st.mean.iter_mut().enumerate() {
-                                let base = (ni * c + ci) * spatial;
-                                *o += xin[base..base + spatial].iter().sum::<f32>();
-                            }
-                        }
-                        for m in &mut st.mean {
-                            *m /= count;
-                        }
-                        // reduce::var_over_channel: same two-level shape.
-                        st.var.fill(0.0);
-                        for ni in 0..nb {
-                            for (ci, o) in st.var.iter_mut().enumerate() {
-                                let base = (ni * c + ci) * spatial;
-                                let m = st.mean[ci];
-                                *o += xin[base..base + spatial]
-                                    .iter()
-                                    .map(|&v| (v - m) * (v - m))
-                                    .sum::<f32>();
-                            }
-                        }
-                        for v in &mut st.var {
-                            *v /= count;
-                        }
-                        l.update_running_stats(&st.mean, &st.var);
-                    } else {
-                        let (rm, rv) = l.running_stats();
-                        st.mean.copy_from_slice(rm.data());
-                        st.var.copy_from_slice(rv.data());
-                    }
-                    let eps = l.eps();
-                    for (o, &v) in st.inv_std.iter_mut().zip(&st.var) {
-                        *o = 1.0 / (v + eps).sqrt();
-                    }
-                    // xhat = (x + (-mean[c])) * inv_std[c], then
-                    // y = xhat * gamma[c] + beta[c] — the layer's exact
-                    // add_channel / mul_channel element sequences.
                     let segs = plan.param_segs(id);
-                    let gamma = arena.val(segs[0]);
-                    let beta = arena.val(segs[1]);
-                    for ni in 0..nb {
-                        for ci in 0..c {
-                            let base = (ni * c + ci) * spatial;
-                            let nm = -st.mean[ci];
-                            let is = st.inv_std[ci];
-                            let (gv, bv) = (gamma[ci], beta[ci]);
-                            for ((y, xhv), &xv) in out[base..base + spatial]
-                                .iter_mut()
-                                .zip(&mut xh[base..base + spatial])
-                                .zip(&xin[base..base + spatial])
-                            {
-                                let xhat = (xv + nm) * is;
-                                *xhv = xhat;
-                                *y = xhat * gv + bv;
-                            }
-                        }
+                    let (rm, rv) = l.running_stats();
+                    let running = l.stats_frozen().then(|| (rm.data(), rv.data()));
+                    batch_norm_into(
+                        xin,
+                        plan.shape(id)[0],
+                        running,
+                        l.eps(),
+                        arena.val(segs[0]),
+                        arena.val(segs[1]),
+                        st,
+                        &mut xhbuf[..olen],
+                        out,
+                    );
+                    if !l.stats_frozen() {
+                        l.update_running_stats(st);
                     }
                     slots[plan.slot_of(xh_val)] = xhbuf;
                 }
@@ -317,89 +247,18 @@ impl FloatExecutor {
                     let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
                     let ish = plan.shape(i0);
                     let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
-                    let geom = l.geom();
-                    let (oh, ow) = geom.out_size(h, w);
-                    let am = &mut argmax[id];
-                    for ni in 0..nb {
-                        for ci in 0..c {
-                            let ibase = (ni * c + ci) * h * w;
-                            let obase = (ni * c + ci) * oh * ow;
-                            for oi in 0..oh {
-                                for oj in 0..ow {
-                                    let mut best = f32::NEG_INFINITY;
-                                    let mut besti = 0usize;
-                                    for ki in 0..geom.kh {
-                                        let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                                        if ii < 0 || ii >= h as isize {
-                                            continue;
-                                        }
-                                        for kj in 0..geom.kw {
-                                            let jj =
-                                                (oj * geom.stride + kj) as isize - geom.pad as isize;
-                                            if jj < 0 || jj >= w as isize {
-                                                continue;
-                                            }
-                                            let idx = ibase + ii as usize * w + jj as usize;
-                                            if xin[idx] > best {
-                                                best = xin[idx];
-                                                besti = idx;
-                                            }
-                                        }
-                                    }
-                                    out[obase + oi * ow + oj] = best;
-                                    am[obase + oi * ow + oj] = besti;
-                                }
-                            }
-                        }
-                    }
+                    max_pool2d_into(xin, nb, c, h, w, l.geom(), out, &mut argmax[id]);
                 }
                 Op::AvgPool(l) => {
                     let i0 = node.inputs[0];
                     let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
                     let ish = plan.shape(i0);
                     let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
-                    let geom = l.geom();
-                    let (oh, ow) = geom.out_size(h, w);
-                    let r = l.reciprocal();
-                    for ni in 0..nb {
-                        for ci in 0..c {
-                            let ibase = (ni * c + ci) * h * w;
-                            let obase = (ni * c + ci) * oh * ow;
-                            for oi in 0..oh {
-                                for oj in 0..ow {
-                                    let mut acc = 0.0f32;
-                                    for ki in 0..geom.kh {
-                                        let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                                        if ii < 0 || ii >= h as isize {
-                                            continue;
-                                        }
-                                        for kj in 0..geom.kw {
-                                            let jj =
-                                                (oj * geom.stride + kj) as isize - geom.pad as isize;
-                                            if jj < 0 || jj >= w as isize {
-                                                continue;
-                                            }
-                                            acc += xin[ibase + ii as usize * w + jj as usize];
-                                        }
-                                    }
-                                    out[obase + oi * ow + oj] = acc * r;
-                                }
-                            }
-                        }
-                    }
+                    avg_pool2d_into(xin, nb, c, h, w, l.geom(), out);
                 }
                 Op::GlobalAvgPool(_) => {
                     let i0 = node.inputs[0];
-                    let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
-                    let ish = plan.shape(i0);
-                    let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
-                    let inv = 1.0 / (h * w) as f32;
-                    for ni in 0..nb {
-                        for ci in 0..c {
-                            let base = (ni * c + ci) * h * w;
-                            out[ni * c + ci] = xin[base..base + h * w].iter().sum::<f32>() * inv;
-                        }
-                    }
+                    global_avg_pool_into(&slots[plan.slot_of(i0)][..plan.len_of(i0)], out);
                 }
                 Op::Add(_) => {
                     let (a, b) = (node.inputs[0], node.inputs[1]);
@@ -410,20 +269,11 @@ impl FloatExecutor {
                     }
                 }
                 Op::Concat(_) => {
-                    let c_out = plan.shape(id)[1];
-                    let nb = plan.shape(id)[0];
-                    let spatial: usize = plan.shape(id)[2..].iter().product::<usize>().max(1);
-                    for ni in 0..nb {
-                        let mut c_off = 0usize;
-                        for &i in &node.inputs {
-                            let c = plan.shape(i)[1];
-                            let src = &slots[plan.slot_of(i)]
-                                [ni * c * spatial..(ni + 1) * c * spatial];
-                            let dst_base = (ni * c_out + c_off) * spatial;
-                            out[dst_base..dst_base + c * spatial].copy_from_slice(src);
-                            c_off += c;
-                        }
-                    }
+                    let parts = node
+                        .inputs
+                        .iter()
+                        .map(|&i| &slots[plan.slot_of(i)][..plan.len_of(i)]);
+                    concat_into(parts, plan.shape(id)[0], out);
                 }
             }
             #[cfg(debug_assertions)]
@@ -515,21 +365,11 @@ impl FloatExecutor {
                         }
                     }
                     Op::Concat(_) => {
-                        let c_out = plan.shape(id)[1];
-                        let nb = plan.shape(id)[0];
-                        let spatial: usize =
-                            plan.shape(id)[2..].iter().product::<usize>().max(1);
-                        let mut c_off = 0usize;
-                        for (cb, dbuf) in step.contribs.iter().zip(&mut dsts) {
-                            let c = plan.shape(node.inputs[cb.pos])[1];
-                            for ni in 0..nb {
-                                let src_base = (ni * c_out + c_off) * spatial;
-                                let dst_base = ni * c * spatial;
-                                dbuf[dst_base..dst_base + c * spatial]
-                                    .copy_from_slice(&gy[src_base..src_base + c * spatial]);
-                            }
-                            c_off += c;
-                        }
+                        let parts = dsts
+                            .iter_mut()
+                            .zip(&dst_vals)
+                            .map(|(d, &v)| &mut d[..plan.len_of(v)]);
+                        split_into(gy, plan.shape(id)[0], parts);
                     }
                     Op::Quant { tid } => {
                         let i0 = node.inputs[0];
@@ -579,8 +419,7 @@ impl FloatExecutor {
                             &mut ws[..wslen],
                         );
                         if let Some(&bseg) = segs.get(1) {
-                            let spatial = plan.len_of(id) / (nb * cout);
-                            sum_channel_slice_acc(gy, nb, cout, spatial, arena.grad_mut(bseg));
+                            sum_channel_into(gy, nb, arena.grad_mut(bseg));
                         }
                         apply_weight_ste(node, thresholds, arena, segs[0]);
                     }
@@ -612,8 +451,7 @@ impl FloatExecutor {
                             &mut ws[..nb * kelems],
                         );
                         if let Some(&bseg) = segs.get(1) {
-                            let spatial = plan.len_of(id) / (nb * c);
-                            sum_channel_slice_acc(gy, nb, c, spatial, arena.grad_mut(bseg));
+                            sum_channel_into(gy, nb, arena.grad_mut(bseg));
                         }
                         apply_weight_ste(node, thresholds, arena, segs[0]);
                     }
@@ -631,7 +469,7 @@ impl FloatExecutor {
                             gemm_tn(ind, outd, nb, xin, gy, wgrad, true);
                         }
                         if let Some(&bseg) = segs.get(1) {
-                            sum_channel_slice_acc(gy, nb, outd, 1, arena.grad_mut(bseg));
+                            sum_channel_into(gy, nb, arena.grad_mut(bseg));
                         }
                         // dx = gy @ w^T with the (possibly quantized)
                         // forward weights, like the legacy op order.
@@ -647,134 +485,26 @@ impl FloatExecutor {
                     Op::BatchNorm(_) => {
                         let xh_val = plan.xhat_of(id).expect("batch-norm has an xhat value"); // tqt:allow(expect): the plan allocates an xhat slot per batch-norm
                         let xh = &slots[plan.slot_of(xh_val)][..plan.len_of(xh_val)];
-                        let sh = plan.shape(id);
-                        let (nb, c) = (sh[0], sh[1]);
-                        let spatial = plan.len_of(id) / (nb * c);
                         let st = bn[id].as_mut().expect("batch-norm scratch missing"); // tqt:allow(expect): scratch is allocated per batch-norm at plan build
                         let segs = plan.param_segs(id);
-                        // dgamma = Σ gy*xhat, dbeta = Σ gy per channel —
-                        // sum_over_channel's two-level accumulation; the
-                        // sums are retained because the batch-stats dx
-                        // reuses the identical quantities.
-                        st.sum_gy_xhat.fill(0.0);
-                        st.sum_gy.fill(0.0);
-                        for ni in 0..nb {
-                            for ci in 0..c {
-                                let base = (ni * c + ci) * spatial;
-                                st.sum_gy_xhat[ci] += gy[base..base + spatial]
-                                    .iter()
-                                    .zip(&xh[base..base + spatial])
-                                    .map(|(&a, &b)| a * b)
-                                    .sum::<f32>();
-                                st.sum_gy[ci] +=
-                                    gy[base..base + spatial].iter().sum::<f32>();
-                            }
-                        }
-                        for (o, &s) in arena.grad_mut(segs[0]).iter_mut().zip(&st.sum_gy_xhat) {
-                            *o += s;
-                        }
-                        for (o, &s) in arena.grad_mut(segs[1]).iter_mut().zip(&st.sum_gy) {
-                            *o += s;
-                        }
-                        let gamma = arena.val(segs[0]);
-                        for ((o, &gv), &is) in
-                            st.scale.iter_mut().zip(gamma).zip(&st.inv_std)
-                        {
-                            *o = gv * is;
-                        }
+                        let (gamma, dgamma, dbeta) = arena.val_grads_mut(segs[0], segs[1]);
                         let dst = &mut dsts[0][..plan.len_of(dst_vals[0])];
-                        if !st.batch {
-                            // Frozen statistics: per-channel affine map.
-                            for ni in 0..nb {
-                                for ci in 0..c {
-                                    let base = (ni * c + ci) * spatial;
-                                    let sc = st.scale[ci];
-                                    for (o, &gv) in dst[base..base + spatial]
-                                        .iter_mut()
-                                        .zip(&gy[base..base + spatial])
-                                    {
-                                        *o = gv * sc;
-                                    }
-                                }
-                            }
-                        } else {
-                            // dx = scale*(gy - mean(gy) - xhat*mean(gy*xhat)),
-                            // element order exactly as the layer's
-                            // add_channel/sub/mul_channel chain.
-                            let count = (plan.len_of(id) / c) as f32;
-                            for ni in 0..nb {
-                                for ci in 0..c {
-                                    let base = (ni * c + ci) * spatial;
-                                    let nmgy = -(st.sum_gy[ci] / count);
-                                    let mgx = st.sum_gy_xhat[ci] / count;
-                                    let sc = st.scale[ci];
-                                    for ((o, &gv), &xhv) in dst[base..base + spatial]
-                                        .iter_mut()
-                                        .zip(&gy[base..base + spatial])
-                                        .zip(&xh[base..base + spatial])
-                                    {
-                                        *o = ((gv + nmgy) - xhv * mgx) * sc;
-                                    }
-                                }
-                            }
-                        }
+                        let nb = plan.shape(id)[0];
+                        batch_norm_backward_into(gy, xh, nb, gamma, st, dgamma, dbeta, dst);
                     }
                     Op::MaxPool(_) => {
                         let dst = &mut dsts[0][..plan.len_of(dst_vals[0])];
-                        dst.fill(0.0);
-                        for (o, &i) in argmax[id].iter().enumerate() {
-                            dst[i] += gy[o];
-                        }
+                        max_pool2d_backward_into(gy, &argmax[id], dst);
                     }
                     Op::AvgPool(l) => {
-                        let i0 = node.inputs[0];
-                        let ish = plan.shape(i0);
+                        let ish = plan.shape(node.inputs[0]);
                         let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
-                        let geom = l.geom();
-                        let (oh, ow) = geom.out_size(h, w);
-                        let r = l.reciprocal();
                         let dst = &mut dsts[0][..plan.len_of(dst_vals[0])];
-                        dst.fill(0.0);
-                        for ni in 0..nb {
-                            for ci in 0..c {
-                                let ibase = (ni * c + ci) * h * w;
-                                let obase = (ni * c + ci) * oh * ow;
-                                for oi in 0..oh {
-                                    for oj in 0..ow {
-                                        let gv = gy[obase + oi * ow + oj] * r;
-                                        for ki in 0..geom.kh {
-                                            let ii = (oi * geom.stride + ki) as isize
-                                                - geom.pad as isize;
-                                            if ii < 0 || ii >= h as isize {
-                                                continue;
-                                            }
-                                            for kj in 0..geom.kw {
-                                                let jj = (oj * geom.stride + kj) as isize
-                                                    - geom.pad as isize;
-                                                if jj < 0 || jj >= w as isize {
-                                                    continue;
-                                                }
-                                                dst[ibase + ii as usize * w + jj as usize] += gv;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        avg_pool2d_backward_into(gy, nb, c, h, w, l.geom(), dst);
                     }
                     Op::GlobalAvgPool(_) => {
-                        let i0 = node.inputs[0];
-                        let ish = plan.shape(i0);
-                        let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
-                        let inv = 1.0 / (h * w) as f32;
                         let dst = &mut dsts[0][..plan.len_of(dst_vals[0])];
-                        for ni in 0..nb {
-                            for ci in 0..c {
-                                let gv = gy[ni * c + ci] * inv;
-                                let base = (ni * c + ci) * h * w;
-                                dst[base..base + h * w].fill(gv);
-                            }
-                        }
+                        global_avg_pool_backward_into(gy, dst);
                     }
                 }
             }
@@ -847,30 +577,6 @@ fn apply_weight_ste(
     }
 }
 
-/// `ops::add_channel_inplace` over raw slices: adds `b[c]` to every
-/// element of each `(image, channel)` block.
-fn add_channel_slice(out: &mut [f32], n: usize, c: usize, spatial: usize, b: &[f32]) {
-    for ni in 0..n {
-        for ci in 0..c {
-            let bv = b[ci];
-            for v in &mut out[(ni * c + ci) * spatial..(ni * c + ci + 1) * spatial] {
-                *v += bv;
-            }
-        }
-    }
-}
-
-/// `ops::sum_over_channel` over raw slices, accumulating onto `out`
-/// (zeroed by the caller): the exact two-level per-block summation.
-fn sum_channel_slice_acc(src: &[f32], n: usize, c: usize, spatial: usize, out: &mut [f32]) {
-    for ni in 0..n {
-        for (ci, o) in out.iter_mut().enumerate() {
-            let base = (ni * c + ci) * spatial;
-            *o += src[base..base + spatial].iter().sum::<f32>();
-        }
-    }
-}
-
 /// Builds a [`ParamArena`] over `g`'s parameters in `params_mut` order
 /// (layer parameters by node id, then thresholds by id) — the exact
 /// layout [`FloatPlan`]'s segment indices assume.
@@ -912,4 +618,3 @@ pub fn sync_thresholds_from_arena(g: &mut Graph, arena: &ParamArena) {
         ts.param.value.data_mut()[0] = v;
     }
 }
-

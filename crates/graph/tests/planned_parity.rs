@@ -17,7 +17,7 @@ use tqt_nn::{
 };
 use tqt_rt::pool;
 use tqt_tensor::conv::Conv2dGeom;
-use tqt_tensor::{init, Tensor};
+use tqt_tensor::init;
 
 const DIMS: [usize; 4] = [4, 3, 8, 8];
 
@@ -35,7 +35,13 @@ fn zoo_net(seed: u64) -> Graph {
     let b1 = g.add("b1", Op::BatchNorm(BatchNorm::new("b1", 8, 0.9, 1e-5)), &[c1]);
     let r1 = g.add("r1", Op::Relu(Relu::new()), &[b1]);
     let id1 = g.add("id1", Op::Identity, &[r1]);
-    let p1 = g.add("p1", Op::MaxPool(MaxPool2d::k2s2()), &[id1]);
+    // Inception's shape-preserving pool branch: 3x3, stride 1, pad 1.
+    let p0 = g.add(
+        "p0",
+        Op::MaxPool(MaxPool2d::new(Conv2dGeom::new(3, 1, 1))),
+        &[id1],
+    );
+    let p1 = g.add("p1", Op::MaxPool(MaxPool2d::k2s2()), &[p0]);
     let d1 = g.add(
         "d1",
         Op::Depthwise(DepthwiseConv2d::new("d1", 8, Conv2dGeom::same(3), &mut rng)),
@@ -127,13 +133,12 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
             "step {step}: logits diverged ({threads} threads)"
         );
         // Layer-parameter gradients: legacy graph params vs arena.
-        let lparams = gl.params_mut();
-        for i in 0..n_layer_params {
+        for (i, lp) in gl.params_mut().iter().take(n_layer_params).enumerate() {
             assert_eq!(
-                bits(lparams[i].grad.data()),
+                bits(lp.grad.data()),
                 bits(arena.grad(i)),
                 "step {step}: gradient of {} diverged ({threads} threads)",
-                lparams[i].name
+                lp.name
             );
         }
         // Threshold gradients accumulate on the graphs themselves.

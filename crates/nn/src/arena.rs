@@ -129,6 +129,20 @@ impl ParamArena {
         (&mut self.vals[r.clone()], &mut self.grads[r])
     }
 
+    /// Segment `i`'s values with the gradients of segments `i` and `j`,
+    /// mutably, at once (a layer's two parameters, such as batch-norm's
+    /// gamma and beta).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless segment `i` lies before segment `j`.
+    pub fn val_grads_mut(&mut self, i: usize, j: usize) -> (&[f32], &mut [f32], &mut [f32]) {
+        let (ri, rj) = (self.segments[i].range(), self.segments[j].range());
+        assert!(ri.end <= rj.start, "segment {i} must precede segment {j}");
+        let (lo, hi) = self.grads.split_at_mut(rj.start);
+        (&self.vals[ri.clone()], &mut lo[ri], &mut hi[..rj.len()])
+    }
+
     /// Updates a segment's trainable flag (threshold freezing).
     pub fn set_trainable(&mut self, i: usize, trainable: bool) {
         self.segments[i].trainable = trainable;

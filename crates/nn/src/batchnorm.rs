@@ -4,7 +4,7 @@
 
 use crate::layer::{single, Layer, Mode};
 use crate::param::{Param, ParamKind};
-use tqt_tensor::{ops, reduce, Tensor};
+use tqt_tensor::{ops, Tensor};
 
 /// Per-channel batch normalization for NCHW (or `[N, C]`) tensors.
 ///
@@ -24,16 +24,43 @@ pub struct BatchNorm {
     momentum: f32,
     eps: f32,
     stats_frozen: bool,
-    cache: Option<BnCache>,
+    /// Boxed so the cached statistics do not widen every graph `Op`.
+    cache: Option<Box<BnCache>>,
 }
 
 #[derive(Debug)]
 struct BnCache {
     xhat: Tensor,
-    inv_std: Tensor,
-    /// Whether the forward pass used batch statistics (full BN backward)
-    /// or frozen moving statistics (affine backward).
-    batch_stats: bool,
+    stats: BnStats,
+}
+
+/// Per-channel statistics of one batch-norm forward pass, kept for its
+/// backward, plus the backward's per-channel sums. The layer keeps one in
+/// its training cache; the planned executor keeps one per batch-norm node.
+#[derive(Debug)]
+pub struct BnStats {
+    mean: Vec<f32>,
+    var: Vec<f32>,
+    inv_std: Vec<f32>,
+    sum_gy: Vec<f32>,
+    sum_gy_xhat: Vec<f32>,
+    /// Whether the forward used batch statistics (full BN backward) or
+    /// moving statistics (per-channel affine backward).
+    batch: bool,
+}
+
+impl BnStats {
+    /// Zeroed statistics for `channels` channels.
+    pub fn new(channels: usize) -> Self {
+        BnStats {
+            mean: vec![0.0; channels],
+            var: vec![0.0; channels],
+            inv_std: vec![0.0; channels],
+            sum_gy: vec![0.0; channels],
+            sum_gy_xhat: vec![0.0; channels],
+            batch: true,
+        }
+    }
 }
 
 impl BatchNorm {
@@ -112,36 +139,22 @@ impl BatchNorm {
         self.eps
     }
 
-    /// The running-stats momentum (public for the planned executor).
-    pub fn momentum(&self) -> f32 {
-        self.momentum
-    }
-
     /// Applies one moving-average update
-    /// `running = momentum * running + (1 - momentum) * batch` in place.
-    /// Shared by the layer forward and the planned executor so both paths
-    /// perform the identical per-element update sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` or `var` does not have `channels` elements.
-    pub fn update_running_stats(&mut self, mean: &[f32], var: &[f32]) {
-        assert_eq!(mean.len(), self.running_mean.len(), "bad mean length");
-        assert_eq!(var.len(), self.running_var.len(), "bad var length");
+    /// `running = momentum * running + (1 - momentum) * batch` in place,
+    /// from the batch statistics a [`batch_norm_into`] pass left in `st`.
+    pub fn update_running_stats(&mut self, st: &BnStats) {
+        assert_eq!(
+            st.mean.len(),
+            self.running_mean.len(),
+            "bad statistics length"
+        );
         let m = self.momentum;
-        for (old, &new) in self.running_mean.data_mut().iter_mut().zip(mean) {
+        for (old, &new) in self.running_mean.data_mut().iter_mut().zip(&st.mean) {
             *old = m * *old + (1.0 - m) * new;
         }
-        for (old, &new) in self.running_var.data_mut().iter_mut().zip(var) {
+        for (old, &new) in self.running_var.data_mut().iter_mut().zip(&st.var) {
             *old = m * *old + (1.0 - m) * new;
         }
-    }
-
-    fn normalize_with(&self, x: &Tensor, mean: &Tensor, var: &Tensor) -> (Tensor, Tensor) {
-        let inv_std = var.map(|v| 1.0 / (v + self.eps).sqrt());
-        let centered = ops::add_channel(x, &mean.map(|m| -m));
-        let xhat = ops::mul_channel(&centered, &inv_std);
-        (xhat, inv_std)
     }
 }
 
@@ -152,55 +165,53 @@ impl Layer for BatchNorm {
 
     fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
         let x = single(inputs, "batch_norm");
+        assert!(
+            x.ndim() == 2 || x.ndim() == 4,
+            "batch_norm input must be [N,C] or NCHW, got {}",
+            x.shape()
+        );
         let use_batch_stats = mode == Mode::Train && !self.stats_frozen;
-        let (xhat, inv_std) = if use_batch_stats {
-            let mean = reduce::mean_over_channel(x);
-            let var = reduce::var_over_channel(x, &mean);
-            self.update_running_stats(mean.data(), var.data());
-            self.normalize_with(x, &mean, &var)
-        } else {
-            let (mean, var) = (self.running_mean.clone(), self.running_var.clone());
-            self.normalize_with(x, &mean, &var)
-        };
-        let y = ops::add_channel(&ops::mul_channel(&xhat, &self.gamma.value), &self.beta.value);
+        let mut stats = BnStats::new(self.gamma.value.len());
+        let mut xhat = Tensor::zeros(x.shape().clone());
+        let mut y = Tensor::zeros(x.shape().clone());
+        let running =
+            (!use_batch_stats).then(|| (self.running_mean.data(), self.running_var.data()));
+        batch_norm_into(
+            x.data(),
+            x.dim(0),
+            running,
+            self.eps,
+            self.gamma.value.data(),
+            self.beta.value.data(),
+            &mut stats,
+            xhat.data_mut(),
+            y.data_mut(),
+        );
+        if use_batch_stats {
+            self.update_running_stats(&stats);
+        }
         if mode == Mode::Train {
-            self.cache = Some(BnCache {
-                xhat,
-                inv_std,
-                batch_stats: use_batch_stats,
-            });
+            self.cache = Some(Box::new(BnCache { xhat, stats }));
         }
         y
     }
 
     fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let cache = self
+        let BnCache { xhat, mut stats } = *self
             .cache
             .take()
             .expect("batch_norm backward without cached forward");
-        let BnCache {
-            xhat,
-            inv_std,
-            batch_stats,
-        } = cache;
-        // Common parameter gradients.
-        self.gamma
-            .accumulate(&ops::sum_over_channel(&ops::mul(gy, &xhat)));
-        self.beta.accumulate(&ops::sum_over_channel(gy));
-
-        let scale = self.gamma.value.zip_map(&inv_std, |g, s| g * s);
-        if !batch_stats {
-            // Frozen statistics: the op is a per-channel affine map.
-            return vec![ops::mul_channel(gy, &scale)];
-        }
-        // Full batch-norm backward:
-        // dx = scale * (gy - mean(gy) - xhat * mean(gy * xhat)) per channel.
-        let count = (gy.len() / gy.dim(1)) as f32;
-        let mean_gy = ops::sum_over_channel(gy).map(|v| v / count);
-        let mean_gy_xhat = ops::sum_over_channel(&ops::mul(gy, &xhat)).map(|v| v / count);
-        let centered = ops::add_channel(gy, &mean_gy.map(|m| -m));
-        let correction = ops::mul_channel(&xhat, &mean_gy_xhat);
-        let dx = ops::mul_channel(&ops::sub(&centered, &correction), &scale);
+        let mut dx = Tensor::zeros(gy.shape().clone());
+        batch_norm_backward_into(
+            gy.data(),
+            xhat.data(),
+            gy.dim(0),
+            self.gamma.value.data(),
+            &mut stats,
+            self.gamma.grad.data_mut(),
+            self.beta.grad.data_mut(),
+            dx.data_mut(),
+        );
         vec![dx]
     }
 
@@ -210,6 +221,133 @@ impl Layer for BatchNorm {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.gamma, &mut self.beta]
+    }
+}
+
+/// Batch-norm forward over a raw `[n, gamma.len(), spatial]` slice.
+/// Normalizes by `running` `(mean, var)` when given, else by the batch
+/// statistics of `x` (biased variance; per-channel sums taken per
+/// `(image, channel)` block, then over images), recording them in `st`
+/// for the backward and for [`BatchNorm::update_running_stats`]. Writes
+/// `xhat = (x - mean) / sqrt(var + eps)` and `y = xhat * gamma + beta`.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match the shapes.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm_into(
+    x: &[f32],
+    n: usize,
+    running: Option<(&[f32], &[f32])>,
+    eps: f32,
+    gamma: &[f32],
+    beta: &[f32],
+    st: &mut BnStats,
+    xhat: &mut [f32],
+    y: &mut [f32],
+) {
+    let c = gamma.len();
+    assert_eq!(beta.len(), c, "beta length mismatch");
+    assert_eq!(st.mean.len(), c, "statistics length mismatch");
+    assert!(x.len().is_multiple_of(n * c), "input does not split into {n} images of {c} channels");
+    assert!(xhat.len() == x.len() && y.len() == x.len(), "output length mismatch");
+    let spatial = x.len() / (n * c);
+    st.batch = running.is_none();
+    match running {
+        None => {
+            let count = (n * spatial) as f32;
+            st.mean.fill(0.0);
+            ops::sum_channel_into(x, n, &mut st.mean);
+            for m in &mut st.mean {
+                *m /= count;
+            }
+            st.var.fill(0.0);
+            for img in x.chunks_exact(c * spatial) {
+                for ((v, &m), block) in st.var.iter_mut().zip(&st.mean).zip(img.chunks_exact(spatial)) {
+                    *v += block.iter().map(|&xv| (xv - m) * (xv - m)).sum::<f32>();
+                }
+            }
+            for v in &mut st.var {
+                *v /= count;
+            }
+        }
+        Some((mean, var)) => {
+            st.mean.copy_from_slice(mean);
+            st.var.copy_from_slice(var);
+        }
+    }
+    for (is, &v) in st.inv_std.iter_mut().zip(&st.var) {
+        *is = 1.0 / (v + eps).sqrt();
+    }
+    let planes = x.chunks_exact(spatial).zip(xhat.chunks_exact_mut(spatial));
+    for (p, ((xb, xhb), yb)) in planes.zip(y.chunks_exact_mut(spatial)).enumerate() {
+        let ci = p % c;
+        let (nm, is, gv, bv) = (-st.mean[ci], st.inv_std[ci], gamma[ci], beta[ci]);
+        for ((yv, xhv), &xv) in yb.iter_mut().zip(xhb).zip(xb) {
+            let xh = (xv + nm) * is;
+            *xhv = xh;
+            *yv = xh * gv + bv;
+        }
+    }
+}
+
+/// Batch-norm backward over raw slices, for the forward that filled `st`.
+/// Accumulates `dgamma += Σ gy·xhat` and `dbeta += Σ gy` per channel and
+/// writes `dx`: `gy · gamma / sqrt(var + eps)` after a moving-statistics
+/// forward, else the full batch-statistics form
+/// `(gy - mean(gy) - xhat · mean(gy·xhat)) · gamma / sqrt(var + eps)`.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match the shapes.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm_backward_into(
+    gy: &[f32],
+    xhat: &[f32],
+    n: usize,
+    gamma: &[f32],
+    st: &mut BnStats,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+    dx: &mut [f32],
+) {
+    let c = gamma.len();
+    assert_eq!(st.mean.len(), c, "statistics length mismatch");
+    assert!(dgamma.len() == c && dbeta.len() == c, "parameter-gradient length mismatch");
+    assert!(gy.len().is_multiple_of(n * c), "gradient does not split into {n} images of {c} channels");
+    assert!(xhat.len() == gy.len() && dx.len() == gy.len(), "gradient length mismatch");
+    let spatial = gy.len() / (n * c);
+    st.sum_gy_xhat.fill(0.0);
+    for (gimg, ximg) in gy.chunks_exact(c * spatial).zip(xhat.chunks_exact(c * spatial)) {
+        let blocks = gimg.chunks_exact(spatial).zip(ximg.chunks_exact(spatial));
+        for (s, (gb, xb)) in st.sum_gy_xhat.iter_mut().zip(blocks) {
+            *s += gb.iter().zip(xb).map(|(&a, &b)| a * b).sum::<f32>();
+        }
+    }
+    st.sum_gy.fill(0.0);
+    ops::sum_channel_into(gy, n, &mut st.sum_gy);
+    for (o, &s) in dgamma.iter_mut().zip(&st.sum_gy_xhat) {
+        *o += s;
+    }
+    for (o, &s) in dbeta.iter_mut().zip(&st.sum_gy) {
+        *o += s;
+    }
+    let count = (n * spatial) as f32;
+    let planes = gy.chunks_exact(spatial).zip(xhat.chunks_exact(spatial));
+    for (p, ((gb, xb), db)) in planes.zip(dx.chunks_exact_mut(spatial)).enumerate() {
+        let ci = p % c;
+        let scale = gamma[ci] * st.inv_std[ci];
+        if st.batch {
+            let nmgy = -(st.sum_gy[ci] / count);
+            let mgx = st.sum_gy_xhat[ci] / count;
+            for ((o, &gv), &xv) in db.iter_mut().zip(gb).zip(xb) {
+                *o = ((gv + nmgy) - xv * mgx) * scale;
+            }
+        } else {
+            for (o, &gv) in db.iter_mut().zip(gb) {
+                *o = gv * scale;
+            }
+        }
     }
 }
 
@@ -224,11 +362,16 @@ mod tests {
         let mut rng = init::rng(20);
         let x = init::normal([8, 2, 4, 4], 3.0, 2.0, &mut rng);
         let y = bn.forward(&[&x], Mode::Train);
-        let m = reduce::mean_over_channel(&y);
-        let v = reduce::var_over_channel(&y, &m);
         for c in 0..2 {
-            assert!(m.data()[c].abs() < 1e-4, "mean {}", m.data()[c]);
-            assert!((v.data()[c] - 1.0).abs() < 1e-3, "var {}", v.data()[c]);
+            // Channel c's 8 blocks of 16 elements, in f64.
+            let vals: Vec<f64> = (0..8)
+                .flat_map(|n| y.data()[(n * 2 + c) * 16..(n * 2 + c + 1) * 16].iter())
+                .map(|&v| v as f64)
+                .collect();
+            let m = vals.iter().sum::<f64>() / vals.len() as f64;
+            let v = vals.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / vals.len() as f64;
+            assert!(m.abs() < 1e-4, "mean {m}");
+            assert!((v - 1.0).abs() < 1e-3, "var {v}");
         }
     }
 

@@ -8,9 +8,9 @@
 //! Provides the [`Layer`] trait and implementations for every operation the
 //! paper's model zoo needs (dense, conv2d, depthwise conv, batch-norm with
 //! freezeable statistics, ReLU/ReLU6/leaky-ReLU, max/avg/global pooling,
-//! eltwise-add, concat, flatten), softmax cross-entropy, SGD/Adam/RMSProp
-//! optimizers with name-keyed state, and the paper's staircase learning-rate
-//! schedules.
+//! eltwise-add, concat, flatten), softmax cross-entropy, the Adam optimizer
+//! with name-keyed state (plus its pooled arena form), and the paper's
+//! staircase learning-rate schedules.
 //!
 //! # Examples
 //!

@@ -82,21 +82,10 @@ impl Layer for Concat {
             channels.push(t.dim(1));
         }
         let c_out: usize = channels.iter().sum();
-        let spatial_len: usize = spatial.iter().product::<usize>().max(1);
         let mut dims = vec![n, c_out];
         dims.extend(&spatial);
         let mut out = Tensor::zeros(dims);
-        let od = out.data_mut();
-        for ni in 0..n {
-            let mut c_off = 0usize;
-            for t in inputs {
-                let c = t.dim(1);
-                let src = &t.data()[ni * c * spatial_len..(ni + 1) * c * spatial_len];
-                let dst_base = (ni * c_out + c_off) * spatial_len;
-                od[dst_base..dst_base + c * spatial_len].copy_from_slice(src);
-                c_off += c;
-            }
-        }
+        concat_into(inputs.iter().map(|t| t.data()), n, out.data_mut());
         if mode == Mode::Train {
             self.cached_channels = Some(channels);
         }
@@ -109,27 +98,54 @@ impl Layer for Concat {
             .take()
             .expect("concat backward without cached forward");
         let n = gy.dim(0);
-        let c_out = gy.dim(1);
-        let spatial: Vec<usize> = gy.dims()[2..].to_vec();
-        let spatial_len: usize = spatial.iter().product::<usize>().max(1);
-        let mut grads = Vec::with_capacity(channels.len());
-        let mut c_off = 0usize;
-        for &c in &channels {
-            let mut dims = vec![n, c];
-            dims.extend(&spatial);
-            let mut g = Tensor::zeros(dims);
-            let gd = g.data_mut();
-            for ni in 0..n {
-                let src_base = (ni * c_out + c_off) * spatial_len;
-                let dst_base = ni * c * spatial_len;
-                gd[dst_base..dst_base + c * spatial_len]
-                    .copy_from_slice(&gy.data()[src_base..src_base + c * spatial_len]);
-            }
-            grads.push(g);
-            c_off += c;
-        }
+        let spatial = &gy.dims()[2..];
+        let mut grads: Vec<Tensor> = channels
+            .iter()
+            .map(|&c| Tensor::zeros([&[n, c][..], spatial].concat()))
+            .collect();
+        split_into(gy.data(), n, grads.iter_mut().map(|g| g.data_mut()));
         grads
     }
+}
+
+/// Channel concatenation over raw slices: copies each `[n, c_i, spatial]`
+/// part of `parts`, in order, into its channel range of `out`
+/// (`[n, Σc_i, spatial]`), image by image.
+///
+/// # Panics
+///
+/// Panics if the parts do not exactly fill `out`.
+pub fn concat_into<'a>(parts: impl IntoIterator<Item = &'a [f32]>, n: usize, out: &mut [f32]) {
+    let out_row = out.len() / n;
+    let mut off = 0usize;
+    for part in parts {
+        let row = part.len() / n;
+        for (src, dst) in part.chunks_exact(row).zip(out.chunks_exact_mut(out_row)) {
+            dst[off..off + row].copy_from_slice(src);
+        }
+        off += row;
+    }
+    assert_eq!(off, out_row, "concat parts do not fill the output");
+}
+
+/// The adjoint of [`concat_into`]: copies each part's channel range of
+/// `gy` (`[n, Σc_i, spatial]`) into the matching `[n, c_i, spatial]`
+/// slice of `parts`.
+///
+/// # Panics
+///
+/// Panics if the parts do not exactly cover `gy`.
+pub fn split_into<'a>(gy: &[f32], n: usize, parts: impl IntoIterator<Item = &'a mut [f32]>) {
+    let gy_row = gy.len() / n;
+    let mut off = 0usize;
+    for part in parts {
+        let row = part.len() / n;
+        for (dst, src) in part.chunks_exact_mut(row).zip(gy.chunks_exact(gy_row)) {
+            dst.copy_from_slice(&src[off..off + row]);
+        }
+        off += row;
+    }
+    assert_eq!(off, gy_row, "split parts do not cover the gradient");
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Optimizers over [`Param`] collections: SGD, Adam and RMSProp, with the
-//! parameter-group routing the paper's training scheme needs (weights at
-//! lr 1e-6 with one decay schedule, thresholds at lr 1e-2 with another).
+//! The per-`Param` Adam optimizer the paper trains weights and thresholds
+//! with (weights at lr 1e-6 with one decay schedule, thresholds at lr 1e-2
+//! with another, as separate instances).
 
-use crate::param::{Param, ParamKind};
+use crate::param::Param;
 use tqt_tensor::Tensor;
 
 /// A gradient-descent update rule over a fixed set of parameters.
@@ -21,67 +21,6 @@ pub trait Optimizer: std::fmt::Debug {
 
     /// The current learning rate.
     fn lr(&self) -> f32;
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: std::collections::HashMap<String, Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: std::collections::HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut().filter(|p| p.trainable) {
-            if self.momentum == 0.0 { // tqt:allow(float-eq): exact sentinel for plain SGD
-                let lr = self.lr;
-                for (v, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
-                    *v -= lr * g;
-                }
-            } else {
-                let vel = self
-                    .velocity
-                    .entry(p.name.clone())
-                    .or_insert_with(|| Tensor::zeros(p.value.shape().clone()));
-                for ((v, vel), &g) in p
-                    .value
-                    .data_mut()
-                    .iter_mut()
-                    .zip(vel.data_mut())
-                    .zip(p.grad.data())
-                {
-                    *vel = self.momentum * *vel + g;
-                    *v -= self.lr * *vel;
-                }
-            }
-        }
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
 }
 
 #[derive(Debug)]
@@ -168,77 +107,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// RMSProp (Hinton et al., 2012), included for the Appendix B discussion of
-/// adaptive optimizers as implicit gradient normalizers.
-#[derive(Debug)]
-pub struct RmsProp {
-    lr: f32,
-    decay: f64,
-    eps: f64,
-    ms: std::collections::HashMap<String, Tensor>,
-}
-
-impl RmsProp {
-    /// Creates an RMSProp optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `decay` is outside `[0, 1)`.
-    pub fn new(lr: f32, decay: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&decay), "decay must be in [0,1)");
-        RmsProp {
-            lr,
-            decay,
-            eps: 1e-8,
-            ms: std::collections::HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut().filter(|p| p.trainable) {
-            let ms = self
-                .ms
-                .entry(p.name.clone())
-                .or_insert_with(|| Tensor::zeros(p.value.shape().clone()));
-            for ((v, s), &g) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(ms.data_mut())
-                .zip(p.grad.data())
-            {
-                let g = g as f64;
-                let s64 = self.decay * *s as f64 + (1.0 - self.decay) * g * g;
-                *s = s64 as f32;
-                *v -= (self.lr as f64 * g / (s64.sqrt() + self.eps)) as f32;
-            }
-        }
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Filters a parameter list down to the given kinds (for the paper's
-/// weight/threshold optimizer groups).
-pub fn filter_kinds<'a, 'b>(
-    params: &'b mut Vec<&'a mut Param>,
-    kinds: &[ParamKind],
-) -> Vec<&'b mut &'a mut Param> {
-    params
-        .iter_mut()
-        .filter(|p| kinds.contains(&p.kind))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,27 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        assert!(minimize(&mut opt, 100, 3.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn sgd_momentum_minimizes_quadratic() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        assert!(minimize(&mut opt, 300, 3.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn adam_minimizes_quadratic() {
         let mut opt = Adam::paper(0.1);
         assert!(minimize(&mut opt, 300, 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn rmsprop_minimizes_quadratic() {
-        let mut opt = RmsProp::new(0.05, 0.9);
-        assert!(minimize(&mut opt, 400, 3.0).abs() < 0.05);
     }
 
     #[test]
@@ -289,7 +139,7 @@ mod tests {
         let mut p = quad_param(2.0);
         p.trainable = false;
         p.accumulate_scalar(10.0);
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = Adam::paper(0.1);
         opt.step(&mut [&mut p]);
         assert_eq!(p.value.item(), 2.0);
     }
@@ -320,15 +170,5 @@ mod tests {
         assert!(a.value.item() < 1.0);
         assert!(b.value.item() > 1.0);
         assert!((a.value.item() - 1.0).abs() - (b.value.item() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn filter_kinds_selects_groups() {
-        let mut a = Param::new("w", Tensor::scalar(0.0), ParamKind::Weight);
-        let mut b = Param::new("t", Tensor::scalar(0.0), ParamKind::Threshold);
-        let mut all: Vec<&mut Param> = vec![&mut a, &mut b];
-        let thr = filter_kinds(&mut all, &[ParamKind::Threshold]);
-        assert_eq!(thr.len(), 1);
-        assert_eq!(thr[0].name, "t");
     }
 }

@@ -414,8 +414,8 @@ mod tests {
         let mut batch = Vec::new();
         assert!(q.claim_into(&mut batch), "deadline expiry flushes the partial pair");
         assert_eq!(batch.len(), 2, "pick_rung(2) under a ladder of [1,2,4]");
-        q.complete(held.drain(..).map(|(s, x)| (s, x)));
-        q.complete(batch.drain(..).map(|(s, x)| (s, x)));
+        q.complete(held.drain(..));
+        q.complete(batch.drain(..));
         for seq in [first, second, third] {
             q.wait(seq);
         }
@@ -435,7 +435,7 @@ mod tests {
         let mut batch = Vec::new();
         assert!(q.claim_into(&mut batch));
         assert_eq!(batch.len(), 1);
-        q.complete(batch.drain(..).map(|(s, x)| (s, x)));
+        q.complete(batch.drain(..));
         assert!(!q.claim_into(&mut batch), "drained queue tells workers to exit");
     }
 

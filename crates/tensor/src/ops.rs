@@ -69,25 +69,13 @@ pub fn axpy(a: &mut Tensor, alpha: f32, b: &Tensor) {
     }
 }
 
-/// Adds a per-channel vector to an NCHW tensor: `out[n,c,h,w] = a[n,c,h,w] + bias[c]`.
-///
-/// Also accepts 2-D `[N, C]` inputs (dense-layer bias-add).
+/// Adds a per-channel vector to an NCHW (or `[N, C]`) tensor in place:
+/// `a[n,c,h,w] += bias[c]`.
 ///
 /// # Panics
 ///
 /// Panics if `a` is not 2-D or 4-D, or if `bias` is not 1-D with length
 /// equal to the channel dimension of `a`.
-pub fn add_channel(a: &Tensor, bias: &Tensor) -> Tensor {
-    let mut out = a.clone();
-    add_channel_inplace(&mut out, bias);
-    out
-}
-
-/// In-place variant of [`add_channel`].
-///
-/// # Panics
-///
-/// Same conditions as [`add_channel`].
 pub fn add_channel_inplace(a: &mut Tensor, bias: &Tensor) {
     let c = channel_dim(a);
     assert_eq!(
@@ -97,66 +85,63 @@ pub fn add_channel_inplace(a: &mut Tensor, bias: &Tensor) {
         bias.shape(),
         c
     );
-    let spatial = a.len() / (a.dim(0) * c);
-    let (n, data, b) = (a.dim(0), a.data_mut(), bias.data());
-    for ni in 0..n {
-        for (ci, &bv) in b.iter().enumerate() {
-            let base = (ni * c + ci) * spatial;
-            for v in &mut data[base..base + spatial] {
+    let n = a.dim(0);
+    add_channel_into(a.data_mut(), n, bias.data());
+}
+
+/// [`add_channel_inplace`] over a raw `[n, bias.len(), spatial]` slice:
+/// adds `bias[c]` to every element of each `(image, channel)` block.
+///
+/// # Panics
+///
+/// Panics if `data.len()` is not a multiple of `n * bias.len()`.
+pub fn add_channel_into(data: &mut [f32], n: usize, bias: &[f32]) {
+    let spatial = channel_spatial(data.len(), n, bias.len());
+    for img in data.chunks_exact_mut(bias.len() * spatial) {
+        for (block, &bv) in img.chunks_exact_mut(spatial).zip(bias) {
+            for v in block {
                 *v += bv;
             }
         }
     }
 }
 
-/// Multiplies an NCHW (or `[N, C]`) tensor by a per-channel vector.
-///
-/// # Panics
-///
-/// Same conditions as [`add_channel`].
-pub fn mul_channel(a: &Tensor, g: &Tensor) -> Tensor {
-    let c = channel_dim(a);
-    assert_eq!(
-        g.dims(),
-        &[c],
-        "scale shape {} does not match channel dim {}",
-        g.shape(),
-        c
-    );
-    let spatial = a.len() / (a.dim(0) * c);
-    let n = a.dim(0);
-    let mut out = a.clone();
-    let data = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * spatial;
-            let gv = g.data()[ci];
-            for v in &mut data[base..base + spatial] {
-                *v *= gv;
-            }
-        }
-    }
-    out
-}
-
 /// Sums an NCHW (or `[N, C]`) tensor over all axes except channels,
-/// producing a 1-D `[C]` tensor. This is the adjoint of [`add_channel`].
+/// producing a 1-D `[C]` tensor. This is the adjoint of
+/// [`add_channel_inplace`].
 ///
 /// # Panics
 ///
 /// Panics if `a` is not 2-D or 4-D.
 pub fn sum_over_channel(a: &Tensor) -> Tensor {
-    let c = channel_dim(a);
-    let spatial = a.len() / (a.dim(0) * c);
-    let n = a.dim(0);
-    let mut out = vec![0.0f32; c];
-    for ni in 0..n {
-        for (ci, o) in out.iter_mut().enumerate() {
-            let base = (ni * c + ci) * spatial;
-            *o += a.data()[base..base + spatial].iter().sum::<f32>();
+    let mut out = vec![0.0f32; channel_dim(a)];
+    sum_channel_into(a.data(), a.dim(0), &mut out);
+    Tensor::from_vec(out.len(), out)
+}
+
+/// [`sum_over_channel`] over a raw `[n, out.len(), spatial]` slice,
+/// accumulating onto `out`: each `(image, channel)` block is summed on
+/// its own, then added to `out[c]` in ascending image order.
+///
+/// # Panics
+///
+/// Panics if `src.len()` is not a multiple of `n * out.len()`.
+pub fn sum_channel_into(src: &[f32], n: usize, out: &mut [f32]) {
+    let spatial = channel_spatial(src.len(), n, out.len());
+    for img in src.chunks_exact(out.len() * spatial) {
+        for (o, block) in out.iter_mut().zip(img.chunks_exact(spatial)) {
+            *o += block.iter().sum::<f32>();
         }
     }
-    Tensor::from_vec(c, out)
+}
+
+/// The per-block length of a `[n, c, spatial]` slice of `len` elements.
+fn channel_spatial(len: usize, n: usize, c: usize) -> usize {
+    assert!(
+        n * c > 0 && len.is_multiple_of(n * c),
+        "{len} elements do not split into {n} images of {c} channels"
+    );
+    len / (n * c)
 }
 
 fn channel_dim(a: &Tensor) -> usize {
@@ -197,24 +182,16 @@ mod tests {
     #[test]
     fn channel_add_4d() {
         // N=1, C=2, H=1, W=2
-        let a = Tensor::from_vec([1, 2, 1, 2], vec![0., 0., 0., 0.]);
-        let b = Tensor::from_slice(&[1.0, 2.0]);
-        let out = add_channel(&a, &b);
-        assert_eq!(out.data(), &[1., 1., 2., 2.]);
+        let mut a = Tensor::from_vec([1, 2, 1, 2], vec![0., 0., 0., 0.]);
+        add_channel_inplace(&mut a, &Tensor::from_slice(&[1.0, 2.0]));
+        assert_eq!(a.data(), &[1., 1., 2., 2.]);
     }
 
     #[test]
     fn channel_add_2d() {
-        let a = Tensor::from_vec([2, 2], vec![0., 0., 10., 10.]);
-        let b = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(add_channel(&a, &b).data(), &[1., 2., 11., 12.]);
-    }
-
-    #[test]
-    fn channel_mul() {
-        let a = Tensor::from_vec([1, 2, 1, 2], vec![1., 2., 3., 4.]);
-        let g = Tensor::from_slice(&[2.0, 10.0]);
-        assert_eq!(mul_channel(&a, &g).data(), &[2., 4., 30., 40.]);
+        let mut a = Tensor::from_vec([2, 2], vec![0., 0., 10., 10.]);
+        add_channel_inplace(&mut a, &Tensor::from_slice(&[1.0, 2.0]));
+        assert_eq!(a.data(), &[1., 2., 11., 12.]);
     }
 
     #[test]

@@ -86,43 +86,6 @@ pub fn topk_rows(t: &Tensor, k: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Per-channel mean of an NCHW or `[N, C]` tensor, returning a `[C]` tensor.
-///
-/// # Panics
-///
-/// Panics if the tensor is not 2-D or 4-D.
-pub fn mean_over_channel(t: &Tensor) -> Tensor {
-    let s = crate::ops::sum_over_channel(t);
-    let count = (t.len() / s.len()) as f32;
-    s.map(|x| x / count)
-}
-
-/// Per-channel (biased) variance of an NCHW or `[N, C]` tensor around the
-/// provided per-channel `mean`.
-///
-/// # Panics
-///
-/// Panics if the tensor is not 2-D or 4-D, or if `mean` has the wrong length.
-pub fn var_over_channel(t: &Tensor, mean: &Tensor) -> Tensor {
-    let c = t.dim(1);
-    assert_eq!(mean.dims(), &[c], "mean length must equal channel count");
-    let spatial = t.len() / (t.dim(0) * c);
-    let n = t.dim(0);
-    let mut out = vec![0.0f32; c];
-    for ni in 0..n {
-        for (ci, o) in out.iter_mut().enumerate() {
-            let base = (ni * c + ci) * spatial;
-            let m = mean.data()[ci];
-            *o += t.data()[base..base + spatial]
-                .iter()
-                .map(|&x| (x - m) * (x - m))
-                .sum::<f32>();
-        }
-    }
-    let count = (n * spatial) as f32;
-    Tensor::from_vec(c, out.into_iter().map(|v| v / count).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,16 +109,6 @@ mod tests {
     fn topk_ordering() {
         let t = Tensor::from_vec([1, 4], vec![0.1, 0.9, 0.5, 0.3]);
         assert_eq!(topk_rows(&t, 3), vec![vec![1, 2, 3]]);
-    }
-
-    #[test]
-    fn channel_mean_var() {
-        // Channel 0: [1, 3]; channel 1: [2, 6]
-        let t = Tensor::from_vec([2, 2, 1, 1], vec![1., 2., 3., 6.]);
-        let m = mean_over_channel(&t);
-        assert_eq!(m.data(), &[2.0, 4.0]);
-        let v = var_over_channel(&t, &m);
-        assert_eq!(v.data(), &[1.0, 4.0]);
     }
 
     #[test]

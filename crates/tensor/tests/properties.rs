@@ -149,7 +149,8 @@ fn channel_sum_adjoint() {
             let tx = Tensor::from_vec([2, 3, 2, 2], x.clone());
             let tb = Tensor::from_vec([3], b.clone());
             // <x + broadcast(b), 1> - <x, 1> == <b, channel_counts>
-            let added = ops::add_channel(&tx, &tb);
+            let mut added = tx.clone();
+            ops::add_channel_inplace(&mut added, &tb);
             let diff = reduce::sum(&added) - reduce::sum(&tx);
             let expected = tb.data().iter().sum::<f32>() * 8.0; // n*h*w = 2*2*2
             prop_assert!((diff - expected).abs() < 1e-3);

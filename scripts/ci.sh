@@ -54,9 +54,19 @@ cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
 # sanitizer audits the pooled optimizer's and planned executor's parallel
 # regions: full train() runs on the slot-reuse executor must be
 # bit-identical to the legacy allocating path (losses, thresholds,
-# checkpointed parameters) at 1 and 4 threads.
+# checkpointed parameters) at 1 and 4 threads. The planned executor and
+# the layers now call one slice kernel per float op (conv, dense,
+# quantizer, pooling, batch norm, concat, per-channel bias add/sum), so
+# this gate and planned_parity no longer compare two implementations of
+# an op's arithmetic: they check what the executor owns (slot liveness,
+# gradient fan-in order, arena plumbing, quantized-weight staging). The
+# kernels' arithmetic is checked by the tqt-nn unit tests (hand-computed
+# values, padded pooling included) and finite-difference gradchecks, run
+# here together with the pooled-Adam and planned-step parity tests.
 cargo test -q --offline -p tqt --features tqt-fixedpoint/sanitize --test train_parity
-cargo clippy --offline -- -D warnings
+cargo test -q --offline -p tqt-nn
+cargo test -q --offline -p tqt-graph --test planned_parity
+cargo clippy --offline --workspace --all-targets -- -D warnings
 # Forbidden-pattern gate: unwrap/expect in the numeric substrates,
 # narrowing casts in requant, float equality outside tests, and thread
 # spawns / raw atomics outside crates/rt (the only crate the schedule
