@@ -4,14 +4,12 @@
 //! work exists to improve — every matmul, conv, quantizer and optimizer
 //! kernel is on this path.
 //!
-//! The headline `train_step/…` entry runs the planned path the trainer
-//! uses by default: the liveness-planned slot-reuse executor plus the
-//! pooled Adam over the contiguous parameter arena (bit-identical to the
-//! allocating path — `crates/core/tests/train_parity.rs`). The
-//! `train_step_legacy/…` entry keeps the allocating per-tensor path for
-//! comparison, and the report carries the planned executor's
-//! steady-state slot-allocation count (must be 0: after the first step,
-//! a training step performs no slot allocation at all).
+//! The `train_step/…` entry runs the path the trainer uses: the
+//! liveness-planned slot-reuse executor plus the pooled Adam over the
+//! contiguous parameter arena (bit-identical to the reference
+//! interpreter — `crates/core/tests/train_parity.rs`). The report carries
+//! the executor's steady-state slot-allocation count (must be 0: after the
+//! first step, a training step performs no slot allocation at all).
 
 use tqt::config::TrainHyper;
 use tqt_data::{train_val, BatchIter, SynthConfig};
@@ -21,8 +19,7 @@ use tqt_graph::{
 };
 use tqt_models::{ModelKind, INPUT_DIMS};
 use tqt_nn::loss::softmax_cross_entropy;
-use tqt_nn::optim::{Adam, Optimizer};
-use tqt_nn::{Mode, ParamKind, PooledAdam};
+use tqt_nn::{ParamKind, PooledAdam};
 use tqt_rt::bench::{black_box, Bench, Report};
 
 fn main() {
@@ -37,14 +34,10 @@ fn main() {
     // does, so the benched step is the steady-state QAT retraining step.
     let cfg = SynthConfig::default();
     let (train_set, _val_set) = train_val(&cfg, batch.max(64), 8);
-    let build = || {
-        let mut g = model.build(42);
-        transforms::optimize(&mut g, &INPUT_DIMS);
-        quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
-        let calib = tqt_data::calibration_batch(&train_set, 16, 7);
-        g.calibrate(&calib);
-        g
-    };
+    let mut g = model.build(42);
+    transforms::optimize(&mut g, &INPUT_DIMS);
+    quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
+    g.calibrate(&tqt_data::calibration_batch(&train_set, 16, 7));
     let hyper = TrainHyper::retrain(1);
     let (x, labels) = BatchIter::new(&train_set, batch, 3, 0)
         .next()
@@ -52,9 +45,8 @@ fn main() {
     let mut dims = INPUT_DIMS;
     dims[0] = batch;
 
-    // Planned path (the trainer's default): slot-reuse executor + pooled
-    // Adam over the parameter arena.
-    let mut g = build();
+    // The trainer's path: slot-reuse executor + pooled Adam over the
+    // parameter arena.
     let mut arena = build_arena(&mut g);
     let plan = FloatPlan::new(&mut g, &dims);
     let mut ex = FloatExecutor::new(plan, &g);
@@ -85,32 +77,6 @@ fn main() {
     assert_eq!(
         steady_allocs, 0,
         "planned executor allocated slot memory in steady state"
-    );
-
-    // Legacy allocating path, kept as the comparison baseline.
-    let mut g = build();
-    let mut weight_opt = Adam::paper(hyper.weight_lr);
-    let mut thresh_opt = Adam::paper(hyper.threshold_lr);
-    report.push(
-        bench.run(&format!("train_step_legacy/{model:?}/batch{batch}"), || {
-            let logits = g.forward(black_box(&x), Mode::Train);
-            let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
-            g.zero_grads();
-            g.backward(&dlogits);
-            let mut params = g.params_mut();
-            let mut weights = Vec::new();
-            let mut thresholds = Vec::new();
-            for p in params.drain(..) {
-                if p.kind == ParamKind::Threshold {
-                    thresholds.push(p);
-                } else {
-                    weights.push(p);
-                }
-            }
-            weight_opt.step(&mut weights);
-            thresh_opt.step(&mut thresholds);
-            black_box(&g);
-        }),
     );
 
     report.finish();

@@ -6,8 +6,9 @@
 //! 1. structure + shapes + lints on the float graph (`TQT-V001`…`V010`);
 //! 2. transform invariant checking with a semantic probe (`TQT-V014`);
 //! 3. one smoke QAT step with the float-exec NaN/Inf sanitizer, then the
-//!    float *training* plan — the slot assignment the planned trainer
-//!    executes over the forward+backward tape — is proven alias-free and
+//!    float *training* plan — the slot assignment the trainer executes
+//!    over the forward+backward tape — and the *forward-only* plan that
+//!    calibration and validation execute are proven alias-free and
 //!    storage-sound (`TQT-V016`…`V018` again, on float values);
 //! 4. lowering, then the interval/bit-width dataflow proving i64
 //!    accumulators cannot overflow and shifts are legal (`V011`…`V013`);
@@ -248,11 +249,13 @@ fn check_model(
     g.backward(&dlogits);
     lap(&mut timings, &mut t, "qat");
 
-    // Float training-plan alias-freedom proof (`TQT-V016`…`V018` over the
-    // forward+backward tape): the same slot assignment the planned trainer
-    // executes is proven here, on the exact graph the QAT step just ran.
+    // Float plan alias-freedom proofs (`TQT-V016`…`V018`): the training
+    // plan over the forward+backward tape the trainer executes, and the
+    // forward-only plan calibration and validation execute, both proven
+    // here on the exact graph the QAT step just ran.
     let fplan = FloatPlan::new(&mut g, &dims);
-    report.merge(check_float_plan(&mut g, &fplan));
+    report.merge(check_float_plan(&g, &fplan));
+    report.merge(check_float_plan(&g, &FloatPlan::forward_only(&g, &dims)));
     lap(&mut timings, &mut t, "fplan");
 
     // Grid-type inference over the calibrated float graph: every edge

@@ -35,11 +35,6 @@ pub struct TrainHyper {
     pub bn_freeze_after: u64,
     /// RNG seed for shuffling.
     pub seed: u64,
-    /// Run training steps on the planned slot-reuse executor
-    /// (liveness-planned buffers, pooled Adam over a contiguous parameter
-    /// arena). Bit-identical to the allocating path — `false` keeps the
-    /// legacy per-tensor execution for A/B comparison.
-    pub planned: bool,
 }
 
 impl TrainHyper {
@@ -59,7 +54,6 @@ impl TrainHyper {
             freeze_interval: 50,
             bn_freeze_after: u64::MAX,
             seed: 1,
-            planned: true,
         }
     }
 
@@ -83,7 +77,6 @@ impl TrainHyper {
             freeze_interval: 50,
             bn_freeze_after: steps_per_epoch.max(1),
             seed: 1,
-            planned: true,
         }
     }
 }

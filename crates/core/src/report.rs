@@ -2,8 +2,7 @@
 //! weight/activation histograms before and after TQT retraining, with the
 //! initialized and trained raw thresholds.
 
-use tqt_graph::{Graph, Op, ThresholdMode};
-use tqt_nn::{Mode, ParamKind};
+use tqt_graph::{build_arena, FloatExecutor, FloatPlan, Graph, ThresholdMode};
 use tqt_tensor::Tensor;
 
 /// A simple symmetric histogram of a tensor for plotting.
@@ -16,18 +15,21 @@ pub struct DistHist {
 }
 
 impl DistHist {
-    /// Builds a histogram with `bins` bins.
+    /// Builds a histogram of `data` with `bins` bins.
     ///
     /// # Panics
     ///
-    /// Panics if `bins == 0` or the tensor is empty.
-    pub fn of(t: &Tensor, bins: usize) -> Self {
+    /// Panics if `bins == 0` or `data` is empty.
+    pub fn of(data: &[f32], bins: usize) -> Self {
         assert!(bins > 0, "need at least one bin");
-        assert!(!t.is_empty(), "histogram of empty tensor");
-        let max_abs = t.abs_max().max(f32::MIN_POSITIVE);
+        assert!(!data.is_empty(), "histogram of empty tensor");
+        let max_abs = data
+            .iter()
+            .fold(0.0f32, |m, &x| m.max(x.abs()))
+            .max(f32::MIN_POSITIVE);
         let mut counts = vec![0u32; bins];
         let scale = bins as f32 / (2.0 * max_abs);
-        for &v in t.data() {
+        for &v in data {
             let idx = (((v + max_abs) * scale) as usize).min(bins - 1);
             counts[idx] += 1;
         }
@@ -63,55 +65,29 @@ pub struct LayerDist {
     pub hist: DistHist,
 }
 
-/// Captures the distribution seen by every quantizer in a quantized graph:
-/// weight quantizers report the (full-precision) weight tensor, activation
-/// quantizers the activation produced by their input node for `sample`.
+/// Captures the distribution seen by every trained quantizer in a
+/// quantized graph: weight quantizers report the full-precision weight
+/// tensor, activation quantizers the activation produced by their input
+/// node for `sample`. Runs one forward-only pass whose quantizer hook
+/// builds the histograms; the graph is left unchanged.
 ///
 /// # Panics
 ///
 /// Panics if the graph is not quantized/calibrated.
 pub fn capture_distributions(g: &mut Graph, sample: &Tensor, bins: usize) -> Vec<LayerDist> {
-    // A training-mode forward retains per-node activations.
-    let _ = g.forward(sample, Mode::Train);
-    let acts: Vec<Tensor> = g.activations().to_vec();
+    let arena = build_arena(g);
+    let mut ex = FloatExecutor::new(FloatPlan::forward_only(g, sample.dims()), g);
     let mut out = Vec::new();
-    for id in 0..g.len() {
-        // Activation quantizers: histogram of the input activation.
-        if let Op::Quant { tid } = g.node(id).op {
-            let input = g.node(id).inputs[0];
-            let ts = &g.thresholds()[tid];
-            if ts.mode == ThresholdMode::Trained {
-                out.push(LayerDist {
-                    name: ts.param.name.clone(),
-                    bits: ts.spec.bits(),
-                    raw_threshold: 2f32.powf(ts.log2_t()),
-                    hist: DistHist::of(&acts[input], bins),
-                });
-            }
-        }
-        // Weight quantizers: histogram of the weights.
-        if let Some(wq) = &g.node(id).wq {
-            let tid = wq.tid;
-            let ts = &g.thresholds()[tid];
-            if ts.mode != ThresholdMode::Trained {
-                continue;
-            }
-            let name = ts.param.name.clone();
-            let bits_ = ts.spec.bits();
-            let raw_t = 2f32.powf(ts.log2_t());
-            let node = g.node_mut(id);
-            let w = tqt_graph::ir::op_params_mut(&mut node.op)
-                .into_iter()
-                .find(|p| p.kind == ParamKind::Weight)
-                .expect("weight quantizer without weights");
+    ex.forward_hooked(g, &arena, sample, &mut |_, ts, data| {
+        if ts.mode == ThresholdMode::Trained {
             out.push(LayerDist {
-                name,
-                bits: bits_,
-                raw_threshold: raw_t,
-                hist: DistHist::of(&w.value, bins),
+                name: ts.param.name.clone(),
+                bits: ts.spec.bits(),
+                raw_threshold: 2f32.powf(ts.log2_t()),
+                hist: DistHist::of(data, bins),
             });
         }
-    }
+    });
     out
 }
 
@@ -124,16 +100,14 @@ mod tests {
 
     #[test]
     fn histogram_counts_all_values() {
-        let t = Tensor::from_slice(&[-1.0, -0.5, 0.0, 0.5, 1.0]);
-        let h = DistHist::of(&t, 4);
+        let h = DistHist::of(&[-1.0, -0.5, 0.0, 0.5, 1.0], 4);
         assert_eq!(h.counts.iter().sum::<u32>(), 5);
         assert_eq!(h.max_abs, 1.0);
     }
 
     #[test]
     fn csv_cells_parse_back() {
-        let t = Tensor::from_slice(&[-1.0, 1.0]);
-        let h = DistHist::of(&t, 2);
+        let h = DistHist::of(&[-1.0, 1.0], 2);
         let cells = h.to_csv_cells();
         assert_eq!(cells.split(';').count(), 2);
         assert!(cells.contains(':'));
@@ -157,6 +131,37 @@ mod tests {
         for d in &dists {
             assert!(d.raw_threshold > 0.0);
             assert!(d.hist.counts.iter().sum::<u32>() > 0);
+        }
+    }
+
+    /// Capturing distributions must not touch the graph: before the
+    /// capture ran on the forward-only plan, a training-mode forward with
+    /// no backward left every quantized weight rounded on the graph.
+    #[test]
+    fn capture_leaves_every_parameter_bit_equal() {
+        let mut g = ModelKind::ResNet8.build(4);
+        transforms::optimize(&mut g, &INPUT_DIMS);
+        quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
+        let mut rng = init::rng(10);
+        let x = init::normal([4, 3, 32, 32], 0.0, 1.0, &mut rng);
+        g.calibrate(&x);
+        let snapshot = |g: &mut Graph| -> Vec<(String, Vec<u32>)> {
+            g.params_mut()
+                .iter()
+                .map(|p| {
+                    (
+                        p.name.clone(),
+                        p.value.data().iter().map(|v| v.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        };
+        let before = snapshot(&mut g);
+        capture_distributions(&mut g, &x, 32);
+        let after = snapshot(&mut g);
+        assert_eq!(before.len(), after.len());
+        for ((name, a), (_, b)) in before.iter().zip(&after) {
+            assert!(a == b, "capture_distributions changed parameter {name}");
         }
     }
 }

@@ -5,70 +5,92 @@
 
 use crate::config::TrainHyper;
 use tqt_data::{eval_batches, BatchIter, Dataset};
+use tqt_graph::state::StateDict;
 use tqt_graph::{
     build_arena, flush_arena, sync_thresholds_from_arena, sync_thresholds_to_arena, FloatExecutor,
     FloatPlan, Graph, Op,
 };
 use tqt_nn::loss::{softmax_cross_entropy, topk_accuracy};
-use tqt_nn::optim::{Adam, Optimizer};
 use tqt_nn::schedule::StaircaseDecay;
-use tqt_nn::{Mode, ParamArena, ParamKind, PooledAdam};
+use tqt_nn::{ParamArena, ParamKind, PooledAdam};
 use tqt_quant::freeze::FreezeController;
 
-/// Execution + optimizer backend for one training run.
-///
-/// `Planned` compiles the forward+backward tape once onto the
-/// liveness-planned slot-reuse executor and keeps every parameter in a
-/// contiguous arena updated by the pooled Adam; `Legacy` is the original
-/// allocating per-tensor path. The two produce bit-identical training
-/// trajectories (`crates/core/tests/train_parity.rs`), so `planned` is
-/// purely a performance switch.
-enum Engine {
-    Legacy {
-        weight_opt: Adam,
-        thresh_opt: Adam,
-    },
-    Planned {
-        arena: ParamArena,
-        ex: Box<FloatExecutor>,
-        weight_opt: PooledAdam,
-        thresh_opt: PooledAdam,
-    },
+/// Execution and optimizer state for one training run: the training
+/// step compiled once onto the slot-reuse executor, every parameter in a
+/// contiguous arena updated by the pooled Adam, and the forward-only
+/// executors validation runs on, reading the same arena.
+struct Engine {
+    arena: ParamArena,
+    ex: FloatExecutor,
+    weight_opt: PooledAdam,
+    thresh_opt: PooledAdam,
+    val: Validator,
 }
 
 impl Engine {
-    /// Builds the engine chosen by `hyper.planned` for a fixed batch
-    /// shape (`BatchIter` yields full batches only, so `dims` holds for
-    /// every training step of the run).
+    /// Builds the engine for a fixed batch shape (`BatchIter` yields full
+    /// batches only, so `dims` holds for every training step of the run).
     fn build(g: &mut Graph, hyper: &TrainHyper, dims: &[usize]) -> Engine {
-        if hyper.planned {
-            let arena = build_arena(g);
-            let plan = FloatPlan::new(g, dims);
-            let ex = Box::new(FloatExecutor::new(plan, g));
-            let weight_opt = PooledAdam::paper(hyper.weight_lr, &arena);
-            let thresh_opt = PooledAdam::paper(hyper.threshold_lr, &arena);
-            Engine::Planned {
-                arena,
-                ex,
-                weight_opt,
-                thresh_opt,
-            }
-        } else {
-            Engine::Legacy {
-                weight_opt: Adam::paper(hyper.weight_lr),
-                thresh_opt: Adam::paper(hyper.threshold_lr),
-            }
+        let arena = build_arena(g);
+        let plan = FloatPlan::new(g, dims);
+        Engine {
+            ex: FloatExecutor::new(plan, g),
+            weight_opt: PooledAdam::paper(hyper.weight_lr, &arena),
+            thresh_opt: PooledAdam::paper(hyper.threshold_lr, &arena),
+            val: Validator::default(),
+            arena,
         }
     }
+}
 
-    /// Makes the graph's own parameter tensors current (the arena is
-    /// authoritative for layer parameters on the planned path). Call
-    /// before anything that reads the graph directly: `evaluate`,
-    /// `state_dict`.
-    fn flush(&self, g: &mut Graph) {
-        if let Engine::Planned { arena, .. } = self {
-            flush_arena(g, arena);
+/// Forward-only executors for evaluation, one per batch shape (the last
+/// evaluation batch may be short), each built on first use.
+#[derive(Default)]
+struct Validator {
+    exs: Vec<FloatExecutor>,
+}
+
+impl Validator {
+    /// `(top1, top5, mean loss)` of `g` with layer parameters from
+    /// `arena` over `data`.
+    fn run(
+        &mut self,
+        g: &mut Graph,
+        arena: &ParamArena,
+        data: &Dataset,
+        batch: usize,
+    ) -> (f32, f32, f32) {
+        let mut top1 = 0.0f64;
+        let mut top5 = 0.0f64;
+        let mut loss = 0.0f64;
+        let mut n = 0usize;
+        for (x, labels) in eval_batches(data, batch) {
+            let i = match self
+                .exs
+                .iter()
+                .position(|e| e.plan().input_dims() == x.dims())
+            {
+                Some(i) => i,
+                None => {
+                    let plan = FloatPlan::forward_only(g, x.dims());
+                    self.exs.push(FloatExecutor::new(plan, g));
+                    self.exs.len() - 1
+                }
+            };
+            let logits = self.exs[i].forward(g, arena, &x);
+            let (l, _) = softmax_cross_entropy(&logits, &labels);
+            let (t1, t5) = topk_accuracy(&logits, &labels);
+            let b = labels.len() as f64;
+            top1 += t1 as f64 * b;
+            top5 += t5 as f64 * b;
+            loss += l as f64 * b;
+            n += labels.len();
         }
+        (
+            (top1 / n as f64) as f32,
+            (top5 / n as f64) as f32,
+            (loss / n as f64) as f32,
+        )
     }
 }
 
@@ -123,27 +145,11 @@ impl TrainResult {
     }
 }
 
-/// Evaluates a graph on a dataset: `(top1, top5, mean loss)`.
+/// Evaluates a graph on a dataset: `(top1, top5, mean loss)`, on
+/// forward-only plans of the planned executor.
 pub fn evaluate(g: &mut Graph, data: &Dataset, batch: usize) -> (f32, f32, f32) {
-    let mut top1 = 0.0f64;
-    let mut top5 = 0.0f64;
-    let mut loss = 0.0f64;
-    let mut n = 0usize;
-    for (x, labels) in eval_batches(data, batch) {
-        let logits = g.forward(&x, Mode::Eval);
-        let (l, _) = softmax_cross_entropy(&logits, &labels);
-        let (t1, t5) = topk_accuracy(&logits, &labels);
-        let b = labels.len() as f64;
-        top1 += t1 as f64 * b;
-        top5 += t5 as f64 * b;
-        loss += l as f64 * b;
-        n += labels.len();
-    }
-    (
-        (top1 / n as f64) as f32,
-        (top5 / n as f64) as f32,
-        (loss / n as f64) as f32,
-    )
+    let arena = build_arena(g);
+    Validator::default().run(g, &arena, data, batch)
 }
 
 /// Freezes the moving statistics of every batch norm in the graph.
@@ -151,6 +157,46 @@ pub fn freeze_all_batchnorms(g: &mut Graph) {
     for id in 0..g.len() {
         if let Op::BatchNorm(bn) = &mut g.node_mut(id).op {
             bn.freeze_stats();
+        }
+    }
+}
+
+/// Validation history and the best checkpoint so far.
+#[derive(Default)]
+struct Checkpoints {
+    history: Vec<ValPoint>,
+    best: Option<(ValPoint, StateDict)>,
+}
+
+impl Checkpoints {
+    /// Validates at `step` on the run's own arena and records the point;
+    /// a new best flushes the arena onto the graph and snapshots it.
+    fn validate(
+        &mut self,
+        g: &mut Graph,
+        eng: &mut Engine,
+        data: &Dataset,
+        batch: usize,
+        step: u64,
+        epoch: f32,
+    ) {
+        let (top1, top5, loss) = eng.val.run(g, &eng.arena, data, batch);
+        let point = ValPoint {
+            step,
+            epoch,
+            loss,
+            top1,
+            top5,
+        };
+        self.history.push(point);
+        if self
+            .best
+            .as_ref()
+            .map(|(b, _)| top1 > b.top1)
+            .unwrap_or(true)
+        {
+            flush_arena(g, &eng.arena);
+            self.best = Some((point, g.state_dict()));
         }
     }
 }
@@ -172,7 +218,9 @@ pub fn train(
     let steps_per_epoch = (train_data.len() / hyper.batch) as u64;
     assert!(steps_per_epoch > 0, "dataset smaller than one batch");
 
-    let mut engine: Option<Engine> = None;
+    let mut dims = train_data.images.dims().to_vec();
+    dims[0] = hyper.batch;
+    let mut eng = Engine::build(g, hyper, &dims);
     let weight_sched = StaircaseDecay::new(
         hyper.weight_lr,
         hyper.weight_decay,
@@ -208,8 +256,7 @@ pub fn train(
         .collect();
     let mut threshold_trace: Vec<Vec<f32>> = Vec::new();
 
-    let mut best: Option<(ValPoint, tqt_graph::state::StateDict)> = None;
-    let mut history = Vec::new();
+    let mut ck = Checkpoints::default();
     let mut step: u64 = 0;
     let mut bn_frozen = false;
 
@@ -219,39 +266,11 @@ pub fn train(
                 freeze_all_batchnorms(g);
                 bn_frozen = true;
             }
-            // The engine is built on the first batch: the plan needs the
-            // input dims, which only the data knows.
-            if engine.is_none() {
-                engine = Some(Engine::build(g, hyper, x.dims()));
-            }
-            let eng = engine.as_mut().expect("engine built above");
-
-            let logits = match eng {
-                Engine::Legacy { .. } => g.forward(&x, Mode::Train),
-                Engine::Planned { arena, ex, .. } => ex.forward(g, arena, &x),
-            };
-            // Float-exec runtime sanitizer (debug builds): a NaN/Inf in any
-            // activation means diverged thresholds or a broken transform,
-            // and would poison every later step silently. The planned
-            // executor asserts per node as it runs; the legacy path keeps
-            // its retained activations, counted here.
-            #[cfg(debug_assertions)]
-            if matches!(eng, Engine::Legacy { .. }) {
-                let (nan, inf) = g.nonfinite_counts();
-                assert!(
-                    nan == 0 && inf == 0,
-                    "non-finite activations at step {step}: {nan} NaN, {inf} Inf"
-                );
-            }
+            let logits = eng.ex.forward(g, &eng.arena, &x);
             let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
             g.zero_grads();
-            match eng {
-                Engine::Legacy { .. } => g.backward(&dlogits),
-                Engine::Planned { arena, ex, .. } => {
-                    arena.zero_grads();
-                    ex.backward(g, arena, &dlogits);
-                }
-            }
+            eng.arena.zero_grads();
+            eng.ex.backward(g, &mut eng.arena, &dlogits);
 
             // Threshold freezing: observe values/gradients, then allow at
             // most one freeze per interval.
@@ -273,86 +292,33 @@ pub fn train(
                 }
             }
 
-            match eng {
-                Engine::Legacy {
-                    weight_opt,
-                    thresh_opt,
-                } => {
-                    weight_opt.set_lr(weight_sched.at(step));
-                    thresh_opt.set_lr(thresh_sched.at(step));
-                    let mut params = g.params_mut();
-                    let mut weights: Vec<&mut tqt_nn::Param> = Vec::new();
-                    let mut thresholds: Vec<&mut tqt_nn::Param> = Vec::new();
-                    for p in params.drain(..) {
-                        if p.kind == ParamKind::Threshold {
-                            thresholds.push(p);
-                        } else {
-                            weights.push(p);
-                        }
-                    }
-                    weight_opt.step(&mut weights);
-                    thresh_opt.step(&mut thresholds);
-                }
-                Engine::Planned {
-                    arena,
-                    weight_opt,
-                    thresh_opt,
-                    ..
-                } => {
-                    weight_opt.set_lr(weight_sched.at(step));
-                    thresh_opt.set_lr(thresh_sched.at(step));
-                    weight_opt.step(
-                        arena,
-                        &[ParamKind::Weight, ParamKind::Bias, ParamKind::BatchNorm],
-                    );
-                    // Thresholds are authoritative on the graph (the
-                    // freezer and calibration mutate it): push the
-                    // values/gradients/flags in, step, pull the updated
-                    // values back out.
-                    sync_thresholds_to_arena(g, arena);
-                    thresh_opt.step(arena, &[ParamKind::Threshold]);
-                    sync_thresholds_from_arena(g, arena);
-                }
-            }
+            eng.weight_opt.set_lr(weight_sched.at(step));
+            eng.thresh_opt.set_lr(thresh_sched.at(step));
+            eng.weight_opt.step(
+                &mut eng.arena,
+                &[ParamKind::Weight, ParamKind::Bias, ParamKind::BatchNorm],
+            );
+            // Thresholds are authoritative on the graph (the freezer and
+            // calibration mutate it): push the values/gradients/flags in,
+            // step, pull the updated values back out.
+            sync_thresholds_to_arena(g, &mut eng.arena);
+            eng.thresh_opt.step(&mut eng.arena, &[ParamKind::Threshold]);
+            sync_thresholds_from_arena(g, &eng.arena);
             step += 1;
 
             if step.is_multiple_of(hyper.val_every) {
-                eng.flush(g);
-                let (top1, top5, loss) = evaluate(g, val_data, hyper.batch);
-                let point = ValPoint {
-                    step,
-                    epoch: step as f32 / steps_per_epoch as f32,
-                    loss,
-                    top1,
-                    top5,
-                };
-                history.push(point);
-                if best.as_ref().map(|(b, _)| top1 > b.top1).unwrap_or(true) {
-                    best = Some((point, g.state_dict()));
-                }
+                let epoch = step as f32 / steps_per_epoch as f32;
+                ck.validate(g, &mut eng, val_data, hyper.batch, step, epoch);
             }
         }
     }
     // Final validation in case val_every did not divide the step count.
-    if history.last().map(|p| p.step != step).unwrap_or(true) {
-        if let Some(eng) = &engine {
-            eng.flush(g);
-        }
-        let (top1, top5, loss) = evaluate(g, val_data, hyper.batch);
-        let point = ValPoint {
-            step,
-            epoch: step as f32 / steps_per_epoch as f32,
-            loss,
-            top1,
-            top5,
-        };
-        history.push(point);
-        if best.as_ref().map(|(b, _)| top1 > b.top1).unwrap_or(true) {
-            best = Some((point, g.state_dict()));
-        }
+    if ck.history.last().map(|p| p.step != step).unwrap_or(true) {
+        let epoch = step as f32 / steps_per_epoch as f32;
+        ck.validate(g, &mut eng, val_data, hyper.batch, step, epoch);
     }
 
-    let (best_point, best_state) = best.expect("at least one validation ran");
+    let (best_point, best_state) = ck.best.expect("at least one validation ran");
     g.load_state_dict(&best_state);
     let threshold_final: Vec<f32> = trainable_tids
         .iter()
@@ -360,7 +326,7 @@ pub fn train(
         .collect();
     TrainResult {
         best: best_point,
-        history,
+        history: ck.history,
         threshold_names,
         threshold_init,
         threshold_final,

@@ -1,16 +1,25 @@
-//! Planned-vs-legacy trainer bit-identity: `TrainHyper::planned` must be
-//! a pure performance switch. Full `train()` runs — Adam for both
-//! parameter groups, staircase LR decay, batch-norm statistic freezing,
-//! incremental threshold freezing, validation with best-checkpoint
-//! restore — on the planned slot-reuse executor and on the allocating
-//! legacy path must produce bit-equal validation histories, threshold
-//! traces, and final parameters, at 1 and 4 threads.
+//! Trainer-vs-reference bit-identity. Full `train()` runs — Adam for
+//! both parameter groups, staircase LR decay, batch-norm statistic
+//! freezing, incremental threshold freezing, validation with
+//! best-checkpoint restore — on the planned executor (training steps on
+//! the training plan, validation on forward-only plans, pooled Adam over
+//! the parameter arena) must produce bit-equal validation histories,
+//! threshold traces, and final parameters to [`reference_train`], the
+//! same schedule run here over the reference interpreter
+//! (`Graph::forward`/`backward`) and the per-`Param` Adam, at 1 and 4
+//! threads.
 
-use tqt::trainer::train;
-use tqt::{TrainHyper, TrainResult};
-use tqt_data::{train_val, Dataset, SynthConfig};
+use tqt::trainer::{freeze_all_batchnorms, train};
+use tqt::{TrainHyper, TrainResult, ValPoint};
+use tqt_data::{eval_batches, train_val, BatchIter, Dataset, SynthConfig};
+use tqt_graph::state::StateDict;
 use tqt_graph::{quantize_graph, transforms, Graph, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
+use tqt_nn::loss::{softmax_cross_entropy, topk_accuracy};
+use tqt_nn::optim::Adam;
+use tqt_nn::schedule::StaircaseDecay;
+use tqt_nn::{Mode, Param, ParamKind};
+use tqt_quant::freeze::FreezeController;
 use tqt_rt::pool;
 
 fn tiny_data() -> (Dataset, Dataset) {
@@ -25,8 +34,9 @@ fn tiny_data() -> (Dataset, Dataset) {
 
 /// Builds the run's graph: FP32 DarkNet (keeps batch norms), optionally
 /// taken through the optimize/quantize/calibrate pipeline the real
-/// retraining flow uses.
-fn build_graph(quantized: bool, val_d: &Dataset) -> Graph {
+/// retraining flow uses. The reference run calibrates through the
+/// reference interpreter's own pass.
+fn build_graph(quantized: bool, reference: bool, val_d: &Dataset) -> Graph {
     let mut g = ModelKind::DarkNet.build(2);
     if quantized {
         let mut dims = INPUT_DIMS;
@@ -35,15 +45,152 @@ fn build_graph(quantized: bool, val_d: &Dataset) -> Graph {
         transforms::optimize(&mut g, &dims);
         quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
         let calib = tqt_data::calibration_batch(val_d, 50, 3);
-        g.calibrate(&calib);
+        if reference {
+            g.calibrate_reference(&calib);
+        } else {
+            g.calibrate(&calib);
+        }
     }
     g
 }
 
-fn run(planned: bool, quantized: bool, threads: usize) -> (TrainResult, Graph) {
+/// `(top1, top5, mean loss)` on the reference interpreter.
+fn reference_evaluate(g: &mut Graph, data: &Dataset, batch: usize) -> (f32, f32, f32) {
+    let (mut top1, mut top5, mut loss, mut n) = (0.0f64, 0.0f64, 0.0f64, 0usize);
+    for (x, labels) in eval_batches(data, batch) {
+        let logits = g.forward(&x, Mode::Eval);
+        let (l, _) = softmax_cross_entropy(&logits, &labels);
+        let (t1, t5) = topk_accuracy(&logits, &labels);
+        let b = labels.len() as f64;
+        top1 += t1 as f64 * b;
+        top5 += t5 as f64 * b;
+        loss += l as f64 * b;
+        n += labels.len();
+    }
+    (
+        (top1 / n as f64) as f32,
+        (top5 / n as f64) as f32,
+        (loss / n as f64) as f32,
+    )
+}
+
+/// `train()`'s schedule over the reference interpreter and the
+/// per-`Param` Adam: the same staircase decays, batch-norm and threshold
+/// freezes, validation cadence and best-checkpoint restore.
+fn reference_train(
+    g: &mut Graph,
+    train_data: &Dataset,
+    val_data: &Dataset,
+    hyper: &TrainHyper,
+) -> TrainResult {
+    let steps_per_epoch = (train_data.len() / hyper.batch) as u64;
+    let weight_sched = StaircaseDecay::new(
+        hyper.weight_lr,
+        hyper.weight_decay,
+        hyper.weight_decay_interval,
+    );
+    let thresh_sched = StaircaseDecay::new(
+        hyper.threshold_lr,
+        hyper.threshold_decay,
+        hyper.threshold_decay_interval,
+    );
+    let mut weight_opt = Adam::paper(hyper.weight_lr);
+    let mut thresh_opt = Adam::paper(hyper.threshold_lr);
+    let trainable_tids: Vec<usize> = (0..g.thresholds().len())
+        .filter(|&i| g.thresholds()[i].param.trainable)
+        .collect();
+    let mut freezer = FreezeController::new(
+        trainable_tids.len(),
+        hyper.freeze_start,
+        hyper.freeze_interval,
+        0.9,
+    );
+    let log2_ts = |g: &Graph| -> Vec<f32> {
+        trainable_tids
+            .iter()
+            .map(|&i| g.thresholds()[i].log2_t())
+            .collect()
+    };
+    let threshold_names = trainable_tids
+        .iter()
+        .map(|&i| g.thresholds()[i].param.name.clone())
+        .collect();
+    let threshold_init = log2_ts(g);
+    let mut threshold_trace = Vec::new();
+    let mut history: Vec<ValPoint> = Vec::new();
+    let mut best: Option<(ValPoint, StateDict)> = None;
+    let mut validate = |g: &mut Graph, step: u64, history: &mut Vec<ValPoint>| {
+        let (top1, top5, loss) = reference_evaluate(g, val_data, hyper.batch);
+        let point = ValPoint {
+            step,
+            epoch: step as f32 / steps_per_epoch as f32,
+            loss,
+            top1,
+            top5,
+        };
+        history.push(point);
+        if best.as_ref().is_none_or(|(b, _)| top1 > b.top1) {
+            best = Some((point, g.state_dict()));
+        }
+    };
+
+    let mut step = 0u64;
+    for epoch in 0..hyper.epochs {
+        for (x, labels) in BatchIter::new(train_data, hyper.batch, hyper.seed, epoch as u64) {
+            if step == hyper.bn_freeze_after {
+                freeze_all_batchnorms(g);
+            }
+            let logits = g.forward(&x, Mode::Train);
+            let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
+            g.zero_grads();
+            g.backward(&dlogits);
+            if !trainable_tids.is_empty() {
+                let values = log2_ts(g);
+                for (ci, &tid) in trainable_tids.iter().enumerate() {
+                    let t = &g.thresholds()[tid];
+                    freezer.observe(ci, t.log2_t(), t.param.grad.item());
+                }
+                if let Some(ci) = freezer.step(step, &values) {
+                    g.thresholds_mut()[trainable_tids[ci]].param.trainable = false;
+                }
+                if threshold_trace.len() < TrainResult::TRACE_STEPS {
+                    threshold_trace.push(values);
+                }
+            }
+            weight_opt.set_lr(weight_sched.at(step));
+            thresh_opt.set_lr(thresh_sched.at(step));
+            let (mut thresholds, mut weights): (Vec<&mut Param>, Vec<&mut Param>) = g
+                .params_mut()
+                .into_iter()
+                .partition(|p| p.kind == ParamKind::Threshold);
+            weight_opt.step(&mut weights);
+            thresh_opt.step(&mut thresholds);
+            step += 1;
+            if step.is_multiple_of(hyper.val_every) {
+                validate(g, step, &mut history);
+            }
+        }
+    }
+    if history.last().is_none_or(|p| p.step != step) {
+        validate(g, step, &mut history);
+    }
+    let (best_point, best_state) = best.expect("at least one validation ran");
+    g.load_state_dict(&best_state);
+    TrainResult {
+        best: best_point,
+        history,
+        threshold_names,
+        threshold_init,
+        threshold_final: log2_ts(g),
+        threshold_trace,
+        steps_run: step,
+    }
+}
+
+fn run(reference: bool, quantized: bool, threads: usize) -> (TrainResult, Graph) {
     pool::set_threads(threads);
     let (train_d, val_d) = tiny_data();
-    let mut g = build_graph(quantized, &val_d);
+    let mut g = build_graph(quantized, reference, &val_d);
     let mut h = if quantized {
         let mut h = TrainHyper::retrain(10);
         h.freeze_start = 5;
@@ -57,8 +204,11 @@ fn run(planned: bool, quantized: bool, threads: usize) -> (TrainResult, Graph) {
     if !quantized {
         h.bn_freeze_after = 10;
     }
-    h.planned = planned;
-    let r = train(&mut g, &train_d, &val_d, &h);
+    let r = if reference {
+        reference_train(&mut g, &train_d, &val_d, &h)
+    } else {
+        train(&mut g, &train_d, &val_d, &h)
+    };
     pool::set_threads(0);
     (r, g)
 }
@@ -68,8 +218,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 fn assert_identical(quantized: bool, threads: usize) {
-    let (rl, mut gl) = run(false, quantized, threads);
-    let (rp, mut gp) = run(true, quantized, threads);
+    let (rl, mut gl) = run(true, quantized, threads);
+    let (rp, mut gp) = run(false, quantized, threads);
     let tag = if quantized { "quantized" } else { "fp32" };
 
     assert_eq!(rl.steps_run, rp.steps_run, "{tag}/{threads}t: step counts");

@@ -1,6 +1,9 @@
-//! Graph execution: forward (with optional on-the-fly threshold
-//! calibration, performed in strict topological order as the paper
-//! requires), backward, and shape inference.
+//! The reference interpreter: an allocating forward (with optional
+//! on-the-fly threshold calibration, performed in strict topological
+//! order as the paper requires) and backward over the layers' own
+//! `Layer::forward`/`backward`. Production set-up, training and
+//! evaluation run on [`crate::fexec::FloatExecutor`]; this interpreter is
+//! the independent path the executor's parity tests compare against.
 
 use crate::ir::{Graph, Op, ThresholdMode};
 use tqt_nn::{Layer, Mode, ParamKind};
@@ -30,15 +33,13 @@ impl Graph {
         self.run_forward(x, mode, QuantPass::Apply)
     }
 
-    /// Runs a calibration pass: flows `x` through the graph, initializing
-    /// every uncalibrated threshold from the distribution it observes
-    /// (weights for weight quantizers, activations for activation
-    /// quantizers). Quantizers calibrated earlier in topological order are
-    /// already active when later ones calibrate, matching Section 4.2.
-    ///
-    /// Shared thresholds (concat / eltwise-add scale merging) take the max
-    /// over the proposals they receive.
-    pub fn calibrate(&mut self, x: &Tensor) -> Tensor {
+    /// The reference interpreter's calibration pass, with the same rule
+    /// as [`calibrate`](Self::calibrate): flows `x` through the graph,
+    /// initializing every uncalibrated threshold from the distribution it
+    /// observes. Quantizers calibrated earlier in topological order are
+    /// already active when later ones calibrate, matching Section 4.2, and
+    /// shared thresholds take the max over the proposals they receive.
+    pub fn calibrate_reference(&mut self, x: &Tensor) -> Tensor {
         self.run_forward(x, Mode::Eval, QuantPass::Calibrate)
     }
 
@@ -239,41 +240,6 @@ impl Graph {
         }
         (nan, inf)
     }
-
-    /// Per-node output shapes for a given input shape, via a dry run with a
-    /// zero batch. Useful for transforms that need channel counts.
-    pub fn infer_shapes(&mut self, input_dims: &[usize]) -> Vec<Vec<usize>> {
-        let x = Tensor::zeros(input_dims.to_vec());
-        let n = self.nodes.len();
-        let mut shapes = vec![Vec::new(); n];
-        let mut acts: Vec<Option<Tensor>> = vec![None; n];
-        let Graph {
-            nodes, thresholds, ..
-        } = self;
-        for id in 0..n {
-            let node = &mut nodes[id];
-            let out = match &mut node.op {
-                Op::Input => x.clone(),
-                Op::Identity => acts[node.inputs[0]].clone().unwrap(), // tqt:allow(unwrap): topological order computes inputs before consumers
-                Op::Quant { tid } => {
-                    // Shape-preserving; avoid requiring calibration.
-                    let _ = &thresholds[*tid];
-                    acts[node.inputs[0]].clone().unwrap() // tqt:allow(unwrap): topological order computes inputs before consumers
-                }
-                op => {
-                    let inputs: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| acts[i].as_ref().unwrap()) // tqt:allow(unwrap): topological order computes inputs before consumers
-                        .collect();
-                    op_forward(op, &inputs, Mode::Eval)
-                }
-            };
-            shapes[id] = out.dims().to_vec();
-            acts[id] = Some(out);
-        }
-        shapes
-    }
 }
 
 /// Dispatches forward to the embedded layer.
@@ -353,7 +319,7 @@ mod tests {
     #[test]
     fn infer_shapes_matches_forward() {
         let mut rng = init::rng(51);
-        let mut g = small_net(&mut rng);
+        let g = small_net(&mut rng);
         let shapes = g.infer_shapes(&[1, 1, 8, 8]);
         assert_eq!(shapes[g.find("conv1").unwrap()], vec![1, 4, 8, 8]);
         assert_eq!(shapes[g.find("fc").unwrap()], vec![1, 3]);
@@ -416,7 +382,7 @@ mod tests {
             ps[0].value.clone()
         };
         let x = init::normal([1, 1, 6, 6], 0.0, 1.0, &mut rng);
-        g.calibrate(&x);
+        g.calibrate_reference(&x);
         g.forward(&x, Mode::Eval);
         let w_after = {
             let ps = g.params_mut();
@@ -439,7 +405,7 @@ mod tests {
         let q = g.add("q", Op::Quant { tid }, &[x]);
         g.set_output(q);
         let data = init::normal([64], 0.0, 1.0, &mut rng);
-        g.calibrate(&data);
+        g.calibrate_reference(&data);
         assert!(g.thresholds()[tid].calibrated);
         let y = g.forward(&data, Mode::Eval);
         // Max-calibrated: nothing clips, everything lands on the grid.
@@ -463,7 +429,7 @@ mod tests {
         let q = g.add("q", Op::Quant { tid }, &[x]);
         g.set_output(q);
         let data = init::normal([64], 0.0, 1.0, &mut rng);
-        g.calibrate(&data);
+        g.calibrate_reference(&data);
         let y = g.forward(&data, Mode::Train);
         g.zero_grads();
         g.backward(&y);

@@ -1,6 +1,9 @@
 //! Planned float executor: runs one QAT training step (forward +
-//! backward) over the slot buffers of a [`FloatPlan`], with zero
-//! steady-state allocations.
+//! backward) or one forward-only pass over the slot buffers of a
+//! [`FloatPlan`], with zero steady-state allocations. It is the only
+//! float engine the set-up, training and evaluation paths call:
+//! [`Graph::calibrate`], the trainer's steps and validation, and
+//! distribution capture all run here.
 //!
 //! **Bit-identity contract.** Every op's arithmetic is the slice kernel
 //! the allocating layer wraps: conv and depthwise ([`tqt_tensor::conv`]),
@@ -10,12 +13,12 @@
 //! ([`tqt_quant::tqt`]). The `tqt-nn` unit tests and finite-difference
 //! gradchecks check that arithmetic. What this executor owns, and what
 //! `crates/graph/tests/planned_parity.rs` and the trainer's
-//! `train_parity` test compare bit-for-bit against `Graph::backward`, is
-//! the rest: slot liveness, gradient fan-in order (the legacy
-//! move-then-axpy order: the first contribution in descending-node order
-//! writes, later ones accumulate), threshold gradients accumulated in the
-//! same descending node order, arena plumbing, and quantized-weight
-//! staging.
+//! `train_parity` test compare bit-for-bit against the reference
+//! interpreter (`Graph::forward`/`backward`), is the rest: slot liveness,
+//! gradient fan-in order (the reference move-then-axpy order: the first
+//! contribution in descending-node order writes, later ones accumulate),
+//! threshold gradients accumulated in the same descending node order,
+//! arena plumbing, quantized-weight staging, and calibration order.
 //!
 //! Parameters are read from a [`ParamArena`] (the pooled-optimizer
 //! layout); thresholds and batch-norm running statistics stay
@@ -23,7 +26,7 @@
 //! threshold freezer mutate them there mid-training.
 
 use crate::fplan::FloatPlan;
-use crate::ir::{Graph, Op, ThresholdMode};
+use crate::ir::{Graph, Op, ThresholdId, ThresholdMode, ThresholdState};
 use tqt_nn::batchnorm::{batch_norm_backward_into, batch_norm_into, BnStats};
 use tqt_nn::merge::{concat_into, split_into};
 use tqt_nn::pool::{
@@ -31,6 +34,7 @@ use tqt_nn::pool::{
     max_pool2d_backward_into, max_pool2d_into,
 };
 use tqt_nn::ParamArena;
+use tqt_quant::calib::calibrate_log2_t;
 use tqt_quant::tqt::{quantize_backward_inplace, quantize_backward_into, quantize_into};
 use tqt_tensor::conv::{
     conv2d_backward_into, conv2d_bwd_ws, conv2d_fwd_ws, conv2d_into, depthwise_conv2d_backward_into,
@@ -40,7 +44,14 @@ use tqt_tensor::gemm::{gemm_nn, gemm_nt, gemm_tn, pack_a_full_into, packed_a_len
 use tqt_tensor::ops::{add_channel_into, sum_channel_into};
 use tqt_tensor::Tensor;
 
-/// Executes planned training steps for one `(graph, input shape)` pair.
+/// A quantizer hook: every quantizer of a forward pass calls it just
+/// before it applies, with its threshold id, its threshold state, and
+/// the full-precision data it is about to quantize (an activation
+/// quantizer's input slot, a weight quantizer's arena segment).
+pub type QuantHook<'a> = dyn FnMut(ThresholdId, &mut ThresholdState, &[f32]) + 'a;
+
+/// Executes planned training steps or forward-only passes for one
+/// `(graph, input shape)` pair.
 /// All buffers — value slots, conv workspace, packed-filter panel,
 /// quantized-weight arena, pooling argmaxes, batch-norm scratch — are
 /// allocated once at construction; the steady state allocates nothing
@@ -112,9 +123,12 @@ impl FloatExecutor {
         }
     }
 
-    /// Runs the planned training-mode forward pass: parameters from
-    /// `arena`, thresholds and batch-norm running statistics from (and
-    /// to) `g`. Returns the output logits.
+    /// Runs the planned forward pass: parameters from `arena`,
+    /// thresholds and batch-norm running statistics from (and, on a
+    /// training plan, to) `g`. A training plan runs in training mode and
+    /// readies [`backward`](Self::backward); a forward-only plan runs in
+    /// eval mode, with batch norm on its running statistics. Returns the
+    /// output logits.
     ///
     /// # Panics
     ///
@@ -122,6 +136,29 @@ impl FloatExecutor {
     /// is uncalibrated, or (debug builds) a node produces a non-finite
     /// value.
     pub fn forward(&mut self, g: &mut Graph, arena: &ParamArena, x: &Tensor) -> Tensor {
+        self.run_forward(g, arena, x, None)
+    }
+
+    /// [`forward`](Self::forward) with `hook` called by every quantizer,
+    /// in node order, just before it applies — the one hook calibration
+    /// and distribution capture share.
+    pub fn forward_hooked(
+        &mut self,
+        g: &mut Graph,
+        arena: &ParamArena,
+        x: &Tensor,
+        hook: &mut QuantHook<'_>,
+    ) -> Tensor {
+        self.run_forward(g, arena, x, Some(hook))
+    }
+
+    fn run_forward(
+        &mut self,
+        g: &mut Graph,
+        arena: &ParamArena,
+        x: &Tensor,
+        mut hook: Option<&mut QuantHook<'_>>,
+    ) -> Tensor {
         assert_eq!(
             x.dims(),
             self.plan.input_dims(),
@@ -139,6 +176,7 @@ impl FloatExecutor {
             ..
         } = self;
         let plan: &FloatPlan = plan;
+        let training = plan.is_training();
         let n = g.len();
         let Graph {
             nodes, thresholds, ..
@@ -158,7 +196,10 @@ impl FloatExecutor {
                 Op::Quant { tid } => {
                     let i0 = node.inputs[0];
                     let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
-                    let ts = &thresholds[*tid];
+                    let ts = &mut thresholds[*tid];
+                    if let Some(h) = hook.as_deref_mut() {
+                        h(*tid, ts, xin);
+                    }
                     assert!(
                         ts.calibrated,
                         "quantizer {} used before calibration",
@@ -181,7 +222,9 @@ impl FloatExecutor {
                     let cout = plan.shape(id)[1];
                     let geom = l.geom();
                     let segs = plan.param_segs(id);
-                    let wsrc = quantized_or_plain(node, id, plan, thresholds, arena, qw, segs[0]);
+                    let wsrc = quantized_or_plain(
+                        node, id, plan, thresholds, arena, qw, segs[0], &mut hook,
+                    );
                     let krows = c * geom.kh * geom.kw;
                     let plen = packed_a_len(cout, krows);
                     pack_a_full_into(wsrc, cout, krows, &mut wpack[..plen]);
@@ -198,7 +241,9 @@ impl FloatExecutor {
                     let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
                     let geom = l.geom();
                     let segs = plan.param_segs(id);
-                    let wsrc = quantized_or_plain(node, id, plan, thresholds, arena, qw, segs[0]);
+                    let wsrc = quantized_or_plain(
+                        node, id, plan, thresholds, arena, qw, segs[0], &mut hook,
+                    );
                     depthwise_conv2d_into(xin, nb, c, h, w, wsrc, geom, out);
                     if let Some(&bseg) = segs.get(1) {
                         add_channel_into(out, nb, arena.val(bseg));
@@ -210,7 +255,9 @@ impl FloatExecutor {
                     let (nb, ind) = (plan.shape(i0)[0], plan.shape(i0)[1]);
                     let outd = plan.shape(id)[1];
                     let segs = plan.param_segs(id);
-                    let wsrc = quantized_or_plain(node, id, plan, thresholds, arena, qw, segs[0]);
+                    let wsrc = quantized_or_plain(
+                        node, id, plan, thresholds, arena, qw, segs[0], &mut hook,
+                    );
                     out.fill(0.0);
                     gemm_nn(nb, outd, ind, xin, wsrc, out, true);
                     if let Some(&bseg) = segs.get(1) {
@@ -219,13 +266,14 @@ impl FloatExecutor {
                 }
                 Op::BatchNorm(l) => {
                     let i0 = node.inputs[0];
-                    let xh_val = plan.xhat_of(id).expect("batch-norm has an xhat value"); // tqt:allow(expect): the plan allocates an xhat slot per batch-norm
-                    let mut xhbuf = std::mem::take(&mut slots[plan.slot_of(xh_val)]);
+                    let xh_slot = plan.xhat_of(id).map(|v| plan.slot_of(v));
+                    let mut xhbuf = xh_slot.map(|s| std::mem::take(&mut slots[s]));
                     let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
                     let st = bn[id].as_mut().expect("batch-norm scratch missing"); // tqt:allow(expect): scratch is allocated per batch-norm at plan build
                     let segs = plan.param_segs(id);
                     let (rm, rv) = l.running_stats();
-                    let running = l.stats_frozen().then(|| (rm.data(), rv.data()));
+                    let batch_stats = training && !l.stats_frozen();
+                    let running = (!batch_stats).then(|| (rm.data(), rv.data()));
                     batch_norm_into(
                         xin,
                         plan.shape(id)[0],
@@ -234,13 +282,15 @@ impl FloatExecutor {
                         arena.val(segs[0]),
                         arena.val(segs[1]),
                         st,
-                        &mut xhbuf[..olen],
+                        xhbuf.as_mut().map(|b| &mut b[..olen]),
                         out,
                     );
-                    if !l.stats_frozen() {
+                    if batch_stats {
                         l.update_running_stats(st);
                     }
-                    slots[plan.slot_of(xh_val)] = xhbuf;
+                    if let (Some(s), Some(b)) = (xh_slot, xhbuf) {
+                        slots[s] = b;
+                    }
                 }
                 Op::MaxPool(l) => {
                     let i0 = node.inputs[0];
@@ -286,7 +336,7 @@ impl FloatExecutor {
             }
             slots[oslot] = obuf;
         }
-        self.forward_ran = true;
+        self.forward_ran = training;
         let out_id = g.output_id();
         let plan = &self.plan;
         Tensor::from_vec(
@@ -297,7 +347,7 @@ impl FloatExecutor {
 
     /// Runs the planned backward pass from the loss gradient `dout`,
     /// accumulating layer-parameter gradients into `arena` (which must
-    /// arrive zeroed, like `Graph::zero_grads` before the legacy
+    /// arrive zeroed, like `Graph::zero_grads` before the reference
     /// backward) and threshold gradients onto `g`'s side table.
     ///
     /// # Panics
@@ -307,7 +357,7 @@ impl FloatExecutor {
     pub fn backward(&mut self, g: &mut Graph, arena: &mut ParamArena, dout: &Tensor) {
         assert!(
             self.forward_ran,
-            "planned backward requires a planned forward pass first"
+            "planned backward requires a training-plan forward pass first"
         );
         self.forward_ran = false;
         let out_id = g.output_id();
@@ -472,7 +522,7 @@ impl FloatExecutor {
                             sum_channel_into(gy, nb, arena.grad_mut(bseg));
                         }
                         // dx = gy @ w^T with the (possibly quantized)
-                        // forward weights, like the legacy op order.
+                        // forward weights, like the reference op order.
                         let wvals = arena.val(segs[0]);
                         let wdat: &[f32] = match plan.qw_seg(id) {
                             Some((o, ln)) => &qw[o..o + ln],
@@ -512,8 +562,8 @@ impl FloatExecutor {
                 slots[plan.slot_of(v)] = dbuf;
             }
             // Fan-in: accumulate staged temps onto the already-defined
-            // gradients, in input-position order (the legacy executor's
-            // axpy order for fan-out nodes).
+            // gradients, in input-position order (the reference
+            // interpreter's axpy order for fan-out nodes).
             for (cb, &v) in step.contribs.iter().zip(&dst_vals) {
                 if cb.temp.is_none() {
                     continue;
@@ -531,22 +581,27 @@ impl FloatExecutor {
     }
 }
 
-/// Quantizes node `id`'s weight segment into its persistent qw slice
-/// (forward pass of the weight fake-quantizer) and returns the weights
-/// the compute kernel should consume; plain arena weights when no
-/// quantizer is attached.
+/// Quantizes node `id`'s weight segment into its qw slice (forward pass
+/// of the weight fake-quantizer, after the hook saw the full-precision
+/// segment) and returns the weights the compute kernel should consume;
+/// plain arena weights when no quantizer is attached.
+#[allow(clippy::too_many_arguments)]
 fn quantized_or_plain<'a>(
     node: &crate::ir::Node,
     id: usize,
     plan: &FloatPlan,
-    thresholds: &[crate::ir::ThresholdState],
+    thresholds: &mut [ThresholdState],
     arena: &'a ParamArena,
     qw: &'a mut [f32],
     wseg: usize,
+    hook: &mut Option<&mut QuantHook<'_>>,
 ) -> &'a [f32] {
     match (&node.wq, plan.qw_seg(id)) {
         (Some(wq), Some((o, ln))) => {
-            let ts = &thresholds[wq.tid];
+            let ts = &mut thresholds[wq.tid];
+            if let Some(h) = hook.as_deref_mut() {
+                h(wq.tid, ts, arena.val(wseg));
+            }
             assert!(
                 ts.calibrated,
                 "weight quantizer {} used before calibration",
@@ -561,10 +616,10 @@ fn quantized_or_plain<'a>(
 
 /// Routes an accumulated weight gradient through the fake-quantizer STE
 /// (mask to the clip range, fold the threshold gradient) exactly like the
-/// legacy backward, accumulating `dlog2 t` onto the graph threshold.
+/// reference backward, accumulating `dlog2 t` onto the graph threshold.
 fn apply_weight_ste(
     node: &crate::ir::Node,
-    thresholds: &mut [crate::ir::ThresholdState],
+    thresholds: &mut [ThresholdState],
     arena: &mut ParamArena,
     wseg: usize,
 ) {
@@ -587,8 +642,8 @@ pub fn build_arena(g: &mut Graph) -> ParamArena {
 }
 
 /// Copies every arena segment's values back onto the graph parameters
-/// (layer params and thresholds). Call before `state_dict`, `evaluate`,
-/// or any other consumer of the graph's own parameter tensors.
+/// (layer params and thresholds). Call before `state_dict` or any other
+/// consumer of the graph's own parameter tensors.
 pub fn flush_arena(g: &mut Graph, arena: &ParamArena) {
     for (i, p) in g.params_mut().into_iter().enumerate() {
         p.value.data_mut().copy_from_slice(arena.val(i));
@@ -616,5 +671,33 @@ pub fn sync_thresholds_from_arena(g: &mut Graph, arena: &ParamArena) {
     for (ti, ts) in g.thresholds_mut().iter_mut().enumerate() {
         let v = arena.val(base + ti)[0];
         ts.param.value.data_mut()[0] = v;
+    }
+}
+
+impl Graph {
+    /// Runs a calibration pass on a forward-only plan: flows `x` through
+    /// the graph, initializing every uncalibrated threshold from the
+    /// distribution its quantizer sees (the full-precision weights for
+    /// weight quantizers, activations for activation quantizers).
+    /// Quantizers calibrated earlier in topological order are already
+    /// active when later ones calibrate, matching Section 4.2. Shared
+    /// thresholds (concat / eltwise-add scale merging) take the max over
+    /// the proposals they receive in one pass. Returns the pass's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no input/output or `x` does not fit it.
+    pub fn calibrate(&mut self, x: &Tensor) -> Tensor {
+        let arena = build_arena(self);
+        let mut ex = FloatExecutor::new(FloatPlan::forward_only(self, x.dims()), self);
+        let mut proposed = vec![false; self.thresholds().len()];
+        ex.forward_hooked(self, &arena, x, &mut |tid, ts, data| {
+            if ts.calibrated && !proposed[tid] {
+                return;
+            }
+            let p = calibrate_log2_t(&Tensor::from_slice(data), ts.init, ts.spec);
+            ts.set_log2_t(if proposed[tid] { ts.log2_t().max(p) } else { p });
+            proposed[tid] = true;
+        })
     }
 }

@@ -1,38 +1,43 @@
-//! Float training-tape planner: compiles one QAT training step —
-//! forward, backward, fake-quant STE and all — onto the generic
+//! Float tape planner: compiles one QAT training step — forward,
+//! backward, fake-quant STE and all — or one forward-only pass
+//! (calibration, evaluation, distribution capture) onto the generic
 //! slot-reuse engine in [`tqt_plan`].
 //!
-//! The legacy executor ([`crate::exec`]) allocates a fresh tensor for
-//! every node output, every retained activation, and every gradient, each
-//! step. This planner instead enumerates every intermediate **value** of
-//! a training step as an SSA tape and asks [`tqt_plan::assign_slots`] for
-//! a liveness-minimal buffer assignment, exactly like the integer
-//! inference engine's `IntPlan`. The value model:
+//! The reference interpreter ([`crate::exec`]) allocates a fresh tensor
+//! for every node output, every retained activation, and every gradient,
+//! each step. This planner instead enumerates every intermediate **value**
+//! of a pass as an SSA tape and asks [`tqt_plan::assign_slots`] for a
+//! liveness-minimal buffer assignment, exactly like the integer inference
+//! engine's `IntPlan`. The value model:
 //!
 //! * `Act(i)` — node `i`'s forward activation (value id = node id);
 //! * `Xhat(i)` — a batch-norm node's normalized activation, retained as a
 //!   separate value because the backward pass consumes it;
 //! * `Grad(i)` — `dL/d(act i)`, one per *active* node (ancestor of the
 //!   graph output — inactive branches get no gradient, mirroring the
-//!   legacy executor's `None` skip);
+//!   reference interpreter's `None` skip);
 //! * `Temp(i)` — a step-local staging buffer for each *non-defining*
 //!   gradient contribution into `Grad(i)` (fan-out): the first consumer
 //!   (in descending-id backward order, then input-position order) writes
 //!   its contribution straight into the gradient slot, later ones stage
-//!   into a `Temp` and accumulate, reproducing the legacy executor's
-//!   move-then-axpy fan-in bit for bit.
+//!   into a `Temp` and accumulate, reproducing the reference
+//!   interpreter's move-then-axpy fan-in bit for bit.
 //!
-//! The tape is: one step per node in topological order (forward), a seed
-//! step defining `Grad(output)`, then one step per active non-input node
-//! in reverse topological order (backward). The graph output's activation
-//! is pinned so the caller can read logits after the run.
+//! A training tape ([`FloatPlan::new`]) is: one step per node in
+//! topological order (forward), a seed step defining `Grad(output)`, then
+//! one step per active non-input node in reverse topological order
+//! (backward). A forward-only tape ([`FloatPlan::forward_only`]) is the
+//! forward steps alone, over `Act` values only. Either way the graph
+//! output's activation is pinned so the caller can read logits after the
+//! run.
 //!
 //! Outside the slots, the plan accounts three plan-owned arenas the
 //! executor reuses across steps: `ws` (im2col / per-image workspace
-//! high-water across all conv nodes), `wpack` (packed-filter panel
-//! high-water across standard convs; forward-step-local, so shared), and
-//! `qw` (per-node quantized-weight segments that must persist from the
-//! forward quantize to the backward STE).
+//! high-water across all conv nodes; forward workspaces only in a
+//! forward-only plan), `wpack` (packed-filter panel high-water across
+//! standard convs; forward-step-local, so shared), and `qw` (per-node
+//! quantized-weight segments that must persist from the forward quantize
+//! to the backward STE).
 
 use crate::ir::{op_params, Graph, Op};
 use tqt_plan::{assign_slots, TapeStep};
@@ -87,9 +92,11 @@ pub struct BwdStep {
     pub contribs: Vec<Contrib>,
 }
 
-/// A compiled training-step plan for one `(graph, input shape)` pair.
+/// A compiled training-step or forward-only plan for one
+/// `(graph, input shape)` pair.
 #[derive(Debug)]
 pub struct FloatPlan {
+    training: bool,
     input_dims: Vec<usize>,
     shapes: Vec<Vec<usize>>,
     lens: Vec<usize>,
@@ -115,20 +122,37 @@ pub struct FloatPlan {
 
 impl FloatPlan {
     /// Compiles a training-step plan for `g` at the given input shape.
-    /// `g` is only mutated by shape inference (a dry forward run).
+    /// `g` is not mutated.
     ///
     /// # Panics
     ///
     /// Panics if the graph has no input/output or shape inference fails.
     pub fn new(g: &mut Graph, input_dims: &[usize]) -> Self {
+        Self::build(g, input_dims, true)
+    }
+
+    /// Compiles a forward-only plan for `g` at the given input shape:
+    /// activations and kernel scratch only, with no xhat, gradient or
+    /// temp values and no backward steps. The executor runs it in eval
+    /// mode (batch norm on running statistics).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`new`](Self::new).
+    pub fn forward_only(g: &Graph, input_dims: &[usize]) -> Self {
+        Self::build(g, input_dims, false)
+    }
+
+    fn build(g: &Graph, input_dims: &[usize], training: bool) -> Self {
         let shapes = g.infer_shapes(input_dims);
         let n = g.len();
         let out_id = g.output_id();
 
         // Ancestors of the output receive gradients; the rest are dead
-        // branches the legacy backward skips via its `None` check.
+        // branches the reference backward skips via its `None` check. A
+        // forward-only plan has no gradients at all.
         let mut active = vec![false; n];
-        active[out_id] = true;
+        active[out_id] = training;
         for id in (0..n).rev() {
             if active[id] {
                 for &i in &g.node(id).inputs {
@@ -144,7 +168,7 @@ impl FloatPlan {
         let mut xhat = vec![None; n];
         let mut grad = vec![None; n];
         for id in 0..n {
-            if matches!(g.node(id).op, Op::BatchNorm(_)) {
+            if training && matches!(g.node(id).op, Op::BatchNorm(_)) {
                 xhat[id] = Some(kinds.len());
                 kinds.push(ValueKind::Xhat(id));
                 lens.push(lens[id]);
@@ -170,8 +194,9 @@ impl FloatPlan {
         }
 
         // Seed: the loss gradient defines Grad(output).
-        let gout = grad[out_id].expect("output is active by construction"); // tqt:allow(expect): gradient seeding makes the output active
-        steps.push(TapeStep::new(vec![gout], Vec::new()));
+        if let Some(gout) = grad[out_id] {
+            steps.push(TapeStep::new(vec![gout], Vec::new()));
+        }
 
         // Backward tape: active non-input nodes in reverse order.
         let mut bwd = Vec::new();
@@ -252,9 +277,10 @@ impl FloatPlan {
                     let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
                     let wd = l.weight().value.dims();
                     let (cout, krows) = (wd[0], wd[1] * wd[2] * wd[3]);
-                    ws_len = ws_len
-                        .max(nb * conv2d_fwd_ws(c, h, w, l.geom()))
-                        .max(nb * conv2d_bwd_ws(c, h, w, cout, l.geom()));
+                    ws_len = ws_len.max(nb * conv2d_fwd_ws(c, h, w, l.geom()));
+                    if training {
+                        ws_len = ws_len.max(nb * conv2d_bwd_ws(c, h, w, cout, l.geom()));
+                    }
                     wpack_len = wpack_len.max(packed_a_len(cout, krows));
                 }
                 Op::Depthwise(_) => {
@@ -282,6 +308,7 @@ impl FloatPlan {
         }
 
         FloatPlan {
+            training,
             input_dims: input_dims.to_vec(),
             shapes,
             lens,
@@ -300,6 +327,12 @@ impl FloatPlan {
             ws_len,
             wpack_len,
         }
+    }
+
+    /// Whether this is a training-step plan (forward, seed and backward)
+    /// rather than a forward-only one.
+    pub fn is_training(&self) -> bool {
+        self.training
     }
 
     /// The input shape the plan was compiled for.
@@ -347,7 +380,8 @@ impl FloatPlan {
         self.slot_lens.iter().sum()
     }
 
-    /// The execution tape (forward steps, gradient seed, backward steps).
+    /// The execution tape (forward steps, then on a training plan the
+    /// gradient seed and backward steps).
     pub fn steps(&self) -> &[TapeStep] {
         &self.steps
     }

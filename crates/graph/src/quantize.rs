@@ -628,7 +628,7 @@ mod tests {
     #[test]
     fn end_to_end_quantized_training_step_reduces_loss() {
         use tqt_nn::loss::softmax_cross_entropy;
-        use tqt_nn::optim::{Adam, Optimizer};
+        use tqt_nn::optim::Adam;
         let mut g = build_residual_net();
         quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
         let mut rng = init::rng(73);

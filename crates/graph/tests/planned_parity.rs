@@ -1,12 +1,18 @@
 //! Bit-identity of the planned float executor against the allocating
-//! legacy path (the tentpole guarantee of the planned-executor PR): for a
-//! graph exercising every op kind — conv with bias, depthwise, dense,
-//! batch-norm, relu, max/avg/global pooling, flatten, identity, eltwise
-//! add with fan-out, concat, activation and weight quantizers — N
-//! training steps on twin graphs must produce bit-equal logits, layer and
-//! threshold gradients, parameter evolution, and batch-norm running
-//! statistics, at 1 and 4 threads, with zero steady-state slot
-//! allocations.
+//! reference interpreter: for a graph exercising every op kind — conv
+//! with bias, depthwise, dense, batch-norm, relu, max/avg/global pooling,
+//! flatten, identity, eltwise add with fan-out, concat, activation and
+//! weight quantizers —
+//!
+//! * N training steps on twin graphs must produce bit-equal logits, layer
+//!   and threshold gradients, parameter evolution, and batch-norm running
+//!   statistics;
+//! * calibration and evaluation on forward-only plans must produce
+//!   bit-equal logits and every bit-equal `log2 t` (the quantized net
+//!   shares thresholds across its add and concat inputs, so the
+//!   max-merge is exercised), leaving batch-norm statistics untouched;
+//!
+//! at 1 and 4 threads, with zero steady-state slot allocations.
 
 use tqt_graph::fexec::{build_arena, flush_arena};
 use tqt_graph::fplan::FloatPlan;
@@ -98,7 +104,7 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
     let mut rng = init::rng(72);
     if quantized {
         let x0 = init::normal(DIMS.to_vec(), 0.0, 1.0, &mut rng);
-        gl.calibrate(&x0);
+        gl.calibrate_reference(&x0);
         gp.calibrate(&x0);
     }
 
@@ -132,7 +138,7 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
             bits(yp.data()),
             "step {step}: logits diverged ({threads} threads)"
         );
-        // Layer-parameter gradients: legacy graph params vs arena.
+        // Layer-parameter gradients: reference graph params vs arena.
         for (i, lp) in gl.params_mut().iter().take(n_layer_params).enumerate() {
             assert_eq!(
                 bits(lp.grad.data()),
@@ -205,23 +211,125 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
 }
 
 #[test]
-fn planned_float_step_matches_legacy_serial() {
+fn planned_float_step_matches_reference_serial() {
     run_parity(1, 4, false);
 }
 
 #[test]
-fn planned_float_step_matches_legacy_four_threads() {
+fn planned_float_step_matches_reference_four_threads() {
     run_parity(4, 4, false);
 }
 
 #[test]
-fn planned_quantized_step_matches_legacy_serial() {
+fn planned_quantized_step_matches_reference_serial() {
     run_parity(1, 4, true);
 }
 
 #[test]
-fn planned_quantized_step_matches_legacy_four_threads() {
+fn planned_quantized_step_matches_reference_four_threads() {
     run_parity(4, 4, true);
+}
+
+/// Calibration, then evaluation at two batch shapes, on forward-only
+/// plans against the reference interpreter's own calibrate pass and
+/// eval-mode forward.
+fn run_forward_only_parity(threads: usize, quantized: bool) {
+    pool::set_threads(threads);
+    let mut gl = make_net(81, quantized);
+    let mut gp = make_net(81, quantized);
+    let mut rng = init::rng(82);
+    // Non-trivial running statistics, so eval-mode batch norm is tested.
+    for g in [&mut gl, &mut gp] {
+        let mut rs = init::rng(83);
+        for id in 0..g.len() {
+            if let Op::BatchNorm(bn) = &mut g.node_mut(id).op {
+                let c = bn.running_stats().0.len();
+                let mean = init::normal(vec![c], 0.0, 0.5, &mut rs);
+                let var = init::uniform(vec![c], 0.5, 2.0, &mut rs);
+                bn.set_running_stats(mean, var);
+            }
+        }
+    }
+    let stats = |g: &Graph| -> Vec<Vec<u32>> {
+        g.iter()
+            .filter_map(|(_, n)| match &n.op {
+                Op::BatchNorm(bn) => Some(bn.running_stats()),
+                _ => None,
+            })
+            .flat_map(|(m, v)| [bits(m.data()), bits(v.data())])
+            .collect()
+    };
+    let stats_before = stats(&gl);
+
+    let x0 = init::normal(DIMS.to_vec(), 0.0, 1.0, &mut rng);
+    let yl = gl.calibrate_reference(&x0);
+    let yp = gp.calibrate(&x0);
+    assert_eq!(
+        bits(yl.data()),
+        bits(yp.data()),
+        "calibration logits diverged ({threads} threads)"
+    );
+    for (tl, tp) in gl.thresholds().iter().zip(gp.thresholds()) {
+        assert!(tp.calibrated, "{} left uncalibrated", tp.param.name);
+        assert_eq!(
+            tl.log2_t().to_bits(),
+            tp.log2_t().to_bits(),
+            "calibrated log2 t of {} diverged ({threads} threads)",
+            tl.param.name
+        );
+    }
+
+    let arena = build_arena(&mut gp);
+    for batch in [DIMS[0], 1] {
+        let dims = [batch, DIMS[1], DIMS[2], DIMS[3]];
+        let mut ex = FloatExecutor::new(FloatPlan::forward_only(&gp, &dims), &gp);
+        for _ in 0..3 {
+            let x = init::normal(dims.to_vec(), 0.0, 1.0, &mut rng);
+            let yl = gl.forward(&x, Mode::Eval);
+            let yp = ex.forward(&mut gp, &arena, &x);
+            assert_eq!(
+                bits(yl.data()),
+                bits(yp.data()),
+                "eval logits diverged at batch {batch} ({threads} threads)"
+            );
+        }
+        assert_eq!(
+            ex.slot_allocs(),
+            0,
+            "forward-only executor allocated slot memory"
+        );
+    }
+    assert_eq!(
+        stats(&gl),
+        stats_before,
+        "reference eval moved batch-norm statistics"
+    );
+    assert_eq!(
+        stats(&gp),
+        stats_before,
+        "forward-only passes moved batch-norm statistics"
+    );
+    pool::set_threads(0);
+}
+
+#[test]
+fn forward_only_float_matches_reference_serial() {
+    run_forward_only_parity(1, false);
+}
+
+#[test]
+fn forward_only_float_matches_reference_four_threads() {
+    run_forward_only_parity(4, false);
+}
+
+#[test]
+fn forward_only_quantized_matches_reference_serial() {
+    run_forward_only_parity(1, true);
+}
+
+#[test]
+fn forward_only_quantized_matches_reference_four_threads() {
+    run_forward_only_parity(4, true);
 }
 
 /// The plan itself must be deterministic: same graph, same plan.

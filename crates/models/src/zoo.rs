@@ -317,6 +317,34 @@ mod tests {
         }
     }
 
+    /// The symbolic shape rule against the reference interpreter: for
+    /// every zoo model at batch 1 and 8, `Graph::infer_shapes` must give
+    /// exactly the dims of every node output a training-mode forward
+    /// retains.
+    #[test]
+    fn infer_shapes_matches_forward() {
+        let mut rng = init::rng(93);
+        for kind in ModelKind::all() {
+            let mut g = kind.build(4);
+            for batch in [1, 8] {
+                let mut dims = INPUT_DIMS;
+                dims[0] = batch;
+                let shapes = g.infer_shapes(&dims);
+                let x = init::normal(dims.to_vec(), 0.0, 1.0, &mut rng);
+                g.forward(&x, Mode::Train);
+                assert_eq!(shapes.len(), g.len(), "{kind}: one shape per node");
+                for (id, act) in g.activations().iter().enumerate() {
+                    assert_eq!(
+                        shapes[id],
+                        act.dims(),
+                        "{kind} batch {batch}: node `{}`",
+                        g.node(id).name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn all_models_optimize_and_quantize() {
         use tqt_graph::{quantize_graph, transforms, QuantizeOptions};

@@ -18,7 +18,7 @@
 //! thread count. Per-segment step counters replicate the lazy per-name
 //! slot behavior: a segment's `t` advances only on steps where it is
 //! trainable and selected, so freezing a threshold stops its bias
-//! correction exactly like dropping it from the legacy parameter list.
+//! correction exactly like dropping it from the reference's parameter list.
 //! `crates/nn/tests/pooled_adam.rs` proves both properties.
 
 use crate::param::{Param, ParamKind};
@@ -208,7 +208,7 @@ impl PooledAdam {
     /// One Adam step over every trainable segment whose kind is in
     /// `kinds` (the paper's weight/threshold optimizer groups). Skipped
     /// segments keep their step counters, exactly like parameters absent
-    /// from a legacy optimizer call.
+    /// from a per-`Param` optimizer call.
     pub fn step(&mut self, arena: &mut ParamArena, kinds: &[ParamKind]) {
         let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
         let lr = self.lr as f64;
@@ -233,7 +233,7 @@ impl PooledAdam {
                         .zip(ms.iter_mut())
                         .zip(vs.iter_mut())
                     {
-                        // Exactly the legacy Adam per-element sequence.
+                        // Exactly the per-`Param` Adam's per-element sequence.
                         let g = g as f64;
                         let m64 = beta1 * *m as f64 + (1.0 - beta1) * g;
                         let v64 = beta2 * *vv as f64 + (1.0 - beta2) * g * g;
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn first_step_moves_by_lr() {
-        // Same invariant as the legacy adam_first_step_equals_lr test.
+        // Same invariant as the per-`Param` adam_first_step_equals_lr test.
         let p = Param::new("x", Tensor::scalar(0.0), ParamKind::Weight);
         let mut arena = ParamArena::from_params(&[&p]);
         arena.grad_mut(0)[0] = 100.0;

@@ -184,7 +184,7 @@ impl Layer for BatchNorm {
             self.gamma.value.data(),
             self.beta.value.data(),
             &mut stats,
-            xhat.data_mut(),
+            Some(xhat.data_mut()),
             y.data_mut(),
         );
         if use_batch_stats {
@@ -229,7 +229,9 @@ impl Layer for BatchNorm {
 /// statistics of `x` (biased variance; per-channel sums taken per
 /// `(image, channel)` block, then over images), recording them in `st`
 /// for the backward and for [`BatchNorm::update_running_stats`]. Writes
-/// `xhat = (x - mean) / sqrt(var + eps)` and `y = xhat * gamma + beta`.
+/// `y = xhat * gamma + beta` with `xhat = (x - mean) / sqrt(var + eps)`,
+/// and `xhat` itself when a buffer is given (a training forward keeps it
+/// for the backward).
 ///
 /// # Panics
 ///
@@ -243,14 +245,17 @@ pub fn batch_norm_into(
     gamma: &[f32],
     beta: &[f32],
     st: &mut BnStats,
-    xhat: &mut [f32],
+    xhat: Option<&mut [f32]>,
     y: &mut [f32],
 ) {
     let c = gamma.len();
     assert_eq!(beta.len(), c, "beta length mismatch");
     assert_eq!(st.mean.len(), c, "statistics length mismatch");
     assert!(x.len().is_multiple_of(n * c), "input does not split into {n} images of {c} channels");
-    assert!(xhat.len() == x.len() && y.len() == x.len(), "output length mismatch");
+    assert!(
+        xhat.as_ref().is_none_or(|xh| xh.len() == x.len()) && y.len() == x.len(),
+        "output length mismatch"
+    );
     let spatial = x.len() / (n * c);
     st.batch = running.is_none();
     match running {
@@ -279,14 +284,27 @@ pub fn batch_norm_into(
     for (is, &v) in st.inv_std.iter_mut().zip(&st.var) {
         *is = 1.0 / (v + eps).sqrt();
     }
-    let planes = x.chunks_exact(spatial).zip(xhat.chunks_exact_mut(spatial));
-    for (p, ((xb, xhb), yb)) in planes.zip(y.chunks_exact_mut(spatial)).enumerate() {
+    let mut xhat_planes = xhat.map(|xh| xh.chunks_exact_mut(spatial));
+    for (p, (xb, yb)) in x
+        .chunks_exact(spatial)
+        .zip(y.chunks_exact_mut(spatial))
+        .enumerate()
+    {
         let ci = p % c;
         let (nm, is, gv, bv) = (-st.mean[ci], st.inv_std[ci], gamma[ci], beta[ci]);
-        for ((yv, xhv), &xv) in yb.iter_mut().zip(xhb).zip(xb) {
-            let xh = (xv + nm) * is;
-            *xhv = xh;
-            *yv = xh * gv + bv;
+        match xhat_planes.as_mut().and_then(Iterator::next) {
+            Some(xhb) => {
+                for ((yv, xhv), &xv) in yb.iter_mut().zip(xhb).zip(xb) {
+                    let xh = (xv + nm) * is;
+                    *xhv = xh;
+                    *yv = xh * gv + bv;
+                }
+            }
+            None => {
+                for (yv, &xv) in yb.iter_mut().zip(xb) {
+                    *yv = (xv + nm) * is * gv + bv;
+                }
+            }
         }
     }
 }

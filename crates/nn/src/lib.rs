@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use tqt_nn::{Dense, Layer, Mode, optim::{Adam, Optimizer}};
+//! use tqt_nn::{Dense, Layer, Mode, optim::Adam};
 //! use tqt_tensor::{init, Tensor};
 //!
 //! let mut rng = init::rng(0);

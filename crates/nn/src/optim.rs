@@ -1,27 +1,14 @@
 //! The per-`Param` Adam optimizer the paper trains weights and thresholds
 //! with (weights at lr 1e-6 with one decay schedule, thresholds at lr 1e-2
 //! with another, as separate instances).
+//!
+//! The trainer runs the pooled arena form, [`crate::PooledAdam`]. This
+//! per-`Param` form is the reference it is checked against: the
+//! `pooled_adam` property test and the trainer's `train_parity` reference
+//! run compare the pooled update with it bit for bit.
 
 use crate::param::Param;
 use tqt_tensor::Tensor;
-
-/// A gradient-descent update rule over a fixed set of parameters.
-///
-/// State is keyed by parameter *name*, so the same optimizer instance can
-/// be fed the parameter list in any order (and subsets can be frozen out)
-/// without corrupting moments.
-pub trait Optimizer: std::fmt::Debug {
-    /// Applies one update step to each trainable parameter using its
-    /// accumulated gradient, then leaves the gradient untouched (callers
-    /// zero gradients at the start of each step).
-    fn step(&mut self, params: &mut [&mut Param]);
-
-    /// Sets the learning rate (for schedules).
-    fn set_lr(&mut self, lr: f32);
-
-    /// The current learning rate.
-    fn lr(&self) -> f32;
-}
 
 #[derive(Debug)]
 struct AdamSlot {
@@ -32,7 +19,12 @@ struct AdamSlot {
 
 /// Adam (Kingma & Ba, 2014) with bias correction — the optimizer the paper
 /// uses for both weights and thresholds, with β1 = 0.9, β2 = 0.999 chosen
-/// per the Appendix C convergence analysis.
+/// per the Appendix C convergence analysis. Updates one `Param` at a time;
+/// the per-`Param` reference for [`crate::PooledAdam`].
+///
+/// State is keyed by parameter *name*, so the same optimizer instance can
+/// be fed the parameter list in any order (and subsets can be frozen out)
+/// without corrupting moments.
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
@@ -65,10 +57,11 @@ impl Adam {
     pub fn paper(lr: f32) -> Self {
         Adam::new(lr, 0.9, 0.999)
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    /// Applies one update step to each trainable parameter using its
+    /// accumulated gradient, then leaves the gradient untouched (callers
+    /// zero gradients at the start of each step).
+    pub fn step(&mut self, params: &mut [&mut Param]) {
         for p in params.iter_mut().filter(|p| p.trainable) {
             let slot = self.slots.entry(p.name.clone()).or_insert_with(|| AdamSlot {
                 m: Tensor::zeros(p.value.shape().clone()),
@@ -98,11 +91,13 @@ impl Optimizer for Adam {
         }
     }
 
-    fn set_lr(&mut self, lr: f32) {
+    /// Sets the learning rate (for schedules).
+    pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
 
-    fn lr(&self) -> f32 {
+    /// The current learning rate.
+    pub fn lr(&self) -> f32 {
         self.lr
     }
 }
@@ -117,7 +112,7 @@ mod tests {
     }
 
     /// Minimize f(x) = x^2 (gradient 2x) and check convergence.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize, x0: f32) -> f32 {
+    fn minimize(opt: &mut Adam, steps: usize, x0: f32) -> f32 {
         let mut p = quad_param(x0);
         for _ in 0..steps {
             p.zero_grad();

@@ -1,11 +1,11 @@
-//! Property test for the pooled Adam (satellite of the planned-executor
-//! PR): the fused arena update must be bit-identical to the legacy
-//! per-parameter [`tqt_nn::optim::Adam`] across random shapes, multiple
-//! steps, optimizer groups, mid-run freezing, and thread counts — the
-//! trainer's switch to [`tqt_nn::PooledAdam`] is only sound if parameter
-//! evolution does not change by a single bit.
+//! Property test for the pooled Adam: the fused arena update must be
+//! bit-identical to the per-`Param` reference [`tqt_nn::optim::Adam`]
+//! across random shapes, multiple steps, optimizer groups, mid-run
+//! freezing, and thread counts — the trainer's use of
+//! [`tqt_nn::PooledAdam`] is only sound if parameter evolution does not
+//! change by a single bit.
 
-use tqt_nn::optim::{Adam, Optimizer};
+use tqt_nn::optim::Adam;
 use tqt_nn::{Param, ParamArena, ParamKind, PooledAdam};
 use tqt_rt::pool;
 use tqt_tensor::init;

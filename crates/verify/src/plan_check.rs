@@ -46,7 +46,7 @@ use tqt_fixedpoint::gemm_i8::{MR, NR};
 use tqt_fixedpoint::intgemm::{packed_lhs_len, packed_rhs_len};
 use tqt_fixedpoint::lower::{IntGraph, IntOp, LEAKY_ALPHA_FRAC};
 use tqt_fixedpoint::{GemmRoute, IntPlan};
-use tqt_graph::fplan::FloatPlan;
+use tqt_graph::fplan::{FloatPlan, ValueKind};
 use tqt_graph::{Graph, Op as FOp};
 use tqt_tensor::conv::{conv2d_bwd_ws, conv2d_fwd_ws, Conv2dGeom};
 use tqt_tensor::gemm::packed_a_len;
@@ -584,21 +584,26 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
     r
 }
 
-/// Proves (or refutes) that a [`FloatPlan`] — the training-step tape of
-/// forward activations, xhats, gradients, and fan-in temps — is
-/// alias-free for `g`, extending the `TQT-V016`–`TQT-V018` proofs from
-/// inference plans to the full forward+backward tape. The planner is
-/// again untrusted:
+/// Proves (or refutes) that a [`FloatPlan`] — a training-step tape of
+/// forward activations, xhats, gradients, and fan-in temps, or a
+/// forward-only tape of activations — is alias-free for `g`, extending
+/// the `TQT-V016`–`TQT-V018` proofs from inference plans to the float
+/// engine. The planner is again untrusted:
 ///
-/// * value element counts are re-derived from the legacy executor's own
-///   shape inference (a dry run of the reference path, not a call into
-///   the planner) and compared per value (`TQT-V018`);
+/// * value element counts are re-derived from the shared symbolic shape
+///   rule (`Graph::infer_shapes`, not the planner's stored shapes) and
+///   compared per value (`TQT-V018`); the rule itself is checked against
+///   the reference interpreter's per-node outputs zoo-wide by the
+///   `tqt-models` tests;
 /// * the plan-owned `ws`/`wpack`/`qw` arena accounting is re-derived from
-///   the kernel workspace contracts (`conv2d_fwd_ws`, `conv2d_bwd_ws`,
-///   depthwise `n·kelems`, `packed_a_len`) and the graph's weight
-///   quantizers (`TQT-V018`);
+///   the kernel workspace contracts (`conv2d_fwd_ws`, plus
+///   `conv2d_bwd_ws` on a training plan, depthwise `n·kelems`,
+///   `packed_a_len`) and the graph's weight quantizers (`TQT-V018`);
+/// * xhat values exist exactly on batch-norm nodes of a training plan and
+///   nowhere in a forward-only one;
 /// * the forward tape must structurally match the graph (step *i*
-///   defines activation *i* and reads exactly node *i*'s inputs);
+///   defines activation *i* and reads exactly node *i*'s inputs), and a
+///   forward-only tape has nothing after it;
 /// * the whole tape is simulated over slot occupancy with the same
 ///   clobber/stale-read refutations as the inference checker
 ///   (`TQT-V016`/`TQT-V017`). Unlike inference plans, a training step may
@@ -606,10 +611,10 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
 ///   reads of earlier-defined values are validated *before* the step's
 ///   writes land, reads of step-local values after.
 ///
-/// `g` is only mutated by shape inference. A clean [`Report`] is the
-/// proof; the float mutation test injects a premature slot release and
-/// asserts the refutation names the victim value.
-pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
+/// A clean [`Report`] is the proof; the float mutation tests inject a
+/// premature slot release into both kinds of plan and assert the
+/// refutation names the victim value.
+pub fn check_float_plan(g: &Graph, plan: &FloatPlan) -> Report {
     let mut r = Report::new();
     let n = g.len();
     let shapes = g.infer_shapes(plan.input_dims());
@@ -633,8 +638,7 @@ pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
                 Code::PlanStorage,
                 &name,
                 format!(
-                    "plan says {} elements, the reference executor's shape \
-                     inference says {}",
+                    "plan says {} elements, the symbolic shape rule says {}",
                     plan.len_of(v),
                     ref_lens[node]
                 ),
@@ -659,18 +663,33 @@ pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
             );
         }
     }
-    // Xhat values must exist exactly on batch-norm nodes: the backward
-    // pass reads them instead of the raw input.
+    // Xhat values must exist exactly on batch-norm nodes of a training
+    // plan: the backward pass reads them instead of the raw input. A
+    // forward-only pass has no backward to keep them for.
+    let training = plan.is_training();
+    if !training {
+        for v in 0..nv {
+            if !matches!(plan.kind_of(v), ValueKind::Act(_)) {
+                r.push(
+                    Code::PlanStorage,
+                    plan.value_name(g, v),
+                    "forward-only plan carries a non-activation value",
+                );
+            }
+        }
+    }
     for id in 0..n {
-        let is_bn = matches!(g.node(id).op, FOp::BatchNorm(_));
-        if plan.xhat_of(id).is_some() != is_bn {
+        let needs_xhat = training && matches!(g.node(id).op, FOp::BatchNorm(_));
+        if plan.xhat_of(id).is_some() != needs_xhat {
             r.push(
                 Code::PlanStorage,
                 &g.node(id).name,
-                if is_bn {
+                if needs_xhat {
                     "batch-norm node has no planned xhat value"
-                } else {
+                } else if training {
                     "non-batch-norm node carries an xhat value"
+                } else {
+                    "forward-only plan carries an xhat value"
                 },
             );
         }
@@ -692,9 +711,10 @@ pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
                 let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
                 let g2 = l.geom();
                 let cout = shapes[id][1];
-                ws_need = ws_need
-                    .max(nb * conv2d_fwd_ws(c, h, w, g2))
-                    .max(nb * conv2d_bwd_ws(c, h, w, cout, g2));
+                ws_need = ws_need.max(nb * conv2d_fwd_ws(c, h, w, g2));
+                if training {
+                    ws_need = ws_need.max(nb * conv2d_bwd_ws(c, h, w, cout, g2));
+                }
                 wpack_need = wpack_need.max(packed_a_len(cout, c * g2.kh * g2.kw));
             }
             FOp::Depthwise(_) => {
@@ -794,15 +814,28 @@ pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
     // 3. Forward-tape structure: step i must define activation i from
     // exactly node i's inputs (the executor dispatches by node id).
     let steps = plan.steps();
-    if steps.len() != n + 1 + plan.bwd_steps().len() {
+    let tail = if training {
+        1 + plan.bwd_steps().len()
+    } else {
+        0
+    };
+    if steps.len() != n + tail || (!training && !plan.bwd_steps().is_empty()) {
         r.push_global(
             Code::PlanStorage,
-            format!(
-                "tape has {} steps; graph requires {} forward + 1 seed + {} backward",
-                steps.len(),
-                n,
-                plan.bwd_steps().len()
-            ),
+            if training {
+                format!(
+                    "tape has {} steps; graph requires {n} forward + 1 seed + {} backward",
+                    steps.len(),
+                    plan.bwd_steps().len()
+                )
+            } else {
+                format!(
+                    "forward-only tape has {} steps and {} backward steps; \
+                     graph requires {n} forward",
+                    steps.len(),
+                    plan.bwd_steps().len()
+                )
+            },
         );
     }
     for (id, st) in steps.iter().enumerate().take(n) {
@@ -900,7 +933,7 @@ pub fn check_float_plan(g: &mut Graph, plan: &FloatPlan) -> Report {
         }
     }
 
-    // 5. The logits must have survived the whole training step.
+    // 5. The logits must have survived the whole tape.
     if occupant[plan.slot_of(out_act)] != Some(out_act) {
         r.push(
             Code::PlanStaleRead,

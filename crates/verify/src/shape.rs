@@ -1,16 +1,13 @@
 //! Structural checks and symbolic shape/dtype inference over the float
 //! graph.
 //!
-//! Unlike `Graph::infer_shapes` (which dry-runs the graph on a zero
-//! tensor), this pass computes shapes symbolically from op metadata alone:
-//! it needs no mutable borrow, runs in microseconds on zoo models, and —
-//! crucially for a verifier — keeps going after the first inconsistency so
-//! one run reports every violation.
+//! Shapes come from the graph's own per-op rule ([`Op::output_shape`],
+//! the one `Graph::infer_shapes` and the float planner use). Unlike
+//! `Graph::infer_shapes`, which panics on the first inconsistency, this
+//! pass keeps going after a failure so one run reports every violation.
 
 use crate::diag::{Code, Report};
-use tqt_graph::ir::op_params;
 use tqt_graph::{Graph, Node, Op};
-use tqt_nn::ParamKind;
 
 /// Result of shape inference: one shape per node (empty for nodes whose
 /// shape could not be derived), plus every structural/shape finding.
@@ -108,23 +105,10 @@ fn op_desc(node: &Node) -> &'static str {
     node.op.name()
 }
 
-/// Dims of an op's weight tensor, if it has one.
-fn weight_dims(op: &Op) -> Option<Vec<usize>> {
-    op_params(op)
-        .into_iter()
-        .find(|p| p.kind == ParamKind::Weight)
-        .map(|p| p.value.dims().to_vec())
-}
-
-/// Channel count of a batch-norm (its per-channel parameter length).
-fn bn_channels(op: &Op) -> Option<usize> {
-    op_params(op).first().map(|p| p.value.len())
-}
-
-/// Symbolic shape inference. `input_dims` is the `[n, c, h, w]` the graph
-/// will execute on. Reports `TQT-V002` for every inconsistency found;
-/// nodes downstream of a failure get an empty shape and are skipped rather
-/// than cascading spurious findings.
+/// Symbolic shape inference over [`Op::output_shape`]. `input_dims` is the
+/// `[n, c, h, w]` the graph will execute on. Reports `TQT-V002` for every
+/// inconsistency found; nodes downstream of a failure get an empty shape
+/// and are skipped rather than cascading spurious findings.
 pub fn infer_shapes(g: &Graph, input_dims: &[usize]) -> ShapeReport {
     let mut r = Report::new();
     let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); g.len()];
@@ -138,160 +122,12 @@ pub fn infer_shapes(g: &Graph, input_dims: &[usize]) -> ShapeReport {
         if !matches!(node.op, Op::Input) && ins.iter().any(|s| s.is_empty()) {
             continue; // upstream failure already reported
         }
-        let name = node.name.clone();
-        let fail = |r: &mut Report, detail: String| {
-            r.push(Code::Shape, name.clone(), detail);
-        };
-        let out: Option<Vec<usize>> = match &node.op {
-            Op::Input => Some(input_dims.to_vec()),
-            Op::Identity | Op::Relu(_) | Op::Quant { .. } => Some(ins[0].to_vec()),
-            Op::BatchNorm(_) => {
-                let c = bn_channels(&node.op).unwrap_or(0);
-                if ins[0].len() < 2 || ins[0][1] != c {
-                    fail(
-                        &mut r,
-                        format!("batch norm over {c} channels applied to input shape {:?}", ins[0]),
-                    );
-                    None
-                } else {
-                    Some(ins[0].to_vec())
-                }
-            }
-            Op::Conv(l) => conv_shape(ins[0], weight_dims(&node.op), l.geom(), false)
-                .map_err(|e| fail(&mut r, e))
-                .ok(),
-            Op::Depthwise(l) => conv_shape(ins[0], weight_dims(&node.op), l.geom(), true)
-                .map_err(|e| fail(&mut r, e))
-                .ok(),
-            Op::Dense(_) => {
-                let wd = weight_dims(&node.op).unwrap_or_default();
-                if ins[0].len() != 2 {
-                    fail(&mut r, format!("dense needs a 2-D `[n, features]` input, got {:?}", ins[0]));
-                    None
-                } else if wd.len() != 2 || ins[0][1] != wd[0] {
-                    fail(
-                        &mut r,
-                        format!("dense weight {:?} does not accept {} input features", wd, ins[0][1]),
-                    );
-                    None
-                } else {
-                    Some(vec![ins[0][0], wd[1]])
-                }
-            }
-            Op::MaxPool(l) => pool_shape(ins[0], l.geom()).map_err(|e| fail(&mut r, e)).ok(),
-            Op::AvgPool(l) => pool_shape(ins[0], l.geom()).map_err(|e| fail(&mut r, e)).ok(),
-            Op::GlobalAvgPool(_) => {
-                if ins[0].len() != 4 {
-                    fail(&mut r, format!("global avg pool needs a 4-D input, got {:?}", ins[0]));
-                    None
-                } else {
-                    Some(vec![ins[0][0], ins[0][1]])
-                }
-            }
-            Op::Flatten(_) => {
-                if ins[0].is_empty() {
-                    None
-                } else {
-                    Some(vec![ins[0][0], ins[0][1..].iter().product::<usize>().max(1)])
-                }
-            }
-            Op::Add(_) => {
-                if ins.len() == 2 && ins[0] != ins[1] {
-                    fail(
-                        &mut r,
-                        format!("eltwise add of mismatched shapes {:?} vs {:?}", ins[0], ins[1]),
-                    );
-                    None
-                } else {
-                    Some(ins[0].to_vec())
-                }
-            }
-            Op::Concat(_) => {
-                let first = ins[0];
-                let mut channels = 0usize;
-                let mut ok = first.len() >= 2;
-                for s in &ins {
-                    if s.len() != first.len()
-                        || s[0] != first[0]
-                        || s.get(2..) != first.get(2..)
-                    {
-                        ok = false;
-                    }
-                    channels += s.get(1).copied().unwrap_or(0);
-                }
-                if !ok {
-                    fail(
-                        &mut r,
-                        format!(
-                            "concat inputs must agree outside the channel dim, got {:?}",
-                            ins.iter().map(|s| s.to_vec()).collect::<Vec<_>>()
-                        ),
-                    );
-                    None
-                } else {
-                    let mut out = first.to_vec();
-                    out[1] = channels;
-                    Some(out)
-                }
-            }
-        };
-        if let Some(s) = out {
-            shapes[id] = s;
+        match node.op.output_shape(&ins, input_dims) {
+            Ok(s) => shapes[id] = s,
+            Err(detail) => r.push(Code::Shape, node.name.clone(), detail),
         }
     }
     ShapeReport { shapes, report: r }
-}
-
-fn conv_shape(
-    xin: &[usize],
-    wdims: Option<Vec<usize>>,
-    geom: tqt_tensor::conv::Conv2dGeom,
-    depthwise: bool,
-) -> Result<Vec<usize>, String> {
-    let wd = wdims.ok_or_else(|| "conv has no weight tensor".to_string())?;
-    if xin.len() != 4 {
-        return Err(format!("conv needs a 4-D `[n, c, h, w]` input, got {xin:?}"));
-    }
-    if wd.len() != 4 {
-        return Err(format!("conv weight must be 4-D `[co, ci, kh, kw]`, got {wd:?}"));
-    }
-    let (n, c, h, w) = (xin[0], xin[1], xin[2], xin[3]);
-    let expect_ci = if depthwise { 1 } else { c };
-    let expect_co_src = if depthwise { c } else { wd[0] };
-    if wd[1] != expect_ci || (depthwise && wd[0] != c) {
-        return Err(format!(
-            "weight {wd:?} does not match {c} input channels (depthwise: {depthwise})"
-        ));
-    }
-    if wd[2] != geom.kh || wd[3] != geom.kw {
-        return Err(format!(
-            "weight kernel {}x{} disagrees with geometry {}x{}",
-            wd[2], wd[3], geom.kh, geom.kw
-        ));
-    }
-    if h + 2 * geom.pad < geom.kh || w + 2 * geom.pad < geom.kw {
-        return Err(format!(
-            "kernel {}x{} does not fit padded input {h}x{w} (pad {})",
-            geom.kh, geom.kw, geom.pad
-        ));
-    }
-    let (oh, ow) = geom.out_size(h, w);
-    Ok(vec![n, expect_co_src, oh, ow])
-}
-
-fn pool_shape(xin: &[usize], geom: tqt_tensor::conv::Conv2dGeom) -> Result<Vec<usize>, String> {
-    if xin.len() != 4 {
-        return Err(format!("pool needs a 4-D `[n, c, h, w]` input, got {xin:?}"));
-    }
-    let (h, w) = (xin[2], xin[3]);
-    if h + 2 * geom.pad < geom.kh || w + 2 * geom.pad < geom.kw {
-        return Err(format!(
-            "pool window {}x{} does not fit padded input {h}x{w} (pad {})",
-            geom.kh, geom.kw, geom.pad
-        ));
-    }
-    let (oh, ow) = geom.out_size(h, w);
-    Ok(vec![xin[0], xin[1], oh, ow])
 }
 
 #[cfg(test)]

@@ -239,7 +239,53 @@ const FDIMS: [usize; 4] = [2, 3, 8, 8];
 fn unmutated_float_plan_is_proven() {
     let mut g = float_skip_graph();
     let plan = FloatPlan::new(&mut g, &FDIMS);
-    let r = check_float_plan(&mut g, &plan);
+    let r = check_float_plan(&g, &plan);
+    assert!(r.is_clean(), "{r}");
+}
+
+/// A float graph whose skip edge spans two convs: on a forward-only tape
+/// the skipped activation stays live across a step that does not read
+/// it, which is what a premature release needs.
+fn float_residual_graph() -> Graph {
+    let mut rng = init::rng(32);
+    let mut g = Graph::new();
+    let x = g.add_input("input");
+    let c1 = g.add(
+        "c1",
+        Op::Conv(Conv2d::new("c1", 3, 8, Conv2dGeom::same(3), &mut rng)),
+        &[x],
+    );
+    let b1 = g.add(
+        "b1",
+        Op::BatchNorm(BatchNorm::new("b1", 8, 0.9, 1e-5)),
+        &[c1],
+    );
+    let r1 = g.add("r1", Op::Relu(Relu::new()), &[b1]);
+    let c2 = g.add(
+        "c2",
+        Op::Conv(Conv2d::new("c2", 8, 8, Conv2dGeom::same(3), &mut rng)),
+        &[r1],
+    );
+    let r2 = g.add("r2", Op::Relu(Relu::new()), &[c2]);
+    let a1 = g.add("a1", Op::Add(EltwiseAdd::new()), &[r2, r1]);
+    let gap = g.add("gap", Op::GlobalAvgPool(GlobalAvgPool::new()), &[a1]);
+    let fl = g.add("fl", Op::Flatten(Flatten::new()), &[gap]);
+    let fc = g.add("fc", Op::Dense(Dense::new("fc", 8, 4, &mut rng)), &[fl]);
+    g.set_output(fc);
+    g
+}
+
+#[test]
+fn unmutated_forward_only_plan_is_proven() {
+    let g = float_residual_graph();
+    let plan = FloatPlan::forward_only(&g, &FDIMS);
+    assert!(!plan.is_training());
+    assert_eq!(
+        plan.num_values(),
+        g.len(),
+        "forward-only plans hold activations only"
+    );
+    let r = check_float_plan(&g, &plan);
     assert!(r.is_clean(), "{r}");
 }
 
@@ -248,16 +294,13 @@ fn unmutated_float_plan_is_proven() {
 /// the clobbering write (V016, naming the clobberer with the victim in
 /// the counterexample) and as the stale read at the stranded step (V017,
 /// naming the victim).
-#[test]
-fn float_premature_release_is_refuted() {
-    let mut g = float_skip_graph();
-    let mut plan = FloatPlan::new(&mut g, &FDIMS);
+fn assert_premature_release_refuted(g: &Graph, mut plan: FloatPlan) {
     let (victim, clobberer, _stranded) = plan
         .inject_premature_release()
         .expect("graph must offer an eligible early-release triple");
-    let victim_name = plan.value_name(&g, victim);
-    let clobberer_name = plan.value_name(&g, clobberer);
-    let r = check_float_plan(&mut g, &plan);
+    let victim_name = plan.value_name(g, victim);
+    let clobberer_name = plan.value_name(g, clobberer);
+    let r = check_float_plan(g, &plan);
 
     assert!(r.has(Code::PlanAlias), "V016 expected, got:\n{r}");
     assert!(
@@ -274,6 +317,20 @@ fn float_premature_release_is_refuted() {
                 && d.node.as_deref() == Some(victim_name.as_str())),
         "V017 must name the stranded value `{victim_name}`:\n{r}"
     );
+}
+
+#[test]
+fn float_premature_release_is_refuted() {
+    let mut g = float_skip_graph();
+    let plan = FloatPlan::new(&mut g, &FDIMS);
+    assert_premature_release_refuted(&g, plan);
+}
+
+#[test]
+fn forward_only_premature_release_is_refuted() {
+    let g = float_residual_graph();
+    let plan = FloatPlan::forward_only(&g, &FDIMS);
+    assert_premature_release_refuted(&g, plan);
 }
 
 #[test]

@@ -50,19 +50,23 @@ cargo test -q --offline -p tqt-rt --test serial_no_spawn
 # exactly the batch-1 logits with zero steady-state executor allocations.
 cargo test -q --offline -p tqt-rt --test batch_model
 cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
-# Planned-trainer gate, also under sanitize so the happens-before
+# Float-engine gate, also under sanitize so the happens-before
 # sanitizer audits the pooled optimizer's and planned executor's parallel
-# regions: full train() runs on the slot-reuse executor must be
-# bit-identical to the legacy allocating path (losses, thresholds,
-# checkpointed parameters) at 1 and 4 threads. The planned executor and
-# the layers now call one slice kernel per float op (conv, dense,
-# quantizer, pooling, batch norm, concat, per-channel bias add/sum), so
-# this gate and planned_parity no longer compare two implementations of
-# an op's arithmetic: they check what the executor owns (slot liveness,
-# gradient fan-in order, arena plumbing, quantized-weight staging). The
-# kernels' arithmetic is checked by the tqt-nn unit tests (hand-computed
-# values, padded pooling included) and finite-difference gradchecks, run
-# here together with the pooled-Adam and planned-step parity tests.
+# regions: full train() runs (training steps on the training plan,
+# validation on forward-only plans, pooled Adam) must be bit-identical
+# (losses, thresholds, checkpointed parameters) at 1 and 4 threads to the
+# same schedule run in test code over the reference interpreter
+# (Graph::forward/backward, its own calibrate pass) and the per-Param
+# Adam. The executor and the layers call one slice kernel per float op
+# (conv, dense, quantizer, pooling, batch norm, concat, per-channel bias
+# add/sum), so this gate and planned_parity (training step, calibration
+# and evaluation) do not compare two implementations of an op's
+# arithmetic: they check what the executor owns (slot liveness, gradient
+# fan-in order, arena plumbing, quantized-weight staging, calibration
+# order). The kernels' arithmetic is checked by the tqt-nn unit tests
+# (hand-computed values, padded pooling included) and finite-difference
+# gradchecks, run here together with the pooled-Adam and planned parity
+# tests.
 cargo test -q --offline -p tqt --features tqt-fixedpoint/sanitize --test train_parity
 cargo test -q --offline -p tqt-nn
 cargo test -q --offline -p tqt-graph --test planned_parity
