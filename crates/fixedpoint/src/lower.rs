@@ -16,7 +16,7 @@
 
 use crate::qtensor::{QFormat, QTensor};
 use std::collections::BTreeMap;
-use tqt_graph::{Graph, Op};
+use tqt_graph::{shape, Graph, Op};
 use tqt_nn::{ParamKind, Relu};
 use tqt_quant::round_half_even;
 use tqt_tensor::conv::Conv2dGeom;
@@ -277,7 +277,7 @@ impl IntOp {
     /// The output format of a conv/dense core reading an `input`-format
     /// operand: the raw accumulator at `input.frac + w_frac`. `None` for
     /// every other op.
-    pub(crate) fn acc_format(&self, input: QFormat) -> Option<QFormat> {
+    pub fn acc_format(&self, input: QFormat) -> Option<QFormat> {
         match self {
             IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
                 Some(QFormat::new(input.frac + w_frac, 64, true))
@@ -285,12 +285,72 @@ impl IntOp {
             _ => None,
         }
     }
+
+    /// The output format of a global average pool summing `hw` elements
+    /// per channel of an `input`-format operand: the exact sum, with the
+    /// division by `hw` folded into the grid as `frac + log2(hw)`. `None`
+    /// when `hw` is not a power of two (no exact fixed-point division).
+    pub fn pool_format(input: QFormat, hw: usize) -> Option<QFormat> {
+        hw.is_power_of_two()
+            .then(|| QFormat::new(input.frac + hw.trailing_zeros() as i32, 64, true))
+    }
+
+    /// The op's output dims given its input dims `ins` (in input order),
+    /// by the same per-op-kind rules the float graph uses
+    /// ([`Op::output_shape`]): a fused node takes its core's rule (each
+    /// residual must match it, as an add's operands do), requantization,
+    /// relu and leaky relu preserve their input's shape, and the
+    /// [`IntOp::Input`] placeholder produces `input_dims`.
+    ///
+    /// # Errors
+    ///
+    /// Describes the inconsistency when the inputs do not fit the op.
+    pub fn output_shape(
+        &self,
+        ins: &[&[usize]],
+        input_dims: &[usize],
+    ) -> Result<Vec<usize>, String> {
+        if matches!(self, IntOp::Input) {
+            return Ok(input_dims.to_vec());
+        }
+        let Some(&x) = ins.first() else {
+            return Err("op has no inputs".to_string());
+        };
+        match self {
+            IntOp::Input => unreachable!("handled above"),
+            IntOp::QuantF32 { .. }
+            | IntOp::Requant { .. }
+            | IntOp::Relu { .. }
+            | IntOp::LeakyRelu { .. } => Ok(x.to_vec()),
+            IntOp::Conv {
+                wdims,
+                geom,
+                depthwise,
+                ..
+            } => shape::conv_shape(x, wdims, *geom, *depthwise),
+            IntOp::Dense {
+                in_dim, out_dim, ..
+            } => shape::dense_shape(x, &[*in_dim, *out_dim]),
+            IntOp::MaxPool { geom } => shape::pool_shape(x, *geom),
+            IntOp::GlobalAvgPool => shape::global_pool_shape(x),
+            IntOp::Flatten => shape::flatten_shape(x),
+            IntOp::Add if ins.len() != 2 => Err(format!("add needs 2 inputs, has {}", ins.len())),
+            IntOp::Add => shape::add_shape(ins),
+            IntOp::Concat => shape::concat_shape(ins),
+            IntOp::Fused { core, .. } => {
+                let out = core.output_shape(&ins[..1], input_dims)?;
+                let mut operands = vec![out.as_slice()];
+                operands.extend(&ins[1..]);
+                shape::add_shape(&operands)
+            }
+        }
+    }
 }
 
 impl EpiStep {
     /// The output format of this step applied to an `input`-format value,
     /// the same for the standalone node and the fused step.
-    pub(crate) fn out_format(self, input: QFormat) -> QFormat {
+    pub fn out_format(self, input: QFormat) -> QFormat {
         match self {
             EpiStep::Requant { format } => format,
             EpiStep::AddResidual => QFormat::new(input.frac, 64, true),

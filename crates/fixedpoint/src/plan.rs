@@ -5,11 +5,13 @@
 //! probe runs, deployment-style serving loops) that is pure overhead: the
 //! graph is static, so every node's output shape, Q-format, and lifetime
 //! are known before the first run. [`IntPlan`] computes exactly that —
-//! shapes and formats by static inference (mirroring the runtime rules
-//! one-to-one), then a liveness pass that assigns nodes to a small set of
-//! reusable buffer *slots*: a node's buffer is recycled as soon as its
-//! last consumer has executed. [`IntExecutor`] owns one allocation per
-//! slot and reuses it across nodes *and* across runs.
+//! shapes by the graph's one shape rule ([`IntOp::output_shape`], shared
+//! with the float graph and the verifier), formats by static inference
+//! (mirroring the runtime rules one-to-one), then a liveness pass that
+//! assigns nodes to a small set of reusable buffer *slots*: a node's
+//! buffer is recycled as soon as its last consumer has executed.
+//! [`IntExecutor`] owns one allocation per slot and reuses it across
+//! nodes *and* across runs.
 //!
 //! The op kernels here are the engine's hot path and are parallelized
 //! over the `tqt-rt` pool with **fixed-size blocks**, so the work
@@ -48,7 +50,6 @@ use crate::intgemm::{
 use crate::lower::{narrow, EpiStep, IntGraph, IntOp, RunStats};
 use crate::qtensor::{QFormat, QTensor};
 use std::sync::Arc;
-use tqt_quant::round_half_even;
 use tqt_rt::pool;
 use tqt_rt::sync::Counter;
 use tqt_tensor::conv::{im2col_into, Conv2dGeom};
@@ -244,8 +245,9 @@ impl IntPlan {
     ///
     /// # Panics
     ///
-    /// Panics where the runtime would: dense feature mismatches, add or
-    /// concat format mismatches, non-power-of-two global average pools.
+    /// Panics where the runtime would: a node whose inputs do not fit its
+    /// shape rule ([`IntOp::output_shape`]), add or concat format
+    /// mismatches, non-power-of-two global average pools.
     pub fn new(g: &IntGraph, input_dims: &[usize]) -> Self {
         Self::build(g, input_dims, None)
     }
@@ -257,85 +259,44 @@ impl IntPlan {
         let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(n);
         let mut formats: Vec<QFormat> = Vec::with_capacity(n);
         for node in nodes {
-            let i0 = node.inputs.first().copied();
+            let ins: Vec<&[usize]> = node.inputs.iter().map(|&i| shapes[i].as_slice()).collect();
+            let shape = node
+                .op
+                .output_shape(&ins, input_dims)
+                .unwrap_or_else(|e| panic!("shape inference failed at node `{}`: {e}", node.name));
             if let IntOp::Fused { core, .. } = &node.op {
                 assert!(
                     matches!(**core, IntOp::Conv { .. } | IntOp::Dense { .. }),
                     "fused core must be conv or dense, got {core:?}"
                 );
             }
-            // A fused node's shape is its core's. Conv and dense arms pass
-            // their input format on; the core's accumulator rule and the
-            // epilogue steps are applied once, below.
-            let (shape, format) = match core_op(&node.op) {
+            // Conv and dense pass their input format on; the core's
+            // accumulator rule and the epilogue steps are applied once,
+            // below. The shape rule has checked every other node's arity.
+            let mut format = match core_op(&node.op) {
                 // The raw float input placeholder owns no integer buffer;
                 // its consumer (QuantF32) reads the float tensor directly.
-                IntOp::Input => (vec![0], QFormat::new(0, 8, true)),
-                IntOp::QuantF32 { format } => (input_dims.to_vec(), *format),
-                IntOp::Conv { wdims, geom, .. } => {
-                    let i0 = i0.expect("conv needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    let ish = &shapes[i0];
-                    let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                    (vec![ish[0], wdims[0], oh, ow], formats[i0])
-                }
-                IntOp::Dense {
-                    in_dim, out_dim, ..
-                } => {
-                    let i0 = i0.expect("dense needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    let ish = &shapes[i0];
-                    assert_eq!(ish[1], *in_dim, "dense input feature mismatch");
-                    (vec![ish[0], *out_dim], formats[i0])
-                }
-                IntOp::MaxPool { geom } => {
-                    let i0 = i0.expect("maxpool needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    let ish = &shapes[i0];
-                    let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                    (vec![ish[0], ish[1], oh, ow], formats[i0])
-                }
+                IntOp::Input => QFormat::new(0, 8, true),
+                IntOp::QuantF32 { format } => *format,
                 IntOp::GlobalAvgPool => {
-                    let i0 = i0.expect("gap needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    let ish = &shapes[i0];
-                    let hw = ish[2] * ish[3];
-                    assert!(
-                        hw.is_power_of_two(),
-                        "global average pool needs power-of-two spatial size for exact \
-                         fixed-point division, got {}x{}",
-                        ish[2],
-                        ish[3]
-                    );
-                    (
-                        vec![ish[0], ish[1]],
-                        QFormat::new(formats[i0].frac + hw.trailing_zeros() as i32, 64, true),
-                    )
+                    let (h, w) = (ins[0][2], ins[0][3]);
+                    IntOp::pool_format(formats[node.inputs[0]], h * w).unwrap_or_else(|| {
+                        panic!(
+                            "global average pool needs power-of-two spatial size for exact \
+                             fixed-point division, got {h}x{w}"
+                        )
+                    })
                 }
                 IntOp::Concat => {
                     let f = formats[node.inputs[0]];
                     for &i in &node.inputs {
                         assert_eq!(formats[i], f, "concat formats must match (scale merging)");
                     }
-                    let ish = &shapes[node.inputs[0]];
-                    let c_out: usize = node.inputs.iter().map(|&i| shapes[i][1]).sum();
-                    let mut dims = vec![ish[0], c_out];
-                    dims.extend(&ish[2..]);
-                    (dims, f)
+                    f
                 }
-                IntOp::Flatten => {
-                    let i0 = i0.expect("flatten needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    let ish = &shapes[i0];
-                    let feat: usize = ish.iter().product::<usize>() / ish[0];
-                    (vec![ish[0], feat], formats[i0])
-                }
-                IntOp::Fused { .. } => unreachable!("fused cores are checked above"),
-                // One epilogue step over input 0.
-                IntOp::Requant { .. }
-                | IntOp::Relu { .. }
-                | IntOp::LeakyRelu { .. }
-                | IntOp::Add => {
-                    let i0 = i0.expect("elementwise node needs an input"); // tqt:allow(expect): from_parts guarantees arity for lowered graphs
-                    (shapes[i0].clone(), formats[i0])
-                }
+                _ => formats[node.inputs[0]],
             };
-            let mut format = core_op(&node.op).acc_format(format).unwrap_or(format);
+            format = core_op(&node.op).acc_format(format).unwrap_or(format);
             let standalone = node.op.epi_step();
             let epi = match &node.op {
                 IntOp::Fused { epi, .. } => epi.as_slice(),
@@ -343,15 +304,9 @@ impl IntPlan {
             };
             for step in epi {
                 if *step == EpiStep::AddResidual {
-                    let r = node.inputs[1];
                     assert_eq!(
-                        formats[r], format,
+                        formats[node.inputs[1]], format,
                         "eltwise-add formats must match (scale merging)"
-                    );
-                    assert_eq!(
-                        shapes[r].iter().product::<usize>(),
-                        shape.iter().product::<usize>(),
-                        "eltwise-add operand sizes must match"
                     );
                 }
                 format = step.out_format(format);
@@ -359,7 +314,14 @@ impl IntPlan {
             shapes.push(shape);
             formats.push(format);
         }
-        let lens: Vec<usize> = shapes.iter().map(|s| s.iter().product()).collect();
+        let lens: Vec<usize> = nodes
+            .iter()
+            .zip(&shapes)
+            .map(|(node, s)| match node.op {
+                IntOp::Input => 0,
+                _ => s.iter().product(),
+            })
+            .collect();
 
         let weights = weights.unwrap_or_else(|| Arc::new(Weights::pack(g, &formats)));
 
@@ -373,7 +335,7 @@ impl IntPlan {
             let Some(&i0) = node.inputs.first() else {
                 continue;
             };
-            let ish = &shapes[i0];
+            let (ish, osh) = (&shapes[i0], &shapes[id]);
             match (core_op(&node.op), &weights.narrow[id]) {
                 (IntOp::Conv { wdims, geom, .. }, Some(_)) => {
                     let k = wdims[1] * wdims[2] * wdims[3];
@@ -392,8 +354,7 @@ impl IntPlan {
                     },
                     None,
                 ) => {
-                    let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                    scratch_elems = scratch_elems.max(ish[1] * geom.kh * geom.kw * oh * ow);
+                    scratch_elems = scratch_elems.max(ish[1] * geom.kh * geom.kw * osh[2] * osh[3]);
                 }
                 _ => {}
             }
@@ -424,7 +385,9 @@ impl IntPlan {
         }
     }
 
-    /// Output shape of node `id`.
+    /// Output shape of node `id`. The float input placeholder's is the
+    /// input dims, though it owns no integer storage (its
+    /// [`len_of`](Self::len_of) is 0).
     pub fn shape(&self, id: usize) -> &[usize] {
         &self.shapes[id]
     }
@@ -1081,28 +1044,21 @@ fn run_core(
     (ovf.get(), sat.get())
 }
 
-/// Quantizes a float slice into `format` (round-half-even, saturating),
-/// returning the number of clamped elements. Bit-identical to
-/// [`QTensor::quantize`] plus the saturation count. Non-finite inputs
-/// count as saturated: `±∞` clamps to the range edge and NaN becomes 0,
-/// so a NaN pixel shows in the counters instead of passing silently.
+/// Quantizes a float slice into `format` by [`QFormat::quantizer`],
+/// returning the number of saturated elements. Non-finite inputs count as
+/// saturated: `±∞` clamps to the range edge and NaN becomes 0.
 fn quantf32_into(xd: &[f32], format: QFormat, out: &mut [i64]) -> u64 {
     assert_eq!(xd.len(), out.len(), "quantize length mismatch");
-    let s = format.scale();
-    let (qmin, qmax) = (format.qmin(), format.qmax());
+    let quantize = format.quantizer();
     let sat = Counter::new();
     pool::par_chunks_mut(out, ELEM_BLOCK, |ci, chunk| {
         let base = ci * ELEM_BLOCK;
         let mut local = 0u64;
         let end = base + chunk.len();
         for (o, &v) in chunk.iter_mut().zip(&xd[base..end]) {
-            let q = round_half_even(v / s);
-            let raw = q as i64;
-            let c = raw.clamp(qmin, qmax);
-            if c != raw || q.is_nan() {
-                local += 1;
-            }
-            *o = c;
+            let (q, saturated) = quantize(v);
+            local += u64::from(saturated);
+            *o = q;
         }
         sat.add(local);
     });

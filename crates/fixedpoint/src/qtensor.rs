@@ -47,6 +47,24 @@ impl QFormat {
         }
     }
 
+    /// The float-to-integer element rule of this format: a function
+    /// mapping `v` to `round_half_even(v / scale)` clamped to
+    /// `[qmin, qmax]` (eq. 4), with the scale and limits computed once.
+    /// The engine's input quantizer, [`QTensor::quantize`] and the
+    /// translation validator all call it. The flag reports a saturated
+    /// element: one that clamped, or a NaN (which becomes 0), so a NaN
+    /// pixel shows in the counters instead of passing silently.
+    pub fn quantizer(self) -> impl Fn(f32) -> (i64, bool) + Copy + Send + Sync {
+        let s = self.scale();
+        let (qmin, qmax) = (self.qmin(), self.qmax());
+        move |v| {
+            let q = round_half_even(v / s);
+            let raw = q as i64;
+            let c = raw.clamp(qmin, qmax);
+            (c, c != raw || q.is_nan())
+        }
+    }
+
     /// Largest representable integer value.
     pub fn qmax(&self) -> i64 {
         if self.bits >= 64 || (!self.signed && self.bits >= 63) {
@@ -95,17 +113,11 @@ impl QTensor {
     }
 
     /// Quantizes a float tensor into this format with round-half-to-even
-    /// and saturation — the same forward rule as the float emulation
-    /// (eq. 4), so the two agree bit-exactly.
+    /// and saturation ([`QFormat::quantizer`]) — the same forward rule as
+    /// the float emulation (eq. 4), so the two agree bit-exactly.
     pub fn quantize(t: &Tensor, format: QFormat) -> Self {
-        let s = format.scale();
-        let data = t
-            .data()
-            .iter()
-            .map(|&v| {
-                (round_half_even(v / s) as i64).clamp(format.qmin(), format.qmax())
-            })
-            .collect();
+        let quantize = format.quantizer();
+        let data = t.data().iter().map(|&v| quantize(v).0).collect();
         QTensor {
             shape: t.shape().clone(),
             data,

@@ -3,6 +3,12 @@
 //! channel counts). Nothing is executed, so the rule needs no mutable
 //! borrow and runs in microseconds on zoo models.
 //!
+//! The dims-level rules below ([`conv_shape`], [`dense_shape`],
+//! [`pool_shape`], ...) are public so the lowered integer graph
+//! (`tqt_fixedpoint::IntOp::output_shape`) applies the same rule per op
+//! kind as [`Op::output_shape`] does here. Each returns the output dims,
+//! or an error describing why the inputs do not fit.
+//!
 //! [`Graph::infer_shapes`] folds the rule over a graph and panics on the
 //! first inconsistency; `tqt_verify::infer_shapes` folds the same rule
 //! but reports every inconsistency as a diagnostic and keeps going.
@@ -29,6 +35,7 @@ impl Op {
         let Some(&x) = ins.first() else {
             return Err(format!("op `{}` has no inputs", self.name()));
         };
+        let wd = || weight_dims(self).unwrap_or_default();
         match self {
             Op::Input => unreachable!("handled above"),
             Op::Identity | Op::Relu(_) | Op::Quant { .. } => Ok(x.to_vec()),
@@ -42,62 +49,15 @@ impl Op {
                     Ok(x.to_vec())
                 }
             }
-            Op::Conv(l) => conv_shape(x, weight_dims(self), l.geom(), false),
-            Op::Depthwise(l) => conv_shape(x, weight_dims(self), l.geom(), true),
-            Op::Dense(_) => {
-                let wd = weight_dims(self).unwrap_or_default();
-                if x.len() != 2 {
-                    Err(format!(
-                        "dense needs a 2-D `[n, features]` input, got {x:?}"
-                    ))
-                } else if wd.len() != 2 || x[1] != wd[0] {
-                    Err(format!(
-                        "dense weight {wd:?} does not accept {} input features",
-                        x[1]
-                    ))
-                } else {
-                    Ok(vec![x[0], wd[1]])
-                }
-            }
+            Op::Conv(l) => conv_shape(x, &wd(), l.geom(), false),
+            Op::Depthwise(l) => conv_shape(x, &wd(), l.geom(), true),
+            Op::Dense(_) => dense_shape(x, &wd()),
             Op::MaxPool(l) => pool_shape(x, l.geom()),
             Op::AvgPool(l) => pool_shape(x, l.geom()),
-            Op::GlobalAvgPool(_) => {
-                if x.len() != 4 {
-                    Err(format!("global avg pool needs a 4-D input, got {x:?}"))
-                } else {
-                    Ok(vec![x[0], x[1]])
-                }
-            }
-            Op::Flatten(_) => match x.split_first() {
-                Some((&n, rest)) => Ok(vec![n, rest.iter().product::<usize>().max(1)]),
-                None => Err("flatten needs at least a batch dim".to_string()),
-            },
-            Op::Add(_) => {
-                if ins.len() == 2 && ins[0] != ins[1] {
-                    Err(format!(
-                        "eltwise add of mismatched shapes {:?} vs {:?}",
-                        ins[0], ins[1]
-                    ))
-                } else {
-                    Ok(x.to_vec())
-                }
-            }
-            Op::Concat(_) => {
-                let ok = x.len() >= 2
-                    && ins
-                        .iter()
-                        .all(|s| s.len() == x.len() && s[0] == x[0] && s.get(2..) == x.get(2..));
-                if ok {
-                    let mut out = x.to_vec();
-                    out[1] = ins.iter().map(|s| s[1]).sum();
-                    Ok(out)
-                } else {
-                    Err(format!(
-                        "concat inputs must agree outside the channel dim, got {:?}",
-                        ins.iter().map(|s| s.to_vec()).collect::<Vec<_>>()
-                    ))
-                }
-            }
+            Op::GlobalAvgPool(_) => global_pool_shape(x),
+            Op::Flatten(_) => flatten_shape(x),
+            Op::Add(_) => add_shape(ins),
+            Op::Concat(_) => concat_shape(ins),
         }
     }
 }
@@ -130,24 +90,23 @@ fn weight_dims(op: &Op) -> Option<Vec<usize>> {
         .map(|p| p.value.dims().to_vec())
 }
 
-fn conv_shape(
-    xin: &[usize],
-    wdims: Option<Vec<usize>>,
+/// A convolution with weight dims `wd` (`[co, ci, kh, kw]`; depthwise
+/// `[c, 1, kh, kw]`) over an `[n, c, h, w]` input.
+pub fn conv_shape(
+    x: &[usize],
+    wd: &[usize],
     geom: Conv2dGeom,
     depthwise: bool,
 ) -> Result<Vec<usize>, String> {
-    let wd = wdims.ok_or_else(|| "conv has no weight tensor".to_string())?;
-    if xin.len() != 4 {
-        return Err(format!(
-            "conv needs a 4-D `[n, c, h, w]` input, got {xin:?}"
-        ));
+    if x.len() != 4 {
+        return Err(format!("conv needs a 4-D `[n, c, h, w]` input, got {x:?}"));
     }
     if wd.len() != 4 {
         return Err(format!(
             "conv weight must be 4-D `[co, ci, kh, kw]`, got {wd:?}"
         ));
     }
-    let (n, c, h, w) = (xin[0], xin[1], xin[2], xin[3]);
+    let (n, c, h, w) = (x[0], x[1], x[2], x[3]);
     let expect_ci = if depthwise { 1 } else { c };
     let cout = if depthwise { c } else { wd[0] };
     if wd[1] != expect_ci || (depthwise && wd[0] != c) {
@@ -171,13 +130,27 @@ fn conv_shape(
     Ok(vec![n, cout, oh, ow])
 }
 
-fn pool_shape(xin: &[usize], geom: Conv2dGeom) -> Result<Vec<usize>, String> {
-    if xin.len() != 4 {
-        return Err(format!(
-            "pool needs a 4-D `[n, c, h, w]` input, got {xin:?}"
-        ));
+/// A dense layer with weight dims `wd` (`[in, out]`) over an
+/// `[n, features]` input.
+pub fn dense_shape(x: &[usize], wd: &[usize]) -> Result<Vec<usize>, String> {
+    if x.len() != 2 {
+        Err(format!("dense needs a 2-D `[n, features]` input, got {x:?}"))
+    } else if wd.len() != 2 || x[1] != wd[0] {
+        Err(format!(
+            "dense weight {wd:?} does not accept {} input features",
+            x[1]
+        ))
+    } else {
+        Ok(vec![x[0], wd[1]])
     }
-    let (h, w) = (xin[2], xin[3]);
+}
+
+/// A max or average pool window over an `[n, c, h, w]` input.
+pub fn pool_shape(x: &[usize], geom: Conv2dGeom) -> Result<Vec<usize>, String> {
+    if x.len() != 4 {
+        return Err(format!("pool needs a 4-D `[n, c, h, w]` input, got {x:?}"));
+    }
+    let (h, w) = (x[2], x[3]);
     if h + 2 * geom.pad < geom.kh || w + 2 * geom.pad < geom.kw {
         return Err(format!(
             "pool window {}x{} does not fit padded input {h}x{w} (pad {})",
@@ -185,5 +158,52 @@ fn pool_shape(xin: &[usize], geom: Conv2dGeom) -> Result<Vec<usize>, String> {
         ));
     }
     let (oh, ow) = geom.out_size(h, w);
-    Ok(vec![xin[0], xin[1], oh, ow])
+    Ok(vec![x[0], x[1], oh, ow])
+}
+
+/// A global average pool: `[n, c, h, w]` to `[n, c]`.
+pub fn global_pool_shape(x: &[usize]) -> Result<Vec<usize>, String> {
+    if x.len() != 4 {
+        Err(format!("global avg pool needs a 4-D input, got {x:?}"))
+    } else {
+        Ok(vec![x[0], x[1]])
+    }
+}
+
+/// Flatten to `[n, features]`.
+pub fn flatten_shape(x: &[usize]) -> Result<Vec<usize>, String> {
+    match x.split_first() {
+        Some((&n, rest)) => Ok(vec![n, rest.iter().product::<usize>().max(1)]),
+        None => Err("flatten needs at least a batch dim".to_string()),
+    }
+}
+
+/// An elementwise add: every operand has the first operand's shape.
+pub fn add_shape(ins: &[&[usize]]) -> Result<Vec<usize>, String> {
+    let x = ins.first().copied().unwrap_or_default();
+    match ins.iter().find(|s| **s != x) {
+        Some(other) => Err(format!(
+            "eltwise add of mismatched shapes {x:?} vs {other:?}"
+        )),
+        None => Ok(x.to_vec()),
+    }
+}
+
+/// A channel concat: operands agree outside dim 1, whose sizes add up.
+pub fn concat_shape(ins: &[&[usize]]) -> Result<Vec<usize>, String> {
+    let x = ins.first().copied().unwrap_or_default();
+    let ok = x.len() >= 2
+        && ins
+            .iter()
+            .all(|s| s.len() == x.len() && s[0] == x[0] && s.get(2..) == x.get(2..));
+    if ok {
+        let mut out = x.to_vec();
+        out[1] = ins.iter().map(|s| s[1]).sum();
+        Ok(out)
+    } else {
+        Err(format!(
+            "concat inputs must agree outside the channel dim, got {:?}",
+            ins.iter().map(|s| s.to_vec()).collect::<Vec<_>>()
+        ))
+    }
 }

@@ -12,8 +12,8 @@
 //!
 //! * **Batch ladder** ([`Engine::build`]) — one [`IntPlan`] per rung of
 //!   [`LADDER`], each *proven at build time*: the interval analyzer
-//!   (`tqt_verify::analyze`) shows no i64 accumulator can wrap at that
-//!   batch size, and the plan checker (`tqt_verify::check_plan`) shows
+//!   (`tqt_verify::analyze`) shows every node's dims fit its op and no
+//!   i64 accumulator can wrap at that batch size, and the plan checker (`tqt_verify::check_plan`) shows
 //!   the slot assignment is alias-free. A request can only ever run on
 //!   a plan that carries both proofs.
 //! * **Shared-weight sessions** ([`Engine::serve`]) — every worker
@@ -106,8 +106,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the rendered diagnostics if any rung's overflow proof or
-    /// plan-aliasing proof fails — an unproven plan never serves.
+    /// Returns the rendered diagnostics if any rung's shape or overflow
+    /// proof or plan-aliasing proof fails — an unproven plan never serves,
+    /// and a graph whose dims do not fit its ops is never planned.
     pub fn build(graph: IntGraph, base_dims: &[usize]) -> Result<Engine, String> {
         Self::with_ladder(graph, base_dims, &LADDER)
     }
@@ -138,7 +139,7 @@ impl Engine {
             let iv = analyze(&graph, &dims);
             if !iv.proven() {
                 return Err(format!(
-                    "batch-{rung} plan refused: overflow proof failed\n{}",
+                    "batch-{rung} plan refused: shape or overflow proof failed\n{}",
                     iv.report.render()
                 ));
             }
@@ -310,8 +311,10 @@ impl Client<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tqt_fixedpoint::lower::{IntNode, IntOp};
     use tqt_graph::{quantize_graph, transforms, QuantizeOptions, WeightBits};
     use tqt_models::{ModelKind, INPUT_DIMS};
+    use tqt_tensor::conv::Conv2dGeom;
     use tqt_tensor::init;
 
     fn engine() -> Engine {
@@ -358,6 +361,67 @@ mod tests {
             report.steady_state_allocs, 0,
             "serving hot path must not allocate executor slots"
         );
+    }
+
+    /// `input -> qin -> ops...` on the `2^-4` grid, each node fed by the
+    /// one before it.
+    fn chain(ops: Vec<IntOp>) -> Vec<IntNode> {
+        let qin = IntOp::QuantF32 {
+            format: QFormat::new(4, 8, true),
+        };
+        [IntOp::Input, qin]
+            .into_iter()
+            .chain(ops)
+            .enumerate()
+            .map(|(id, op)| IntNode {
+                name: format!("n{id}"),
+                op,
+                inputs: if id == 0 { vec![] } else { vec![id - 1] },
+            })
+            .collect()
+    }
+
+    /// Graphs whose dims do not fit their ops are refused with an error:
+    /// never a panic in the planner, never an engine serving wrong sizes.
+    #[test]
+    fn shape_inconsistent_graphs_are_refused() {
+        let dense = chain(vec![IntOp::Dense {
+            w: vec![1; 8 * 2],
+            in_dim: 8,
+            out_dim: 2,
+            bias: None,
+            w_frac: 4,
+        }]);
+        let mut concat = chain(vec![
+            IntOp::MaxPool {
+                geom: Conv2dGeom::new(2, 2, 0),
+            },
+            IntOp::Concat,
+        ]);
+        concat[3].inputs = vec![2, 1];
+        let conv = chain(vec![IntOp::Conv {
+            w: vec![1; 4 * 3 * 3 * 3],
+            wdims: [4, 3, 3, 3],
+            bias: None,
+            geom: Conv2dGeom::same(3),
+            depthwise: false,
+            w_frac: 4,
+        }]);
+        let cases = [
+            (dense, vec![1, 4]),
+            (concat, vec![1, 2, 4, 4]),
+            (conv, vec![1, 2, 8, 8]),
+        ];
+        for (nodes, dims) in cases {
+            let out = nodes.len() - 1;
+            let ig = IntGraph::from_parts(nodes, out);
+            let built = std::panic::catch_unwind(|| Engine::build(ig, &dims));
+            match built {
+                Ok(Err(e)) => assert!(e.contains("TQT-V002"), "{e}"),
+                Ok(Ok(_)) => panic!("engine built over a graph of dims {dims:?} that do not fit"),
+                Err(_) => panic!("engine build panicked at dims {dims:?}"),
+            }
+        }
     }
 
     #[test]

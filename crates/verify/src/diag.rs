@@ -16,7 +16,8 @@ pub enum Code {
     /// forward edge, dangling threshold reference.
     Structure,
     /// `TQT-V002` — shape or dtype inference failure: rank/channel/feature
-    /// mismatch between a node and its inputs or weights.
+    /// mismatch between a node and its inputs or weights, in the float or
+    /// the lowered graph.
     Shape,
     /// `TQT-V003` — a compute op consumes an edge that is not on a
     /// quantized grid (missing activation quantizer).
@@ -63,8 +64,8 @@ pub enum Code {
     /// before the last consumer executed).
     PlanStaleRead,
     /// `TQT-V018` — executor-plan storage violation: slot capacity below
-    /// the assigned tensor, a per-node length that contradicts
-    /// independent shape re-derivation, or scratch-arena accounting that
+    /// the assigned tensor, a per-node length that contradicts the
+    /// graph's shape rule, or scratch-arena accounting that
     /// disagrees with the plan.
     PlanStorage,
     /// `TQT-V019` — schedule deadlock: the bounded model checker found a

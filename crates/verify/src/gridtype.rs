@@ -31,6 +31,7 @@
 
 use crate::diag::{Code, Report};
 use crate::interval::{path_to, MAX_SHIFT};
+use crate::shape::infer_int_shapes;
 use std::fmt;
 use tqt_fixedpoint::lower::{EpiStep, IntGraph, IntNode, IntOp, LEAKY_ALPHA_FRAC};
 use tqt_fixedpoint::QFormat;
@@ -192,23 +193,19 @@ fn contradiction(
 
 /// Grid-type inference over a lowered [`IntGraph`]. `input_dims` is the
 /// `[n, c, h, w]` the graph executes on (needed only to resolve pooling
-/// reduction factors). Runs on unfused and fused graphs alike.
+/// reduction factors, via [`infer_int_shapes`]). Runs on unfused and
+/// fused graphs alike.
 pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
     let nodes = ig.nodes();
     let n = nodes.len();
     let mut r = Report::new();
     let mut grids: Vec<Option<Grid>> = Vec::with_capacity(n);
-    let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let shapes = infer_int_shapes(ig, input_dims).shapes;
 
     for (id, node) in nodes.iter().enumerate() {
         let gin = node.inputs.first().and_then(|&i| grids[i]);
-        let sin: Vec<&[usize]> = node.inputs.iter().map(|&i| shapes[i].as_slice()).collect();
-        let mut shape: Vec<usize> = sin.first().map(|s| s.to_vec()).unwrap_or_default();
         let grid = match &node.op {
-            IntOp::Input => {
-                shape = input_dims.to_vec();
-                None
-            }
+            IntOp::Input => None,
             IntOp::QuantF32 { format } => Some(Grid::from_format(*format)),
             IntOp::Requant { format } => {
                 let to = Grid::from_format(*format);
@@ -225,15 +222,7 @@ pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
                 }
                 Some(to)
             }
-            IntOp::Conv { wdims, geom, w_frac, .. } => {
-                if sin[0].len() == 4 {
-                    let (oh, ow) = geom.out_size(sin[0][2], sin[0][3]);
-                    shape = vec![sin[0][0], wdims[0], oh, ow];
-                }
-                compute_out(&mut r, nodes, id, gin, *w_frac)
-            }
-            IntOp::Dense { out_dim, w_frac, .. } => {
-                shape = vec![sin[0].first().copied().unwrap_or(1), *out_dim];
+            IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
                 compute_out(&mut r, nodes, id, gin, *w_frac)
             }
             IntOp::Relu { .. } => match gin {
@@ -263,14 +252,8 @@ pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
                     ..g.widened()
                 }),
             },
-            IntOp::MaxPool { geom } => {
-                if sin[0].len() == 4 {
-                    let (oh, ow) = geom.out_size(sin[0][2], sin[0][3]);
-                    shape = vec![sin[0][0], sin[0][1], oh, ow];
-                }
-                gin
-            }
-            IntOp::GlobalAvgPool => gap_out(&mut r, nodes, id, gin, sin[0], &mut shape),
+            IntOp::MaxPool { .. } | IntOp::Flatten => gin,
+            IntOp::GlobalAvgPool => gap_out(&mut r, nodes, id, gin, &shapes[node.inputs[0]]),
             IntOp::Add => {
                 let ga = node.inputs.first().and_then(|&i| grids[i]);
                 let gb = node.inputs.get(1).and_then(|&i| grids[i]);
@@ -331,18 +314,7 @@ pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
                         _ => {}
                     }
                 }
-                if sin.iter().all(|s| s.len() >= 2) {
-                    let mut out = sin[0].to_vec();
-                    out[1] = sin.iter().map(|s| s[1]).sum();
-                    shape = out;
-                }
                 first
-            }
-            IntOp::Flatten => {
-                if !sin[0].is_empty() {
-                    shape = vec![sin[0][0], sin[0][1..].iter().product::<usize>().max(1)];
-                }
-                gin
             }
             IntOp::Fused { core, epi } => {
                 let mut cur = match gin {
@@ -356,23 +328,10 @@ pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
                         None
                     }
                     Some(g) => match &**core {
-                        IntOp::Conv { wdims, geom, w_frac, .. } => {
-                            if sin[0].len() == 4 {
-                                let (oh, ow) = geom.out_size(sin[0][2], sin[0][3]);
-                                shape = vec![sin[0][0], wdims[0], oh, ow];
-                            }
-                            Some(Grid {
-                                shift: g.shift + w_frac,
-                                ..g.widened()
-                            })
-                        }
-                        IntOp::Dense { out_dim, w_frac, .. } => {
-                            shape = vec![sin[0].first().copied().unwrap_or(1), *out_dim];
-                            Some(Grid {
-                                shift: g.shift + w_frac,
-                                ..g.widened()
-                            })
-                        }
+                        IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => Some(Grid {
+                            shift: g.shift + w_frac,
+                            ..g.widened()
+                        }),
                         // A non-conv/dense core is a TQT-V023 (fusion
                         // legality), owned by the interval pass.
                         _ => Some(g),
@@ -441,7 +400,6 @@ pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
             }
         };
         grids.push(grid);
-        shapes[id] = shape;
     }
 
     GridReport { grids, report: r }
@@ -473,15 +431,15 @@ fn compute_out(
     }
 }
 
-/// Transfer for a global average pool: the exact-sum formulation scales by
-/// `1/hw`, which is a grid shift only when `hw` is a power of two.
+/// Transfer for a global average pool over an input of shape `sin`: the
+/// exact-sum formulation scales by `1/hw`, which is a grid shift only
+/// when `hw` is a power of two.
 fn gap_out(
     r: &mut Report,
     nodes: &[IntNode],
     id: usize,
     gin: Option<Grid>,
     sin: &[usize],
-    shape: &mut Vec<usize>,
 ) -> Option<Grid> {
     if sin.len() != 4 {
         uninferable(
@@ -505,7 +463,6 @@ fn gap_out(
         );
         return None;
     }
-    *shape = vec![sin[0], sin[1]];
     match gin {
         None => {
             uninferable(

@@ -18,6 +18,7 @@
 //! fits i64, no intermediate i64 accumulation can wrap either.
 
 use crate::diag::{Code, Report};
+use crate::shape::{infer_int_shapes, ShapeReport};
 use tqt_fixedpoint::lower::{EpiStep, IntGraph, IntNode, IntOp, LEAKY_ALPHA_FRAC};
 use tqt_fixedpoint::QFormat;
 
@@ -147,27 +148,36 @@ pub(crate) fn dense_core_bounds(
 }
 
 /// Runs the interval/bit-width dataflow. `input_dims` is the `[n, c, h,
-/// w]` the graph executes on (needed to resolve pooling spatial sizes).
+/// w]` the graph executes on. Shapes come from [`infer_int_shapes`], whose
+/// `TQT-V002` findings lead the report, so a graph the planner could not
+/// shape is never proven. Output formats come from the executor's own
+/// rules ([`IntOp::acc_format`], [`EpiStep::out_format`],
+/// [`IntOp::pool_format`]).
 pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
     let nodes = ig.nodes();
-    let mut r = Report::new();
+    let ShapeReport { shapes, report: mut r } = infer_int_shapes(ig, input_dims);
     let mut facts: Vec<NodeFacts> = Vec::with_capacity(nodes.len());
-    let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
 
     for (id, node) in nodes.iter().enumerate() {
         let fin = node.inputs.first().map(|&i| facts[i]);
-        let sin: Vec<&[usize]> = node.inputs.iter().map(|&i| shapes[i].as_slice()).collect();
+        // A conv/dense core on an edge without a format (the float input)
+        // accumulates on the `2^0` grid.
+        let in_format = fin
+            .and_then(|f| f.format)
+            .unwrap_or(QFormat::new(0, 64, true));
         let mut fact = NodeFacts {
             lo: 0,
             hi: 0,
             can_saturate: false,
             format: None,
         };
-        let mut shape: Vec<usize> = sin.first().map(|s| s.to_vec()).unwrap_or_default();
+        if shapes[id].is_empty() {
+            // Shape inference failed here or upstream (a V002 above).
+            facts.push(fact);
+            continue;
+        }
         match &node.op {
-            IntOp::Input => {
-                shape = input_dims.to_vec();
-            }
+            IntOp::Input => {}
             IntOp::QuantF32 { format } => {
                 // The float input is arbitrary; quantization saturates it
                 // into the representable range, which may clamp.
@@ -211,7 +221,6 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                 wdims,
                 bias,
                 geom,
-                w_frac,
                 ..
             } => {
                 let fi = fin.expect("conv has an input");
@@ -227,19 +236,14 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                 }
                 fact.lo = lo;
                 fact.hi = hi;
-                let in_frac = fi.format.map(|f| f.frac).unwrap_or(0);
-                fact.format = Some(QFormat::new(in_frac + w_frac, 64, true));
-                if sin[0].len() == 4 {
-                    let (oh, ow) = geom.out_size(sin[0][2], sin[0][3]);
-                    shape = vec![sin[0][0], wdims[0], oh, ow];
-                }
+                fact.format = node.op.acc_format(in_format);
             }
             IntOp::Dense {
                 w,
                 in_dim,
                 out_dim,
                 bias,
-                w_frac,
+                ..
             } => {
                 let fi = fin.expect("dense has an input");
                 let (lo, hi) =
@@ -253,9 +257,7 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                 }
                 fact.lo = lo;
                 fact.hi = hi;
-                let in_frac = fi.format.map(|f| f.frac).unwrap_or(0);
-                fact.format = Some(QFormat::new(in_frac + w_frac, 64, true));
-                shape = vec![sin[0].first().copied().unwrap_or(1), *out_dim];
+                fact.format = node.op.acc_format(in_format);
             }
             IntOp::Fused { core, epi } => {
                 let fi = fin.expect("fused has an input");
@@ -280,42 +282,22 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                 }
                 // Core: the same exact per-channel accumulator bounds as the
                 // standalone conv/dense transfers (V011 on escape).
-                let in_frac = fi.format.map(|f| f.frac).unwrap_or(0);
-                let (mut lo, mut hi, mut cur_format) = match &**core {
+                let mut cur_format = core.acc_format(in_format).unwrap_or(in_format);
+                let (mut lo, mut hi) = match &**core {
                     IntOp::Conv {
                         w,
                         wdims,
                         bias,
                         geom,
-                        w_frac,
                         ..
-                    } => {
-                        let (lo, hi) = conv_core_bounds(
-                            w,
-                            *wdims,
-                            bias.as_deref(),
-                            geom.pad > 0,
-                            fi.lo,
-                            fi.hi,
-                        );
-                        if sin[0].len() == 4 {
-                            let (oh, ow) = geom.out_size(sin[0][2], sin[0][3]);
-                            shape = vec![sin[0][0], wdims[0], oh, ow];
-                        }
-                        (lo, hi, QFormat::new(in_frac + w_frac, 64, true))
-                    }
+                    } => conv_core_bounds(w, *wdims, bias.as_deref(), geom.pad > 0, fi.lo, fi.hi),
                     IntOp::Dense {
                         w,
                         in_dim,
                         out_dim,
                         bias,
-                        w_frac,
-                    } => {
-                        let (lo, hi) =
-                            dense_core_bounds(w, *in_dim, *out_dim, bias.as_deref(), fi.lo, fi.hi);
-                        shape = vec![sin[0].first().copied().unwrap_or(1), *out_dim];
-                        (lo, hi, QFormat::new(in_frac + w_frac, 64, true))
-                    }
+                        ..
+                    } => dense_core_bounds(w, *in_dim, *out_dim, bias.as_deref(), fi.lo, fi.hi),
                     other => {
                         r.push(
                             Code::IllegalFusion,
@@ -327,7 +309,7 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                                 path_to(nodes, id)
                             ),
                         );
-                        (fi.lo, fi.hi, QFormat::new(in_frac, 64, true))
+                        (fi.lo, fi.hi)
                     }
                 };
                 if lo < I64_LO || hi > I64_HI {
@@ -372,7 +354,6 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                             }
                             lo = plo.max(qlo);
                             hi = phi.min(qhi);
-                            cur_format = *format;
                         }
                         EpiStep::AddResidual => {
                             let Some(&rid) = node.inputs.get(residual_slot) else {
@@ -406,7 +387,6 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                                     overflow_detail(nodes, id, lo, hi, input_dims),
                                 );
                             }
-                            cur_format = QFormat::new(cur_format.frac, 64, true);
                         }
                         EpiStep::Relu { cap_q } => {
                             let cap = cap_q.map(i128::from).unwrap_or(i128::MAX);
@@ -429,10 +409,9 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                                     overflow_detail(nodes, id, lo, hi, input_dims),
                                 );
                             }
-                            cur_format =
-                                QFormat::new(cur_format.frac + LEAKY_ALPHA_FRAC, 64, true);
                         }
                     }
+                    cur_format = step.out_format(cur_format);
                 }
                 fact.lo = lo;
                 fact.hi = hi;
@@ -460,41 +439,28 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                         overflow_detail(nodes, id, fact.lo, fact.hi, input_dims),
                     );
                 }
-                fact.format = fi
-                    .format
-                    .map(|f| QFormat::new(f.frac + LEAKY_ALPHA_FRAC, 64, true));
+                let step = EpiStep::LeakyRelu { alpha_q: *alpha_q };
+                fact.format = fi.format.map(|f| step.out_format(f));
             }
-            IntOp::MaxPool { geom } => {
-                let fi = fin.expect("maxpool has an input");
-                fact = fi;
+            IntOp::MaxPool { .. } | IntOp::Flatten => {
+                fact = fin.expect("data movement has an input");
                 fact.can_saturate = false;
-                if sin[0].len() == 4 {
-                    let (oh, ow) = geom.out_size(sin[0][2], sin[0][3]);
-                    shape = vec![sin[0][0], sin[0][1], oh, ow];
-                }
             }
             IntOp::GlobalAvgPool => {
                 let fi = fin.expect("gap has an input");
-                if sin[0].len() != 4 {
-                    r.push(
-                        Code::FormatViolation,
-                        node.name.clone(),
-                        format!("global avg pool needs a 4-D input, got {:?}", sin[0]),
-                    );
-                } else {
-                    let hw = sin[0][2] * sin[0][3];
-                    if !hw.is_power_of_two() {
+                // The shape rule has checked the input is 4-D.
+                if let [_, _, h, w] = shapes[node.inputs[0]][..] {
+                    if !(h * w).is_power_of_two() {
                         r.push(
                             Code::FormatViolation,
                             node.name.clone(),
                             format!(
                                 "global avg pool over non-power-of-two spatial size \
-                                 {}x{}; exact fixed-point division needs 2^k elements",
-                                sin[0][2], sin[0][3]
+                                 {h}x{w}; exact fixed-point division needs 2^k elements"
                             ),
                         );
                     } else {
-                        let hw = hw as i128;
+                        let hw = (h * w) as i128;
                         fact.lo = fi.lo.saturating_mul(hw).min(0);
                         fact.hi = fi.hi.saturating_mul(hw).max(0);
                         if fact.lo < I64_LO || fact.hi > I64_HI {
@@ -504,10 +470,7 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                                 overflow_detail(nodes, id, fact.lo, fact.hi, input_dims),
                             );
                         }
-                        fact.format = fi.format.map(|f| {
-                            QFormat::new(f.frac + (sin[0][2] * sin[0][3]).trailing_zeros() as i32, 64, true)
-                        });
-                        shape = vec![sin[0][0], sin[0][1]];
+                        fact.format = fi.format.and_then(|f| IntOp::pool_format(f, h * w));
                     }
                 }
             }
@@ -534,7 +497,7 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                         overflow_detail(nodes, id, fact.lo, fact.hi, input_dims),
                     );
                 }
-                fact.format = a.format.map(|f| QFormat::new(f.frac, 64, true));
+                fact.format = a.format.map(|f| EpiStep::AddResidual.out_format(f));
             }
             IntOp::Concat => {
                 let ins: Vec<NodeFacts> = node.inputs.iter().map(|&i| facts[i]).collect();
@@ -555,23 +518,9 @@ pub fn analyze(ig: &IntGraph, input_dims: &[usize]) -> IntervalReport {
                 fact.lo = ins.iter().map(|f| f.lo).min().expect("nonempty");
                 fact.hi = ins.iter().map(|f| f.hi).max().expect("nonempty");
                 fact.format = first.format;
-                if sin.iter().all(|s| s.len() >= 2) {
-                    let mut out = sin[0].to_vec();
-                    out[1] = sin.iter().map(|s| s[1]).sum();
-                    shape = out;
-                }
-            }
-            IntOp::Flatten => {
-                let fi = fin.expect("flatten has an input");
-                fact = fi;
-                fact.can_saturate = false;
-                if !sin[0].is_empty() {
-                    shape = vec![sin[0][0], sin[0][1..].iter().product::<usize>().max(1)];
-                }
             }
         }
         facts.push(fact);
-        shapes[id] = shape;
     }
 
     IntervalReport {

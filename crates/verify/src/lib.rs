@@ -6,7 +6,8 @@
 //!
 //! * [`diag`] — stable error codes (`TQT-V001` …) and batched reports;
 //! * [`shape`] — structural checks and symbolic shape/dtype inference over
-//!   the float [`Graph`];
+//!   the float [`Graph`] and the lowered
+//!   [`IntGraph`](tqt_fixedpoint::IntGraph), from one per-op rule;
 //! * [`lint`] — the quantization lint set (unquantized compute edges, dead
 //!   thresholds, degenerate scales, unfolded batch norms, unmerged scales
 //!   at add/concat);
@@ -64,7 +65,7 @@ pub use sanitize::check_containment;
 pub use sched_check::{
     check_batch_schedules, check_fold_partition, check_schedules, collect_hb_findings,
 };
-pub use shape::{check_structure, infer_shapes, ShapeReport};
+pub use shape::{check_structure, infer_int_shapes, infer_shapes, ShapeReport};
 
 use tqt_graph::Graph;
 

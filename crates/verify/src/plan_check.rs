@@ -7,11 +7,16 @@
 //! planner assigned by liveness analysis. One off-by-one in that
 //! analysis silently corrupts inference — a node would read a buffer
 //! another node already overwrote — so this pass re-proves the plan from
-//! scratch, **treating the planner as untrusted**:
+//! scratch, **treating the planner as untrusted**. It re-derives what it
+//! exists to prove without calling the planner:
 //!
-//! * per-node element counts are re-derived from the graph's shape rules
-//!   (a mirror written against the runtime kernels, not a call into the
-//!   planner) and compared with the plan (`TQT-V018`);
+//! * per-node element counts come from the graph's one shape rule
+//!   ([`infer_int_shapes`] over `IntOp::output_shape`; an inconsistency is
+//!   `TQT-V002` and ends the check), as the float checker's come from
+//!   `Graph::infer_shapes`, and are compared with the plan (`TQT-V018`).
+//!   The planner folds the same rule but does not own it: the rule is
+//!   tied zoo-wide to the float graph's (`tests/int_shapes.rs`), which is
+//!   tied to the reference interpreter's real outputs;
 //! * per-node liveness is re-derived (a value is live from its
 //!   definition to its last consumer; the graph output is live forever)
 //!   and the whole execution is simulated over slot occupancy: every
@@ -42,9 +47,10 @@
 use crate::diag::{Code, Report};
 use crate::gridtype::{infer_int_grids, Grid};
 use crate::interval::path_to;
+use crate::shape::infer_int_shapes;
 use tqt_fixedpoint::gemm_i8::{MR, NR};
 use tqt_fixedpoint::intgemm::{packed_lhs_len, packed_rhs_len};
-use tqt_fixedpoint::lower::{IntGraph, IntOp, LEAKY_ALPHA_FRAC};
+use tqt_fixedpoint::lower::{IntGraph, IntOp};
 use tqt_fixedpoint::{GemmRoute, IntPlan};
 use tqt_graph::fplan::{FloatPlan, ValueKind};
 use tqt_graph::{Graph, Op as FOp};
@@ -65,10 +71,6 @@ struct Derived {
     panel_scratch_elems: usize,
 }
 
-/// Re-derives per-node output element counts from the op semantics. This
-/// intentionally re-implements the shape rules against the kernel
-/// contracts instead of calling the planner, so a planner bug cannot
-/// vouch for itself.
 /// The i32 route's per-block checkout for a conv (i32 elements): the
 /// `⌈k/2⌉·MR` A panel, the input image zero-padded on every side, and
 /// one tap offset per reduction index.
@@ -77,109 +79,56 @@ fn window_ws(k: usize, ish: &[usize], geom: &Conv2dGeom) -> usize {
     k.div_ceil(2) * MR + padded + k
 }
 
+/// Re-derives a plan's storage facts without calling the planner: element
+/// counts from the per-node `shapes` of the graph's shape rule, liveness
+/// from the edges, and the workspace checkouts from the kernel contracts.
 /// `acc32[id]` marks the nodes whose re-derived route is i32: they take
-/// the i32 route's checkout ([`window_ws`] for a conv, the `⌈k/2⌉·MR`
-/// A panel for a dense layer) instead of an im2col buffer.
-fn derive(g: &IntGraph, input_dims: &[usize], acc32: &[bool]) -> Derived {
+/// the i32 route's checkout ([`window_ws`] for a conv, the `⌈k/2⌉·MR` A
+/// panel for a dense layer) instead of an im2col buffer.
+fn derive(g: &IntGraph, shapes: &[Vec<usize>], acc32: &[bool]) -> Derived {
     let nodes = g.nodes();
     let n = nodes.len();
-    let mut dims: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut scratch_elems = 0usize;
     let mut panel_scratch_elems = 0usize;
     for (id, node) in nodes.iter().enumerate() {
-        let i0 = node.inputs.first().copied();
-        let d = match &node.op {
-            // The float input placeholder owns no integer storage.
-            IntOp::Input => vec![0],
-            IntOp::QuantF32 { .. } => input_dims.to_vec(),
-            IntOp::Requant { .. } | IntOp::Relu { .. } | IntOp::LeakyRelu { .. } => {
-                let _ = LEAKY_ALPHA_FRAC; // format-only ops: size-preserving
-                dims[i0.expect("unary op arity")].clone() // tqt:allow(expect): from_parts guarantees arity
-            }
+        let Some(&i0) = node.inputs.first() else {
+            continue;
+        };
+        let (ish, osh) = (&shapes[i0], &shapes[id]);
+        // A fused conv/dense core checks out the same workspace as a
+        // standalone one.
+        let core = match &node.op {
+            IntOp::Fused { core, .. } => core,
+            other => other,
+        };
+        match core {
             IntOp::Conv {
-                wdims,
-                geom,
-                depthwise,
-                ..
+                geom, depthwise, ..
             } => {
-                let ish = &dims[i0.expect("conv arity")]; // tqt:allow(expect): from_parts guarantees arity
-                let (oh, ow) = geom.out_size(ish[2], ish[3]);
                 let k = ish[1] * geom.kh * geom.kw;
                 if acc32[id] {
                     panel_scratch_elems = panel_scratch_elems.max(window_ws(k, ish, geom));
                 } else if !depthwise {
                     // The kernel's per-image im2col checkout:
                     // (c·kh·kw) × (oh·ow) elements.
-                    scratch_elems = scratch_elems.max(k * oh * ow);
-                }
-                vec![ish[0], wdims[0], oh, ow]
-            }
-            IntOp::Dense { in_dim, out_dim, .. } => {
-                let ish = &dims[i0.expect("dense arity")]; // tqt:allow(expect): from_parts guarantees arity
-                if acc32[id] {
-                    panel_scratch_elems = panel_scratch_elems.max(in_dim.div_ceil(2) * MR);
-                }
-                vec![ish[0], *out_dim]
-            }
-            IntOp::MaxPool { geom } => {
-                let ish = &dims[i0.expect("maxpool arity")]; // tqt:allow(expect): from_parts guarantees arity
-                let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                vec![ish[0], ish[1], oh, ow]
-            }
-            IntOp::GlobalAvgPool => {
-                let ish = &dims[i0.expect("gap arity")]; // tqt:allow(expect): from_parts guarantees arity
-                vec![ish[0], ish[1]]
-            }
-            IntOp::Add => dims[node.inputs[0]].clone(),
-            IntOp::Concat => {
-                let ish = &dims[node.inputs[0]];
-                let c: usize = node.inputs.iter().map(|&i| dims[i][1]).sum();
-                let mut d = vec![ish[0], c];
-                d.extend(&ish[2..]);
-                d
-            }
-            IntOp::Flatten => {
-                let ish = &dims[i0.expect("flatten arity")]; // tqt:allow(expect): from_parts guarantees arity
-                vec![ish[0], ish.iter().product::<usize>() / ish[0]]
-            }
-            IntOp::Fused { core, .. } => {
-                // The epilogue (requant/add/relu) is size-preserving, so the
-                // fused node's storage is exactly its core's output; a fused
-                // conv core still checks out the same im2col scratch.
-                let ish = &dims[i0.expect("fused arity")]; // tqt:allow(expect): from_parts guarantees arity
-                match &**core {
-                    IntOp::Conv {
-                        wdims,
-                        geom,
-                        depthwise,
-                        ..
-                    } => {
-                        let (oh, ow) = geom.out_size(ish[2], ish[3]);
-                        let k = ish[1] * geom.kh * geom.kw;
-                        if acc32[id] {
-                            panel_scratch_elems =
-                                panel_scratch_elems.max(window_ws(k, ish, geom));
-                        } else if !depthwise {
-                            scratch_elems = scratch_elems.max(k * oh * ow);
-                        }
-                        vec![ish[0], wdims[0], oh, ow]
-                    }
-                    IntOp::Dense { in_dim, out_dim, .. } => {
-                        if acc32[id] {
-                            panel_scratch_elems =
-                                panel_scratch_elems.max(in_dim.div_ceil(2) * MR);
-                        }
-                        vec![ish[0], *out_dim]
-                    }
-                    // Illegal core: the interval pass refutes it as
-                    // TQT-V023; keep the storage derivation harmless.
-                    _ => vec![0],
+                    scratch_elems = scratch_elems.max(k * osh[2] * osh[3]);
                 }
             }
-        };
-        dims.push(d);
+            IntOp::Dense { in_dim, .. } if acc32[id] => {
+                panel_scratch_elems = panel_scratch_elems.max(in_dim.div_ceil(2) * MR);
+            }
+            _ => {}
+        }
     }
-    let lens: Vec<usize> = dims.iter().map(|d| d.iter().product()).collect();
+    // The float input placeholder owns no integer storage.
+    let lens: Vec<usize> = nodes
+        .iter()
+        .zip(shapes)
+        .map(|(node, s)| match node.op {
+            IntOp::Input => 0,
+            _ => s.iter().product(),
+        })
+        .collect();
     let mut last_use = vec![0usize; n];
     for (id, node) in nodes.iter().enumerate() {
         for &i in &node.inputs {
@@ -295,6 +244,12 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
         );
         return r;
     }
+    let shapes = infer_int_shapes(g, plan.input_dims());
+    if !shapes.report.is_clean() {
+        // The planner panics on these graphs; there are no storage facts
+        // to check against.
+        return shapes.report;
+    }
     let grids = infer_int_grids(g, plan.input_dims()).grids;
     let routes: Vec<Option<Result<u64, String>>> = nodes
         .iter()
@@ -304,7 +259,7 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
         })
         .collect();
     let acc32: Vec<bool> = routes.iter().map(|r| matches!(r, Some(Ok(_)))).collect();
-    let d = derive(g, plan.input_dims(), &acc32);
+    let d = derive(g, &shapes.shapes, &acc32);
 
     // 0. Kernel routes (V035): the plan's route and bound must be the
     // ones re-derived here, and an i32 route needs its i8 panel (V018).
@@ -386,7 +341,7 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
                 Code::PlanStorage,
                 &nodes[id].name,
                 format!(
-                    "plan says {} elements, shape re-derivation says {} (path: {})",
+                    "plan says {} elements, the shape rule says {} (path: {})",
                     plan.len_of(id),
                     d.lens[id],
                     path_to(nodes, id)

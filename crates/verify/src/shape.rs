@@ -1,12 +1,16 @@
 //! Structural checks and symbolic shape/dtype inference over the float
-//! graph.
+//! and the lowered graph.
 //!
-//! Shapes come from the graph's own per-op rule ([`Op::output_shape`],
-//! the one `Graph::infer_shapes` and the float planner use). Unlike
-//! `Graph::infer_shapes`, which panics on the first inconsistency, this
-//! pass keeps going after a failure so one run reports every violation.
+//! Shapes come from the graphs' own per-op rules: [`Op::output_shape`],
+//! the one `Graph::infer_shapes` and the float planner use, and
+//! [`IntOp::output_shape`](tqt_fixedpoint::lower::IntOp::output_shape),
+//! the one the integer planner uses. Both are built from the same
+//! dims-level rules in `tqt_graph::shape`. Unlike the planners, which
+//! panic on the first inconsistency, these passes keep going after a
+//! failure so one run reports every violation.
 
 use crate::diag::{Code, Report};
+use tqt_fixedpoint::lower::IntGraph;
 use tqt_graph::{Graph, Node, Op};
 
 /// Result of shape inference: one shape per node (empty for nodes whose
@@ -110,21 +114,48 @@ fn op_desc(node: &Node) -> &'static str {
 /// inconsistency found; nodes downstream of a failure get an empty shape
 /// and are skipped rather than cascading spurious findings.
 pub fn infer_shapes(g: &Graph, input_dims: &[usize]) -> ShapeReport {
+    fold_shapes(
+        g.iter().map(|(_, node)| (node.name.as_str(), node.inputs.as_slice())),
+        g.len(),
+        |id, ins| g.node(id).op.output_shape(ins, input_dims),
+    )
+}
+
+/// [`infer_shapes`] for a lowered (unfused or fused) [`IntGraph`], over
+/// [`IntOp::output_shape`](tqt_fixedpoint::lower::IntOp::output_shape):
+/// every inconsistency is a `TQT-V002` at the offending node, and
+/// downstream nodes are skipped.
+pub fn infer_int_shapes(ig: &IntGraph, input_dims: &[usize]) -> ShapeReport {
+    let nodes = ig.nodes();
+    fold_shapes(
+        nodes.iter().map(|node| (node.name.as_str(), node.inputs.as_slice())),
+        nodes.len(),
+        |id, ins| nodes[id].op.output_shape(ins, input_dims),
+    )
+}
+
+/// Folds a per-node shape `rule(id, input shapes)` over `n` nodes given as
+/// `(name, inputs)` in id order, reporting each failure as `TQT-V002`.
+fn fold_shapes<'a>(
+    nodes: impl Iterator<Item = (&'a str, &'a [usize])>,
+    n: usize,
+    rule: impl Fn(usize, &[&[usize]]) -> Result<Vec<usize>, String>,
+) -> ShapeReport {
     let mut r = Report::new();
-    let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); g.len()];
-    for (id, node) in g.iter() {
+    let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (id, (name, inputs)) in nodes.enumerate() {
         // Structural problems are check_structure's job; here just avoid
         // indexing out of range.
-        if node.inputs.iter().any(|&i| i >= id) {
+        if inputs.iter().any(|&i| i >= id) {
             continue;
         }
-        let ins: Vec<&[usize]> = node.inputs.iter().map(|&i| shapes[i].as_slice()).collect();
-        if !matches!(node.op, Op::Input) && ins.iter().any(|s| s.is_empty()) {
+        let ins: Vec<&[usize]> = inputs.iter().map(|&i| shapes[i].as_slice()).collect();
+        if ins.iter().any(|s| s.is_empty()) {
             continue; // upstream failure already reported
         }
-        match node.op.output_shape(&ins, input_dims) {
+        match rule(id, &ins) {
             Ok(s) => shapes[id] = s,
-            Err(detail) => r.push(Code::Shape, node.name.clone(), detail),
+            Err(detail) => r.push(Code::Shape, name, detail),
         }
     }
     ShapeReport { shapes, report: r }

@@ -75,7 +75,6 @@ use tqt_fixedpoint::lower::{
 use tqt_fixedpoint::requant::shift_round;
 use tqt_fixedpoint::QFormat;
 use tqt_quant::exact::{fake_quant_int, round_to_grid, shift_round_ref};
-use tqt_quant::round_half_even;
 
 /// Bit-widths up to which the quantization lattice is enumerated
 /// exhaustively (every grid point, tie point, and f32 neighbor).
@@ -136,11 +135,10 @@ fn next_down(x: f32) -> f32 {
     -next_up(-x)
 }
 
-/// The integer realization of a quantization site, mirroring the
-/// executor's `quantf32_into` / `QTensor::quantize` element rule.
+/// The integer realization of a quantization site: the executor's own
+/// element rule, [`QFormat::quantizer`].
 fn quant_real(v: f32, format: QFormat) -> i64 {
-    let raw = round_half_even(v / format.scale()) as i64;
-    raw.clamp(format.qmin(), format.qmax())
+    format.quantizer()(v).0
 }
 
 /// Emits the grid/tie/neighbor witness values around integer coordinate

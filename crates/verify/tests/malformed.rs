@@ -19,7 +19,7 @@ use tqt_tensor::conv::Conv2dGeom;
 use tqt_tensor::init;
 use tqt_verify::{
     analyze, certify, check_containment, check_structure, checked_pipeline, infer_int_grids,
-    infer_shapes,
+    infer_int_shapes, infer_shapes,
 };
 use tqt_verify::{Code, Stage};
 
@@ -88,6 +88,88 @@ fn v002_dense_feature_mismatch() {
     // GAP of [1, 4, 8, 8] yields 4 features; the dense wants 7.
     let sr = infer_shapes(&g, &[1, 4, 8, 8]);
     assert!(sr.report.has(Code::Shape), "{}", sr.report);
+}
+
+/// A lowered chain `input -> qin -> ops...`, each node fed by the one
+/// before it, with `qin` quantizing onto the `2^-4` grid.
+fn int_chain(ops: Vec<(&str, IntOp)>) -> Vec<IntNode> {
+    let head = [
+        ("input", IntOp::Input),
+        (
+            "qin",
+            IntOp::QuantF32 {
+                format: QFormat::new(4, 8, true),
+            },
+        ),
+    ];
+    head.into_iter()
+        .chain(ops)
+        .enumerate()
+        .map(|(id, (name, op))| IntNode {
+            name: name.into(),
+            op,
+            inputs: if id == 0 { vec![] } else { vec![id - 1] },
+        })
+        .collect()
+}
+
+/// Asserts the lowered graph is refuted as `TQT-V002` at `node`, by shape
+/// inference and by the overflow prover that gates planning.
+fn assert_int_shape_refuted(ig: &IntGraph, dims: &[usize], node: &str) {
+    let at_node = |r: &tqt_verify::Report| {
+        r.diags
+            .iter()
+            .any(|d| d.code == Code::Shape && d.node.as_deref() == Some(node))
+    };
+    let sr = infer_int_shapes(ig, dims);
+    assert!(at_node(&sr.report), "no V002 at `{node}`:\n{}", sr.report);
+    let ir = analyze(ig, dims);
+    assert!(!ir.proven(), "a graph the planner cannot shape was proven");
+    assert!(at_node(&ir.report), "no V002 at `{node}`:\n{}", ir.report);
+}
+
+/// `TQT-V002` on a lowered graph: a dense layer built for 8 features fed
+/// 4.
+#[test]
+fn v002_int_dense_feature_mismatch() {
+    let fc = IntOp::Dense {
+        w: vec![1; 8 * 2],
+        in_dim: 8,
+        out_dim: 2,
+        bias: None,
+        w_frac: 4,
+    };
+    let ig = IntGraph::from_parts(int_chain(vec![("fc", fc)]), 2);
+    assert_int_shape_refuted(&ig, &[1, 4], "fc");
+}
+
+/// `TQT-V002` on a lowered graph: a concat of a `[1, 2, 2, 2]` pooled
+/// branch and the `[1, 2, 4, 4]` tensor it was pooled from.
+#[test]
+fn v002_int_concat_spatial_mismatch() {
+    let pool = IntOp::MaxPool {
+        geom: Conv2dGeom::new(2, 2, 0),
+    };
+    let mut nodes = int_chain(vec![("pool", pool), ("cat", IntOp::Concat)]);
+    nodes[3].inputs = vec![2, 1];
+    let ig = IntGraph::from_parts(nodes, 3);
+    assert_int_shape_refuted(&ig, &[1, 2, 4, 4], "cat");
+}
+
+/// `TQT-V002` on a lowered graph: a conv whose weights expect 3 input
+/// channels fed a 2-channel input.
+#[test]
+fn v002_int_conv_channel_mismatch() {
+    let conv = IntOp::Conv {
+        w: vec![1; 4 * 3 * 3 * 3],
+        wdims: [4, 3, 3, 3],
+        bias: None,
+        geom: Conv2dGeom::same(3),
+        depthwise: false,
+        w_frac: 4,
+    };
+    let ig = IntGraph::from_parts(int_chain(vec![("conv", conv)]), 2);
+    assert_int_shape_refuted(&ig, &[1, 2, 8, 8], "conv");
 }
 
 /// `TQT-V003`: a compute op with a weight quantizer but no activation

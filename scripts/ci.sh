@@ -77,8 +77,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # model checker covers).
 scripts/check_forbidden.sh
 # Static verification gate: every zoo model at every supported weight
-# bit-width must pass the full tqt-verify analysis suite (shape inference,
-# quantization lints, overflow proof, the translation-validation
+# bit-width must pass the full tqt-verify analysis suite (shape inference
+# over the float and the lowered, unfused and fused, graphs from one
+# per-op rule, quantization lints, overflow proof, the translation-validation
 # certifier proving every lowered node — fused and unfused — bit-exact
 # against the exact rational fake-quant reference (TQT-V025..V030),
 # grid-type inference over the float, lowered, and fused graphs plus
