@@ -210,9 +210,7 @@ impl FloatExecutor {
                 Op::Relu(l) => {
                     let i0 = node.inputs[0];
                     let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
-                    for (o, &v) in out.iter_mut().zip(xin) {
-                        *o = l.apply(v);
-                    }
+                    l.forward_into(xin, out);
                 }
                 Op::Conv(l) => {
                     let i0 = node.inputs[0];
@@ -435,9 +433,7 @@ impl FloatExecutor {
                         let i0 = node.inputs[0];
                         let xin = &slots[plan.slot_of(i0)][..plan.len_of(i0)];
                         let dst = &mut dsts[0][..plan.len_of(dst_vals[0])];
-                        for ((o, &gv), &xv) in dst.iter_mut().zip(gy).zip(xin) {
-                            *o = gv * l.grad_at(xv);
-                        }
+                        l.backward_into(xin, gy, dst);
                     }
                     Op::Conv(l) => {
                         let i0 = node.inputs[0];

@@ -92,29 +92,63 @@ impl Relu {
         self.negative_slope
     }
 
-    /// The pointwise forward map (public so the planned executor can run
-    /// the identical element function over slot buffers).
-    pub fn apply(&self, v: f32) -> f32 {
-        let mut y = if v > 0.0 { v } else { self.negative_slope * v };
-        if let Some(c) = self.cap {
-            y = y.min(c);
+    /// Forward over a slice: `out[i] = relu(x[i])`, the one definition the
+    /// layer and the planned executor share. `out` may be dirty; every
+    /// element is assigned. The capped or uncapped loop is chosen once per
+    /// call. A plain ReLU is the leaky loop at slope 0, so a negative `x`
+    /// maps to `0 · x`: −0, or NaN for −∞.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != x.len()`.
+    pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(out.len(), x.len(), "relu output length mismatch");
+        let a = self.negative_slope;
+        match self.cap {
+            None => {
+                for (o, &v) in out.iter_mut().zip(x) {
+                    *o = if v > 0.0 { v } else { a * v };
+                }
+            }
+            Some(c) => {
+                // `f32::min` returns the cap for a NaN input.
+                for (o, &v) in out.iter_mut().zip(x) {
+                    *o = (if v > 0.0 { v } else { a * v }).min(c);
+                }
+            }
         }
-        y
     }
 
-    /// The pointwise sub-gradient at pre-activation `v` (public for the
-    /// planned executor).
-    pub fn grad_at(&self, v: f32) -> f32 {
-        if v <= 0.0 {
-            self.negative_slope
-        } else if let Some(c) = self.cap {
-            if v >= c {
-                0.0
-            } else {
-                1.0
+    /// Backward over a slice: `gx[i] = gy[i] · relu'(x[i])` at the
+    /// pre-activation `x`, with sub-gradient `slope` at `x ≤ 0`, `0` at or
+    /// above the cap and `1` otherwise (NaN takes `1`). The product keeps
+    /// the signed zeros of `gy · 0`. `gx` may be dirty; every element is
+    /// assigned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gy` or `gx` disagree with `x` in length.
+    pub fn backward_into(&self, x: &[f32], gy: &[f32], gx: &mut [f32]) {
+        assert_eq!(gy.len(), x.len(), "relu upstream gradient length mismatch");
+        assert_eq!(gx.len(), x.len(), "relu gradient length mismatch");
+        let a = self.negative_slope;
+        match self.cap {
+            None => {
+                for ((o, &g), &v) in gx.iter_mut().zip(gy).zip(x) {
+                    *o = g * if v <= 0.0 { a } else { 1.0 };
+                }
             }
-        } else {
-            1.0
+            Some(c) => {
+                for ((o, &g), &v) in gx.iter_mut().zip(gy).zip(x) {
+                    *o = g * if v <= 0.0 {
+                        a
+                    } else if v >= c {
+                        0.0
+                    } else {
+                        1.0
+                    };
+                }
+            }
         }
     }
 }
@@ -141,7 +175,9 @@ impl Layer for Relu {
         if mode == Mode::Train {
             self.cached_x = Some(x.clone());
         }
-        x.map(|v| self.apply(v))
+        let mut y = Tensor::zeros(x.shape().clone());
+        self.forward_into(x.data(), y.data_mut());
+        y
     }
 
     fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
@@ -149,7 +185,15 @@ impl Layer for Relu {
             .cached_x
             .take()
             .expect("relu backward without cached forward");
-        vec![gy.zip_map(&x, |g, v| g * self.grad_at(v))]
+        assert!(
+            gy.shape().same_as(x.shape()),
+            "relu upstream gradient shape {} does not match input {}",
+            gy.shape(),
+            x.shape()
+        );
+        let mut gx = Tensor::zeros(x.shape().clone());
+        self.backward_into(x.data(), gy.data(), gx.data_mut());
+        vec![gx]
     }
 }
 
@@ -203,6 +247,81 @@ mod tests {
                 }
             });
         gradcheck_layer(&mut r, &[x], 1e-3, 1e-2);
+    }
+
+    /// The per-element forward map the slice kernel replaced, kept as its
+    /// oracle.
+    fn apply_oracle(r: &Relu, v: f32) -> f32 {
+        let mut y = if v > 0.0 { v } else { r.negative_slope * v };
+        if let Some(c) = r.cap {
+            y = y.min(c);
+        }
+        y
+    }
+
+    /// The per-element sub-gradient the slice kernel replaced, kept as its
+    /// oracle.
+    fn grad_oracle(r: &Relu, v: f32) -> f32 {
+        if v <= 0.0 {
+            r.negative_slope
+        } else if let Some(c) = r.cap {
+            if v >= c {
+                0.0
+            } else {
+                1.0
+            }
+        } else {
+            1.0
+        }
+    }
+
+    #[test]
+    fn slice_kernels_match_elementwise_oracle_bitwise() {
+        let mut rng = init::rng(31);
+        let mut xs = init::uniform([256], -8.0, 8.0, &mut rng).data().to_vec();
+        xs.extend([
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            6.0,
+            6.0f32.next_up(),
+            6.0f32.next_down(),
+            1e-40,
+            -1e-40,
+        ]);
+        // Upstream gradients with both signed zeros and a NaN, so `gy · 0`
+        // and `gy · 1` are checked bit for bit.
+        let mut gys = init::uniform([xs.len()], -2.0, 2.0, &mut rng)
+            .data()
+            .to_vec();
+        for (i, g) in [0.0, -0.0, f32::NAN, -0.0].into_iter().enumerate() {
+            gys[i * 3] = g;
+            // The cap edges; the special inputs ±0 keep nonzero gradients.
+            gys[262 + i] = g;
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for r in [
+            Relu::new(),
+            Relu::relu6(),
+            Relu::leaky(0.1),
+            Relu::capped(2.5),
+        ] {
+            let mut y = vec![f32::NAN; xs.len()];
+            r.forward_into(&xs, &mut y);
+            let want: Vec<f32> = xs.iter().map(|&v| apply_oracle(&r, v)).collect();
+            assert_eq!(bits(&y), bits(&want), "{} forward", r.op_name());
+            let mut gx = vec![f32::NAN; xs.len()];
+            r.backward_into(&xs, &gys, &mut gx);
+            let want: Vec<f32> = gys
+                .iter()
+                .zip(&xs)
+                .map(|(&g, &v)| g * grad_oracle(&r, v))
+                .collect();
+            assert_eq!(bits(&gx), bits(&want), "{} backward", r.op_name());
+        }
     }
 
     #[test]

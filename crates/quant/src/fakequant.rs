@@ -12,6 +12,7 @@
 //! distribution), strictly favoring range over precision. This is exactly
 //! the behaviour the TQT gradient corrects.
 
+use crate::spec::round_half_even;
 use crate::tqt::PAR_BLOCK;
 use tqt_rt::pool;
 use tqt_tensor::Tensor;
@@ -96,7 +97,7 @@ impl FakeQuant {
             let end = base + chunk.len();
             for (o, &v) in chunk.iter_mut().zip(&xd[base..end]) {
                 let c = v.clamp(lo, hi);
-                *o = ((c - lo) / s).round_ties_even() * s + lo;
+                *o = round_half_even((c - lo) / s) * s + lo;
             }
         });
         y
@@ -196,7 +197,7 @@ pub fn quantize_per_channel_symmetric(w: &Tensor, bits: u32) -> Tensor {
         }
         let s = amax / p;
         for v in slice.iter_mut() {
-            *v = (*v / s).round_ties_even().clamp(-p - 1.0, p) * s;
+            *v = round_half_even(*v / s).clamp(-p - 1.0, p) * s;
         }
     }
     out
@@ -217,7 +218,7 @@ pub fn quantize_per_tensor_symmetric_real(w: &Tensor, bits: u32) -> Tensor {
         return w.clone();
     }
     let s = amax / p;
-    w.map(|v| (v / s).round_ties_even().clamp(-p - 1.0, p) * s)
+    w.map(|v| round_half_even(v / s).clamp(-p - 1.0, p) * s)
 }
 
 #[cfg(test)]

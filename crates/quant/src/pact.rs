@@ -7,6 +7,7 @@
 //! requires an L2 regularizer `λ·α²` on the clip parameter, with a manually
 //! tuned `λ`, to keep the range from growing without bound.
 
+use crate::spec::round_half_even;
 use tqt_tensor::Tensor;
 
 /// PACT quantizer state: the learnable clipping parameter and bit-width.
@@ -55,7 +56,7 @@ impl Pact {
     pub fn quantize(&self, x: &Tensor) -> Tensor {
         let s = self.step();
         let a = self.alpha;
-        x.map(|v| (v.clamp(0.0, a) / s).round_ties_even() * s)
+        x.map(|v| round_half_even(v.clamp(0.0, a) / s) * s)
     }
 
     /// Backward with PACT's gradient formulation (eq. 1): `dα` collects the

@@ -18,6 +18,10 @@ use tqt_tensor::Tensor;
 /// identical in serial and parallel runs.
 pub(crate) const PAR_BLOCK: usize = 8192;
 
+/// Elements per tile of the backward loop: the eq. 7 terms of one tile
+/// are staged on the stack before their in-order f64 sum.
+const TILE: usize = 256;
+
 /// Fused forward pass of the TQT quantizer (eq. 4):
 ///
 /// `q(x; s) = clip(round(x / s), n, p) * s` with `s = 2^(ceil(log2 t)) / 2^denom`.
@@ -115,7 +119,6 @@ pub fn quantize_backward(x: &Tensor, log2_t: f32, spec: QuantSpec, gy: &Tensor) 
 /// # Panics
 ///
 /// Panics if `gyd` or `dx` disagree with `xd` in length.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must take the pass-through branch, as in the serial chain
 pub fn quantize_backward_into(
     xd: &[f32],
     log2_t: f32,
@@ -125,35 +128,19 @@ pub fn quantize_backward_into(
 ) -> f32 {
     assert_eq!(gyd.len(), xd.len(), "upstream gradient length mismatch");
     assert_eq!(dx.len(), xd.len(), "dx length mismatch");
-    let s = spec.scale_for_log2_t(log2_t);
-    let (n, p) = (spec.qmin(), spec.qmax());
-    pool::par_chunks_mut(dx, PAR_BLOCK, |ci, chunk| {
-        let base = ci * PAR_BLOCK;
-        for (j, o) in chunk.iter_mut().enumerate() {
-            let q = round_half_even(xd[base + j] / s);
-            // Negated comparisons so NaN falls through to the pass-through
-            // branch, exactly like the serial if/else chain.
-            *o = if !(q < n) && !(q > p) {
-                gyd[base + j]
-            } else {
-                0.0
-            };
-        }
-    });
-    fold_dlog2_t(xd, s, n, p, gyd)
+    backward_pass(xd, log2_t, spec, Some(gyd), dx)
 }
 
-/// In-place weight-STE variant of [`quantize_backward_into`]: computes
-/// the scalar log-threshold gradient from the **unmasked** `grad` first,
-/// then masks `grad` in place (kept inside the clip range of the
-/// original weights `xd`, zeroed outside). Exactly the value sequence of
+/// In-place weight-STE variant of [`quantize_backward_into`]: the scalar
+/// log-threshold gradient is taken from the **unmasked** `grad` while
+/// `grad` is masked in place (kept inside the clip range of the original
+/// weights `xd`, zeroed outside). Exactly the value sequence of
 /// `quantize_backward` followed by `w.grad = g.dx`, without the
 /// intermediate buffer.
 ///
 /// # Panics
 ///
 /// Panics if `grad.len() != xd.len()`.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must take the pass-through branch, as in the serial chain
 pub fn quantize_backward_inplace(
     xd: &[f32],
     log2_t: f32,
@@ -161,42 +148,72 @@ pub fn quantize_backward_inplace(
     grad: &mut [f32],
 ) -> f32 {
     assert_eq!(grad.len(), xd.len(), "gradient length mismatch");
-    let s = spec.scale_for_log2_t(log2_t);
-    let (n, p) = (spec.qmin(), spec.qmax());
-    let dlog2_t = fold_dlog2_t(xd, s, n, p, grad);
-    pool::par_chunks_mut(grad, PAR_BLOCK, |ci, chunk| {
-        let base = ci * PAR_BLOCK;
-        for (j, o) in chunk.iter_mut().enumerate() {
-            let q = round_half_even(xd[base + j] / s);
-            if !(!(q < n) && !(q > p)) {
-                *o = 0.0;
-            }
-        }
-    });
-    dlog2_t
+    backward_pass(xd, log2_t, spec, None, grad)
 }
 
-/// The eq. 7 threshold-gradient reduction shared by every backward entry
-/// point: per-element f64 terms summed in index order within fixed
-/// [`PAR_BLOCK`]s, block partials folded serially in block order —
+/// The one backward loop behind both entry points. Each element is
+/// rounded once, and that one rounding yields both the eq. 8 mask written
+/// to `dx` and the eq. 7 term of the threshold gradient. With `gyd` absent
+/// the upstream gradient is `dx` itself, read before it is masked. The
+/// f64 terms are summed in index order within fixed [`PAR_BLOCK`]s and
+/// the block partials folded serially in block order, so the result is
 /// bitwise independent of the thread count.
-fn fold_dlog2_t(xd: &[f32], s: f32, n: f32, p: f32, gyd: &[f32]) -> f32 {
-    let ln2 = std::f32::consts::LN_2;
-    let partials = pool::par_fold_blocks(xd.len(), PAR_BLOCK, |_, range| {
-        let mut acc = 0.0f64;
-        for i in range {
-            let r = xd[i] / s;
+fn backward_pass(
+    xd: &[f32],
+    log2_t: f32,
+    spec: QuantSpec,
+    gyd: Option<&[f32]>,
+    dx: &mut [f32],
+) -> f32 {
+    let s = spec.scale_for_log2_t(log2_t);
+    let (n, p) = (spec.qmin(), spec.qmax());
+    let mut partials = vec![0.0f64; xd.len().div_ceil(PAR_BLOCK)];
+    pool::par_chunks_mut2(dx, PAR_BLOCK, &mut partials, 1, |ci, chunk, acc| {
+        let base = ci * PAR_BLOCK;
+        // Scalars copied into the block's own locals, so the element loop
+        // needs no reload of them after each store and vectorizes.
+        let (s, n, p, ln2) = (s, n, p, std::f32::consts::LN_2);
+        // The masked gradient of one element and its eq. 7 term. A NaN
+        // code fails both comparisons, so it passes the gradient through
+        // and contributes a NaN term, as the if/else chain reads.
+        let ste = |x: f32, g: f32| -> (f32, f32) {
+            let r = x / s;
             let q = round_half_even(r);
-            let local = if q < n {
-                n
+            let (local, keep) = if q < n {
+                (n, 0.0)
             } else if q > p {
-                p
+                (p, 0.0)
             } else {
-                q - r
+                (q - r, g)
             };
-            acc += (gyd[i] * s * ln2 * local) as f64;
+            (keep, g * s * ln2 * local)
+        };
+        // Per tile, the element loop has no loop-carried dependence; only
+        // the f64 sum of its terms runs in series, in index order.
+        let mut terms = [0.0f32; TILE];
+        let mut sum = 0.0f64;
+        for (t, tile) in chunk.chunks_mut(TILE).enumerate() {
+            let at = base + t * TILE;
+            let xs = &xd[at..at + tile.len()];
+            let terms = &mut terms[..tile.len()];
+            match gyd {
+                Some(gyd) => {
+                    let gs = &gyd[at..at + tile.len()];
+                    for j in 0..tile.len() {
+                        (tile[j], terms[j]) = ste(xs[j], gs[j]);
+                    }
+                }
+                None => {
+                    for j in 0..tile.len() {
+                        (tile[j], terms[j]) = ste(xs[j], tile[j]);
+                    }
+                }
+            }
+            for &term in terms.iter() {
+                sum += term as f64;
+            }
         }
-        acc
+        acc[0] = sum;
     });
     let dlog2_t: f64 = partials.iter().sum();
     dlog2_t as f32
@@ -249,6 +266,7 @@ pub fn quantize_unfused(x: &Tensor, log2_t: f32, spec: QuantSpec) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::pow2i;
     use tqt_tensor::init;
 
     const B3: QuantSpec = QuantSpec::INT8;
@@ -430,6 +448,118 @@ mod tests {
                 assert_eq!(grad, reference.dx.data());
             }
         }
+        tqt_rt::pool::set_threads(0);
+    }
+
+    /// The two-pass backward the one-pass loop replaced, kept as its
+    /// oracle: a mask pass, then a second rounding per element for the
+    /// eq. 7 reduction over the same blocks.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN takes the pass-through branch
+    fn two_pass_backward(xd: &[f32], log2_t: f32, spec: QuantSpec, gyd: &[f32]) -> (Vec<f32>, f32) {
+        let s = spec.scale_for_log2_t(log2_t);
+        let (n, p) = (spec.qmin(), spec.qmax());
+        let dx: Vec<f32> = xd
+            .iter()
+            .zip(gyd)
+            .map(|(&x, &g)| {
+                let q = (x / s).round_ties_even();
+                if !(q < n) && !(q > p) {
+                    g
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let ln2 = std::f32::consts::LN_2;
+        let partials = pool::par_fold_blocks(xd.len(), PAR_BLOCK, |_, range| {
+            let mut acc = 0.0f64;
+            for i in range {
+                let r = xd[i] / s;
+                let q = r.round_ties_even();
+                let local = if q < n {
+                    n
+                } else if q > p {
+                    p
+                } else {
+                    q - r
+                };
+                acc += (gyd[i] * s * ln2 * local) as f64;
+            }
+            acc
+        });
+        let dlog2_t: f64 = partials.iter().sum();
+        (dx, dlog2_t as f32)
+    }
+
+    #[test]
+    fn one_pass_backward_matches_two_pass_bitwise() {
+        let mut rng = init::rng(15);
+        let len = 2 * PAR_BLOCK + 333;
+        let mut x = init::normal([len], 0.0, 1.5, &mut rng).data().to_vec();
+        // Upstream gradients over 41 binades, and in every 256 elements a
+        // pair of ±2⁷⁰ terms that cancel: while one is in the running f64
+        // sum the small terms are rounded to its ulp, so the sum's bits
+        // depend on the summation order within a block.
+        let mut gy: Vec<f32> = init::normal([len], 0.0, 1.0, &mut rng)
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| g * pow2i((i % 41) as i32 - 20))
+            .collect();
+        for t0 in (0..len - 256).step_by(256) {
+            (x[t0 + 10], x[t0 + 200]) = (0.3, 0.3);
+            (gy[t0 + 10], gy[t0 + 200]) = (pow2i(70), -pow2i(70));
+        }
+        // The same across the first two blocks: folded in order they
+        // cancel before the third block's partial is added; out of order
+        // that partial is rounded to their ulp.
+        (x[5], x[PAR_BLOCK + 5]) = (0.3, 0.3);
+        (gy[5], gy[PAR_BLOCK + 5]) = (pow2i(70), -pow2i(70));
+        // Exact ties, clip edges, signed zeros, subnormals and infinities,
+        // on the grid of log2_t = 0 (s = 2⁻⁷ for INT8, 2⁻³ for INT4).
+        let specials = [
+            0.0,
+            -0.0,
+            0.5 / 128.0,
+            -0.5 / 128.0,
+            1.5 / 128.0,
+            127.5 / 128.0,
+            -128.5 / 128.0,
+            7.5 / 8.0,
+            -8.5 / 8.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -1e-40,
+        ];
+        for (i, &v) in specials.iter().enumerate() {
+            x[i * 97] = v;
+            x[len - 1 - i] = v;
+        }
+        // A NaN input passes its gradient through and makes the threshold
+        // gradient NaN, so it gets a tensor of its own.
+        let mut x_nan = x.clone();
+        x_nan[PAR_BLOCK + 5] = f32::NAN;
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for x in [&x, &x_nan] {
+            for spec in [QuantSpec::INT8, QuantSpec::UINT8, QuantSpec::INT4] {
+                for log2_t in [0.0f32, -0.7, 2.3] {
+                    for threads in [1usize, 4] {
+                        tqt_rt::pool::set_threads(threads);
+                        let (want_dx, want_t) = two_pass_backward(x, log2_t, spec, &gy);
+                        let mut dx = vec![f32::NAN; len];
+                        let got_t = quantize_backward_into(x, log2_t, spec, &gy, &mut dx);
+                        assert_eq!(got_t.to_bits(), want_t.to_bits(), "{spec:?} {log2_t}");
+                        assert_eq!(bits(&dx), bits(&want_dx), "{spec:?} {log2_t}");
+                        let mut grad = gy.clone();
+                        let got_t = quantize_backward_inplace(x, log2_t, spec, &mut grad);
+                        assert_eq!(got_t.to_bits(), want_t.to_bits(), "{spec:?} {log2_t}");
+                        assert_eq!(bits(&grad), bits(&want_dx), "{spec:?} {log2_t}");
+                    }
+                }
+            }
+        }
+        assert!(!two_pass_backward(&x, 0.0, QuantSpec::INT8, &gy).1.is_nan());
         tqt_rt::pool::set_threads(0);
     }
 

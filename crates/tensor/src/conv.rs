@@ -66,9 +66,30 @@ impl Conv2dGeom {
     }
 }
 
+/// The output positions `o` (rows or columns) whose tap `k` lands inside
+/// an input extent `len`, i.e. whose input index `o*stride + k - pad`
+/// lies in `[0, len)`, as the half-open range `lo..hi` within `0..olen`.
+/// Empty (`lo == hi`) when the tap only ever reads padding.
+fn in_bounds(k: usize, len: usize, olen: usize, g: Conv2dGeom) -> std::ops::Range<usize> {
+    // First o with o*stride >= pad - k.
+    let lo = g.pad.saturating_sub(k).div_ceil(g.stride).min(olen);
+    // Count of o with o*stride < len + pad - k.
+    let hi = (len + g.pad)
+        .saturating_sub(k)
+        .div_ceil(g.stride)
+        .clamp(lo, olen);
+    lo..hi
+}
+
 /// Unfolds one image `[c, h, w]` (a slice of length `c*h*w`) into a column
 /// matrix `[c*kh*kw, oh*ow]` stored row-major in `cols`. Out-of-bounds
 /// (padding) positions are filled with `zero`.
+///
+/// No element is bounds-tested. Per `(ci, ki, kj)` the in-bounds output
+/// rows and columns are computed once ([`in_bounds`]); rows outside are
+/// filled with `zero`. Each in-bounds row's run is a contiguous copy at
+/// stride 1 and a strided gather otherwise, and the padding columns of
+/// the in-bounds rows are zeroed column by column.
 ///
 /// Generic over the element type so the float trainer and the
 /// fixed-point inference engine (`i64` ints) share one unfold
@@ -91,24 +112,37 @@ pub fn im2col_into<T: Copy>(
     let ncols = oh * ow;
     debug_assert_eq!(cols.len(), c * g.kh * g.kw * ncols);
     for ci in 0..c {
+        let plane = &img[ci * h * w..(ci + 1) * h * w];
         for ki in 0..g.kh {
+            let ois = in_bounds(ki, h, oh, g);
             for kj in 0..g.kw {
+                let js = in_bounds(kj, w, ow, g);
                 let row = ((ci * g.kh + ki) * g.kw + kj) * ncols;
-                for oi in 0..oh {
-                    let ii = (oi * g.stride + ki) as isize - g.pad as isize;
-                    let base = row + oi * ow;
-                    if ii < 0 || ii >= h as isize {
-                        cols[base..base + ow].fill(zero);
-                        continue;
+                let dst = &mut cols[row..row + ncols];
+                if ois.is_empty() || js.is_empty() {
+                    dst.fill(zero);
+                    continue;
+                }
+                dst[..ois.start * ow].fill(zero);
+                dst[ois.end * ow..].fill(zero);
+                for oi in ois.clone() {
+                    // Input offset of output position (oi, js.start).
+                    let at = (oi * g.stride + ki - g.pad) * w + js.start * g.stride + kj - g.pad;
+                    let mid = &mut dst[oi * ow + js.start..oi * ow + js.end];
+                    if g.stride == 1 {
+                        mid.copy_from_slice(&plane[at..at + mid.len()]);
+                    } else {
+                        for (d, &v) in mid.iter_mut().zip(plane[at..].iter().step_by(g.stride)) {
+                            *d = v;
+                        }
                     }
-                    let irow = (ci * h + ii as usize) * w;
-                    for oj in 0..ow {
-                        let jj = (oj * g.stride + kj) as isize - g.pad as isize;
-                        cols[base + oj] = if jj < 0 || jj >= w as isize {
-                            zero
-                        } else {
-                            img[irow + jj as usize]
-                        };
+                }
+                // Padding columns of the in-bounds rows, one strided
+                // pass per column rather than two short fills per row.
+                for oj in (0..js.start).chain(js.end..ow) {
+                    let col = dst[ois.start * ow + oj..].iter_mut().step_by(ow);
+                    for d in col.take(ois.len()) {
+                        *d = zero;
                     }
                 }
             }
@@ -122,25 +156,34 @@ fn im2col(img: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, cols: &mut [
 }
 
 /// Folds a column matrix back into an image, accumulating overlaps
-/// (the adjoint of [`im2col`]).
+/// (the adjoint of [`im2col`]). Each image element receives its adds in
+/// `(ci, ki, kj, oi, oj)` order. Only in-bounds rows and columns
+/// ([`in_bounds`]) are visited, each row's run contiguously at stride 1.
 fn col2im(cols: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, img: &mut [f32]) {
     let (oh, ow) = g.out_size(h, w);
     let ncols = oh * ow;
     img.fill(0.0);
     for ci in 0..c {
+        let plane = &mut img[ci * h * w..(ci + 1) * h * w];
         for ki in 0..g.kh {
+            let ois = in_bounds(ki, h, oh, g);
             for kj in 0..g.kw {
+                let js = in_bounds(kj, w, ow, g);
+                if js.is_empty() {
+                    continue;
+                }
                 let row = ((ci * g.kh + ki) * g.kw + kj) * ncols;
-                for oi in 0..oh {
-                    let ii = (oi * g.stride + ki) as isize - g.pad as isize;
-                    if ii < 0 || ii >= h as isize {
-                        continue;
-                    }
-                    let irow = (ci * h + ii as usize) * w;
-                    for oj in 0..ow {
-                        let jj = (oj * g.stride + kj) as isize - g.pad as isize;
-                        if jj >= 0 && jj < w as isize {
-                            img[irow + jj as usize] += cols[row + oi * ow + oj];
+                for oi in ois.clone() {
+                    let ii = oi * g.stride + ki - g.pad;
+                    let dst = &mut plane[ii * w + js.start * g.stride + kj - g.pad..(ii + 1) * w];
+                    let src = &cols[row + oi * ow + js.start..row + oi * ow + js.end];
+                    if g.stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(g.stride).zip(src) {
+                            *d += v;
                         }
                     }
                 }
@@ -693,6 +736,134 @@ mod tests {
             let fd = ((loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64)) as f32;
             assert!((fd - gw.data()[i]).abs() < 2e-2, "weight grad mismatch at {i}");
         }
+    }
+
+    /// The per-element im2col the row-wise unfold replaced, kept as its
+    /// oracle.
+    fn im2col_oracle<T: Copy>(
+        img: &[T],
+        zero: T,
+        c: usize,
+        h: usize,
+        w: usize,
+        g: Conv2dGeom,
+        cols: &mut [T],
+    ) {
+        let (oh, ow) = g.out_size(h, w);
+        let ncols = oh * ow;
+        for ci in 0..c {
+            for ki in 0..g.kh {
+                for kj in 0..g.kw {
+                    let row = ((ci * g.kh + ki) * g.kw + kj) * ncols;
+                    for oi in 0..oh {
+                        let ii = (oi * g.stride + ki) as isize - g.pad as isize;
+                        for oj in 0..ow {
+                            let jj = (oj * g.stride + kj) as isize - g.pad as isize;
+                            cols[row + oi * ow + oj] =
+                                if ii < 0 || ii >= h as isize || jj < 0 || jj >= w as isize {
+                                    zero
+                                } else {
+                                    img[(ci * h + ii as usize) * w + jj as usize]
+                                };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-element col2im the row-wise fold replaced, kept as its
+    /// oracle: the same `(ci, ki, kj, oi, oj)` add order.
+    fn col2im_oracle(cols: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, img: &mut [f32]) {
+        let (oh, ow) = g.out_size(h, w);
+        let ncols = oh * ow;
+        img.fill(0.0);
+        for ci in 0..c {
+            for ki in 0..g.kh {
+                for kj in 0..g.kw {
+                    let row = ((ci * g.kh + ki) * g.kw + kj) * ncols;
+                    for oi in 0..oh {
+                        let ii = (oi * g.stride + ki) as isize - g.pad as isize;
+                        for oj in 0..ow {
+                            let jj = (oj * g.stride + kj) as isize - g.pad as isize;
+                            if ii >= 0 && ii < h as isize && jj >= 0 && jj < w as isize {
+                                img[(ci * h + ii as usize) * w + jj as usize] +=
+                                    cols[row + oi * ow + oj];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Geometries with k 1–5, stride 1–3, pad 0–2 and h, w 1–9 that fit:
+    /// all with h or w ≤ 2 and every third of the rest. They include rows
+    /// whose in-bounds range is empty: pad ≥ 1 with w = 1 leaves taps that
+    /// only read padding.
+    fn unfold_geometries() -> Vec<(usize, usize, Conv2dGeom)> {
+        let mut out = Vec::new();
+        let mut pick = 0usize;
+        for k in 1..=5 {
+            for stride in 1..=3 {
+                for pad in 0..=2 {
+                    for h in 1..=9 {
+                        for w in 1..=9 {
+                            pick += 1;
+                            let sampled = pick.is_multiple_of(3) || h <= 2 || w <= 2;
+                            if h + 2 * pad < k || w + 2 * pad < k || !sampled {
+                                continue;
+                            }
+                            out.push((h, w, Conv2dGeom::new(k, stride, pad)));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_wise_unfold_matches_oracle_bitwise() {
+        let geoms = unfold_geometries();
+        assert!(geoms.len() > 500, "only {} geometries", geoms.len());
+        let mut empty_rows = 0usize;
+        for (t, &(h, w, g)) in geoms.iter().enumerate() {
+            let c = 1 + t % 3;
+            let (oh, ow) = g.out_size(h, w);
+            let len = c * g.kh * g.kw * oh * ow;
+            // Distinct, sign-varied values so a misplaced copy shows.
+            let img: Vec<f32> = (0..c * h * w)
+                .map(|i| ((i * 7919 + t) % 263) as f32 * 0.37 - 48.5)
+                .collect();
+            let (mut got, mut want) = (vec![f32::NAN; len], vec![0.0f32; len]);
+            im2col_into(&img, -0.0, c, h, w, g, &mut got);
+            im2col_oracle(&img, -0.0, c, h, w, g, &mut want);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "f32 im2col h={h} w={w} {g:?}");
+
+            let img_i: Vec<i64> = (0..c * h * w).map(|i| i as i64 * 31 - 500).collect();
+            let (mut got_i, mut want_i) = (vec![i64::MIN; len], vec![0i64; len]);
+            im2col_into(&img_i, 7, c, h, w, g, &mut got_i);
+            im2col_oracle(&img_i, 7, c, h, w, g, &mut want_i);
+            assert_eq!(got_i, want_i, "i64 im2col h={h} w={w} {g:?}");
+
+            let gcols: Vec<f32> = (0..len)
+                .map(|i| ((i * 104_729 + 3 * t) % 1009) as f32 * 1e-3 - 0.4)
+                .collect();
+            let (mut got_x, mut want_x) = (vec![f32::NAN; c * h * w], vec![0.0; c * h * w]);
+            col2im(&gcols, c, h, w, g, &mut got_x);
+            col2im_oracle(&gcols, c, h, w, g, &mut want_x);
+            assert_eq!(bits(&got_x), bits(&want_x), "col2im h={h} w={w} {g:?}");
+
+            empty_rows += (0..g.kw)
+                .filter(|&kj| in_bounds(kj, w, ow, g).is_empty())
+                .count();
+        }
+        assert!(
+            empty_rows > 0,
+            "no geometry exercised an empty column range"
+        );
     }
 
     #[test]

@@ -70,6 +70,11 @@ cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
 cargo test -q --offline -p tqt --features tqt-fixedpoint/sanitize --test train_parity
 cargo test -q --offline -p tqt-nn
 cargo test -q --offline -p tqt-graph --test planned_parity
+# Rounding gate: every quantizer rounds through the branch-free
+# `tqt_quant::round_half_even`. Its ignored test sweeps all 2^32 f32 bit
+# patterns against `f32::round_ties_even`, bit for bit (any NaN matches
+# any NaN); tier-1 runs only an edge-case set and a strided sweep.
+cargo test -q --release --offline -p tqt-quant -- --ignored
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Forbidden-pattern gate: unwrap/expect in the numeric substrates,
 # narrowing casts in requant, float equality outside tests, and thread
