@@ -19,15 +19,11 @@ fn main() {
     for i in 0..xs.len() {
         let x = xs.data()[i];
         let qx = q.data()[i];
-        // FakeQuant's clipped gradients: min gets gradient 1 below lo, max
-        // gets 1 above hi; the input passes through in between.
-        let (dmin, dmax, dx) = if x < lo {
-            (1.0, 0.0, 0.0)
-        } else if x > hi {
-            (0.0, 1.0, 0.0)
-        } else {
-            (0.0, 0.0, 1.0)
-        };
+        // FakeQuant's clipped gradients at unit upstream gradient: min
+        // gets 1 below lo, max gets 1 above hi; the input passes through
+        // in between.
+        let g = fq.backward(&Tensor::from_slice(&[x]), &Tensor::from_slice(&[1.0]));
+        let (dmin, dmax, dx) = (g.dmin, g.dmax, g.dx.data()[0]);
         // Overall L2-loss gradients: zero for all in-range x — the defect
         // Section 3.5 identifies (compare Figure 1's inward pull).
         let dl_dmin = (qx - x) * dmin;

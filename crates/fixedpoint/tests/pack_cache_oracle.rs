@@ -1,6 +1,7 @@
 //! Property tests for the pre-packed weight-panel paths: a weight operand
-//! packed **once** (into a [`PackedB`], a [`tqt_tensor::gemm::PackedA`],
-//! or an `IntPlan`-owned arena panel) and reused across calls must give
+//! packed **once** (into a [`PackedB`], a
+//! [`tqt_tensor::gemm::pack_a_full_into`] buffer, or an `IntPlan`-owned
+//! arena panel) and reused across calls must give
 //! the same bits as the unpacked reference — the `kernels` oracle for the
 //! i8 panels, the row-major operand for the i64 and float panels — on
 //! both the serial and parallel dispatch, and a plan shared between
@@ -221,12 +222,13 @@ fn prepacked_float_panels_match_pack_per_call() {
             let mut rng = Rng::new(c.seed ^ 0x666c_6f61);
             let a: Vec<f32> = (0..c.m * c.k).map(|_| rng.gen_range(-1000i64..1001) as f32 / 64.0).collect();
             let b: Vec<f32> = (0..c.k * c.n).map(|_| rng.gen_range(-1000i64..1001) as f32 / 64.0).collect();
-            let apack = tqt_tensor::gemm::PackedA::pack(&a, c.m, c.k);
+            let mut apack = vec![0.0f32; tqt_tensor::gemm::packed_a_len(c.m, c.k)];
+            tqt_tensor::gemm::pack_a_full_into(&a, c.m, c.k, &mut apack);
             for parallel in [false, true] {
                 let mut per_call = vec![0.0f32; c.m * c.n];
                 tqt_tensor::gemm::gemm_nn(c.m, c.n, c.k, &a, &b, &mut per_call, parallel);
                 let mut pre = vec![0.0f32; c.m * c.n];
-                tqt_tensor::gemm::gemm_nn_prepacked(c.m, c.n, c.k, &apack, &b, &mut pre, parallel);
+                tqt_tensor::gemm::gemm_nn_prepacked_slice(c.m, c.n, c.k, &apack, &b, &mut pre, parallel);
                 // Bit-exact, not approximate: the packed path must replay
                 // the identical summation order.
                 prop_assert!(

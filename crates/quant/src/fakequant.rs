@@ -1,6 +1,6 @@
 //! TensorFlow-style `FakeQuant` (the Google QAT baseline of Section 3.5)
 //! with *clipped* threshold gradients, plus the per-channel symmetric
-//! real-scaled variant used in the paper's Table 1 comparison.
+//! real-scaled scheme used in the paper's Table 1 comparison.
 //!
 //! Forward (eq. 11): an affine quantizer between learnable real thresholds
 //! `(min, max)` with `2^b - 1` levels and a nudged zero-point so that real
@@ -13,8 +13,7 @@
 //! the behaviour the TQT gradient corrects.
 
 use crate::spec::round_half_even;
-use crate::tqt::PAR_BLOCK;
-use tqt_rt::pool;
+use crate::tqt::{backward_tensor, forward_pass, forward_tensor, Tqt};
 use tqt_tensor::Tensor;
 
 /// Parameters of a FakeQuant quantizer: real-valued clip limits and
@@ -86,73 +85,36 @@ impl FakeQuant {
     }
 
     /// Forward pass (eq. 11): clip, snap to the uniform grid, de-quantize.
-    /// Pool-parallel over fixed-size blocks (bit-identical to a serial
-    /// run — the kernel is elementwise).
+    /// Runs the shared pooled forward loop (bit-identical to a serial run
+    /// — the kernel is elementwise).
     pub fn quantize(&self, x: &Tensor) -> Tensor {
         let (lo, hi, s) = self.params();
-        let mut y = Tensor::zeros(x.shape().clone());
-        let xd = x.data();
-        pool::par_chunks_mut(y.data_mut(), PAR_BLOCK, |ci, chunk| {
-            let base = ci * PAR_BLOCK;
-            let end = base + chunk.len();
-            for (o, &v) in chunk.iter_mut().zip(&xd[base..end]) {
-                let c = v.clamp(lo, hi);
-                *o = round_half_even((c - lo) / s) * s + lo;
-            }
-        });
-        y
+        forward_tensor(x, move |v| round_half_even((v.clamp(lo, hi) - lo) / s) * s + lo)
     }
 
     /// Backward pass with TensorFlow's clipped gradients: the round is
-    /// treated as identity, so thresholds receive the plain clip gradient.
+    /// treated as identity, so thresholds receive the plain clip gradient:
+    /// an element's upstream gradient goes to `min` below the range, to
+    /// `max` above it, and through to the input inside it (a NaN input
+    /// fails both comparisons and passes through). Runs the shared
+    /// backward loop, whose f64 block reduction is bitwise independent of
+    /// the thread count.
     ///
     /// # Panics
     ///
     /// Panics if `gy` has a different shape than `x`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must take the else branch, as in the serial chain
     pub fn backward(&self, x: &Tensor, gy: &Tensor) -> FakeQuantGrads {
-        assert!(
-            x.shape().same_as(gy.shape()),
-            "upstream gradient shape {} does not match input {}",
-            gy.shape(),
-            x.shape()
-        );
         let (lo, hi) = self.nudged_limits();
-        let mut dx = Tensor::zeros(x.shape().clone());
-        let xd = x.data();
-        let gyd = gy.data();
-        pool::par_chunks_mut(dx.data_mut(), PAR_BLOCK, |ci, chunk| {
-            let base = ci * PAR_BLOCK;
-            for (j, o) in chunk.iter_mut().enumerate() {
-                let v = xd[base + j];
-                // Negated comparisons so NaN falls through to the pass-
-                // through branch, exactly like the serial if/else chain.
-                if !(v < lo) && !(v > hi) {
-                    *o = gyd[base + j];
-                }
+        let (dx, [dmin, dmax]) = backward_tensor(x, gy, move |v, g| {
+            if v < lo {
+                (0.0, [g, 0.0])
+            } else if v > hi {
+                (0.0, [0.0, g])
+            } else {
+                (g, [0.0, 0.0])
             }
         });
-        // Deterministic tree reduction: in-index-order partials per fixed
-        // block, folded serially in block order (thread-count independent).
-        let partials = pool::par_fold_blocks(xd.len(), PAR_BLOCK, |_, range| {
-            let (mut dmin, mut dmax) = (0.0f64, 0.0f64);
-            for i in range {
-                if xd[i] < lo {
-                    dmin += f64::from(gyd[i]);
-                } else if xd[i] > hi {
-                    dmax += f64::from(gyd[i]);
-                }
-            }
-            (dmin, dmax)
-        });
-        let (dmin, dmax) = partials
-            .iter()
-            .fold((0.0f64, 0.0f64), |(a, b), &(c, d)| (a + c, b + d));
-        FakeQuantGrads {
-            dx,
-            dmin: dmin as f32,
-            dmax: dmax as f32,
-        }
+        FakeQuantGrads { dx, dmin, dmax }
     }
 
     /// Initializes thresholds from the min/max of a tensor (the standard
@@ -190,41 +152,116 @@ pub fn quantize_per_channel_symmetric(w: &Tensor, bits: u32) -> Tensor {
     let p = ((1u32 << (bits - 1)) - 1) as f32;
     let mut out = w.clone();
     for ci in 0..c {
-        let slice = &mut out.data_mut()[ci * chunk..(ci + 1) * chunk];
-        let amax = slice.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let range = ci * chunk..(ci + 1) * chunk;
+        let x = &w.data()[range.clone()];
+        let amax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         if amax == 0.0 { // tqt:allow(float-eq): exact-zero tensor has no scale
             continue;
         }
-        let s = amax / p;
-        for v in slice.iter_mut() {
-            *v = round_half_even(*v / s).clamp(-p - 1.0, p) * s;
-        }
+        // Eq. 4's clip/round/de-quant at the channel's real scale.
+        let rule = Tqt { s: amax / p, n: -p - 1.0, p };
+        forward_pass(x, &mut out.data_mut()[range], move |v| rule.forward(v));
     }
     out
-}
-
-/// Per-tensor symmetric quantization with a real max-abs scale (the
-/// weight-quantization flavor used by the per-tensor asymmetric-activation
-/// QAT row of Table 1).
-///
-/// # Panics
-///
-/// Panics if `bits < 2`.
-pub fn quantize_per_tensor_symmetric_real(w: &Tensor, bits: u32) -> Tensor {
-    assert!(bits >= 2, "needs at least 2 bits");
-    let p = ((1u32 << (bits - 1)) - 1) as f32;
-    let amax = w.abs_max();
-    if amax == 0.0 { // tqt:allow(float-eq): exact-zero tensor has no scale
-        return w.clone();
-    }
-    let s = amax / p;
-    w.map(|v| round_half_even(v / s).clamp(-p - 1.0, p) * s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::pow2i;
+    use crate::tqt::PAR_BLOCK;
+    use tqt_rt::pool;
     use tqt_tensor::init;
+
+    /// The two-pass backward the shared loop replaced, kept as its oracle:
+    /// a mask pass, then a block fold of the clip gradients over the same
+    /// blocks, started from `+0.0`.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must take the pass-through branch
+    fn two_pass_backward(fq: &FakeQuant, xd: &[f32], gyd: &[f32]) -> (Vec<f32>, f32, f32) {
+        let (lo, hi) = fq.nudged_limits();
+        let dx = xd
+            .iter()
+            .zip(gyd)
+            .map(|(&v, &g)| if !(v < lo) && !(v > hi) { g } else { 0.0 })
+            .collect();
+        let partials = pool::par_fold_blocks(xd.len(), PAR_BLOCK, |_, range| {
+            let (mut dmin, mut dmax) = (0.0f64, 0.0f64);
+            for i in range {
+                if xd[i] < lo {
+                    dmin += f64::from(gyd[i]);
+                } else if xd[i] > hi {
+                    dmax += f64::from(gyd[i]);
+                }
+            }
+            (dmin, dmax)
+        });
+        let (dmin, dmax) = partials
+            .iter()
+            .fold((0.0f64, 0.0f64), |(a, b), &(c, d)| (a + c, b + d));
+        (dx, dmin as f32, dmax as f32)
+    }
+
+    #[test]
+    fn shared_backward_matches_two_pass_bitwise() {
+        let fq = FakeQuant::new(-1.1, 0.9, 8);
+        let (lo, hi) = fq.nudged_limits();
+        let s = fq.step();
+        let mut rng = init::rng(16);
+        let len = 3 * PAR_BLOCK + 77;
+        let mut x = init::normal([len], 0.0, 1.5, &mut rng).data().to_vec();
+        // Upstream gradients over 41 binades, and in every 256 elements a
+        // pair of ±2⁷⁰ terms on each side of the range that cancel, so the
+        // sums' bits depend on the summation order within a block.
+        let mut gy: Vec<f32> = init::normal([len], 0.0, 1.0, &mut rng)
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| g * pow2i((i % 41) as i32 - 20))
+            .collect();
+        for t0 in (0..len - 256).step_by(256) {
+            (x[t0 + 10], x[t0 + 200]) = (-5.0, -5.0);
+            (gy[t0 + 10], gy[t0 + 200]) = (pow2i(70), -pow2i(70));
+            (x[t0 + 20], x[t0 + 210]) = (5.0, 5.0);
+            (gy[t0 + 20], gy[t0 + 210]) = (-pow2i(70), pow2i(70));
+        }
+        // The same across the first two blocks, so the block fold order
+        // matters too.
+        (x[5], x[PAR_BLOCK + 5]) = (-5.0, -5.0);
+        (gy[5], gy[PAR_BLOCK + 5]) = (pow2i(70), -pow2i(70));
+        // Clip edges and their neighbours, grid ties, signed zeros,
+        // infinities and a NaN (which passes its gradient through).
+        let specials = [
+            lo,
+            hi,
+            lo.next_down(),
+            hi.next_up(),
+            lo.next_up(),
+            hi.next_down(),
+            lo + 0.5 * s,
+            lo + 100.5 * s,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for (i, &v) in specials.iter().enumerate() {
+            x[i * 97 + 1] = v;
+            x[len - 1 - i] = v;
+        }
+        gy[3] = -0.0;
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (xt, gt) = (Tensor::from_slice(&x), Tensor::from_slice(&gy));
+        for threads in [1usize, 4] {
+            pool::set_threads(threads);
+            let (want_dx, want_min, want_max) = two_pass_backward(&fq, &x, &gy);
+            let g = fq.backward(&xt, &gt);
+            assert_eq!(g.dmin.to_bits(), want_min.to_bits(), "dmin, {threads} threads");
+            assert_eq!(g.dmax.to_bits(), want_max.to_bits(), "dmax, {threads} threads");
+            assert_eq!(bits(g.dx.data()), bits(&want_dx), "dx, {threads} threads");
+        }
+        pool::set_threads(0);
+    }
 
     #[test]
     fn zero_exactly_representable() {
@@ -284,13 +321,37 @@ mod tests {
         let w = Tensor::from_vec([2, 2], vec![0.5, 1.0, 50.0, 100.0]);
         let q = quantize_per_channel_symmetric(&w, 8);
         assert!((q.data()[0] - 0.5).abs() < 0.01);
-        // Per-tensor real-scale quantization loses channel 0 precision.
-        let qt = quantize_per_tensor_symmetric_real(&w, 8);
+        // Per-tensor real-scale quantization (one channel) loses channel 0
+        // precision.
+        let qt = quantize_per_channel_symmetric(&w.reshape([1, 4]), 8);
         assert!((qt.data()[0] - 0.5).abs() < 0.5);
         assert!(
             (q.data()[0] - 0.5).abs() <= (qt.data()[0] - 0.5).abs(),
             "per-channel should be at least as accurate on small-range channels"
         );
+    }
+
+    #[test]
+    fn per_channel_matches_elementwise_oracle_bitwise() {
+        let mut rng = init::rng(18);
+        let mut w = init::normal([5, 3, 3, 3], 0.0, 1.0, &mut rng);
+        // An all-zero channel has no scale and keeps its signed zeros.
+        w.data_mut()[..27].fill(-0.0);
+        w.data_mut()[40] = 0.0;
+        let q = quantize_per_channel_symmetric(&w, 8);
+        let p = 127.0f32;
+        for (x, y) in w.data().chunks(27).zip(q.data().chunks(27)) {
+            let amax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            let s = amax / p;
+            for (&v, &o) in x.iter().zip(y) {
+                let want = if amax == 0.0 {
+                    v
+                } else {
+                    round_half_even(v / s).clamp(-p - 1.0, p) * s
+                };
+                assert_eq!(o.to_bits(), want.to_bits(), "{v}");
+            }
+        }
     }
 
     #[test]

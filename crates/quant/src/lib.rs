@@ -8,8 +8,9 @@
 //!   trained by backpropagation with a carefully-applied straight-through
 //!   estimator (eqs. 4–8).
 //! * [`fakequant`] — TensorFlow-style FakeQuant with clipped threshold
-//!   gradients (the Google QAT baseline of Section 3.5), plus per-channel
-//!   and per-tensor real-scaled schemes for the Table 1 comparison.
+//!   gradients (the Google QAT baseline of Section 3.5), plus the
+//!   per-channel real-scaled scheme for the Table 1 comparison (per-tensor
+//!   is the same scheme on a tensor reshaped to one channel).
 //! * [`pact`] — the PACT clipped-ReLU baseline (eq. 1).
 //! * [`calib`] — threshold calibration: MAX, n-SD, percentile and KL-J
 //!   histogram calibration (Table 2).

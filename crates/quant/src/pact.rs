@@ -8,6 +8,7 @@
 //! tuned `λ`, to keep the range from growing without bound.
 
 use crate::spec::round_half_even;
+use crate::tqt::{backward_tensor, forward_tensor};
 use tqt_tensor::Tensor;
 
 /// PACT quantizer state: the learnable clipping parameter and bit-width.
@@ -52,40 +53,37 @@ impl Pact {
         self.alpha / ((1u64 << self.bits) - 1) as f32
     }
 
-    /// Forward: `y = round(clip(x, 0, α) / s) * s`.
+    /// Forward: `y = round(clip(x, 0, α) / s) * s`, on the shared pooled
+    /// forward loop.
     pub fn quantize(&self, x: &Tensor) -> Tensor {
-        let s = self.step();
-        let a = self.alpha;
-        x.map(|v| round_half_even(v.clamp(0.0, a) / s) * s)
+        let (a, s) = (self.alpha, self.step());
+        forward_tensor(x, move |v| round_half_even(v.clamp(0.0, a) / s) * s)
     }
 
     /// Backward with PACT's gradient formulation (eq. 1): `dα` collects the
-    /// upstream gradient over saturated elements, plus `2λα` from the
-    /// regularizer; `dx` is the clip STE.
+    /// upstream gradient over saturated elements (`x ≥ α`), plus `2λα`
+    /// from the regularizer; `dx` is the clip STE, passing the gradient
+    /// strictly inside `(0, α)` and nowhere below (a NaN input included).
+    /// Runs the shared backward loop, so `dα` is summed in f64 per fixed
+    /// block and the blocks are folded in order.
     ///
     /// # Panics
     ///
     /// Panics if `gy` has a different shape than `x`.
     pub fn backward(&self, x: &Tensor, gy: &Tensor) -> PactGrads {
-        assert!(
-            x.shape().same_as(gy.shape()),
-            "upstream gradient shape {} does not match input {}",
-            gy.shape(),
-            x.shape()
-        );
-        let mut dx = Tensor::zeros(x.shape().clone());
-        let mut dalpha = 0.0f64;
-        let dxd = dx.data_mut();
-        for (i, (&v, &g)) in x.data().iter().zip(gy.data()).enumerate() {
-            if v >= self.alpha {
-                dalpha += g as f64;
+        let a = self.alpha;
+        let (dx, [dalpha]) = backward_tensor(x, gy, move |v, g| {
+            if v >= a {
+                (0.0, [g])
             } else if v > 0.0 {
-                dxd[i] = g;
+                (g, [0.0])
+            } else {
+                (0.0, [0.0])
             }
-        }
+        });
         PactGrads {
             dx,
-            dalpha: dalpha as f32 + 2.0 * self.lambda * self.alpha,
+            dalpha: dalpha + 2.0 * self.lambda * self.alpha,
         }
     }
 }
@@ -93,6 +91,99 @@ impl Pact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::pow2i;
+    use crate::tqt::PAR_BLOCK;
+    use tqt_rt::pool;
+    use tqt_tensor::init;
+
+    /// The serial whole-tensor loop the shared backward replaced, kept as
+    /// its oracle.
+    fn serial_backward(pact: &Pact, x: &[f32], gy: &[f32]) -> (Vec<f32>, f32) {
+        let mut dx = vec![0.0f32; x.len()];
+        let mut dalpha = 0.0f64;
+        for (i, (&v, &g)) in x.iter().zip(gy).enumerate() {
+            if v >= pact.alpha {
+                dalpha += g as f64;
+            } else if v > 0.0 {
+                dx[i] = g;
+            }
+        }
+        (dx, dalpha as f32 + 2.0 * pact.lambda * pact.alpha)
+    }
+
+    /// A post-ReLU-like input of `len` elements with the clip edges, grid
+    /// ties, signed zeros, infinities and a NaN, and upstream gradients
+    /// over 41 binades with cancelling ±2⁷⁰ pairs among the saturated
+    /// elements.
+    fn edge_case_input(pact: &Pact, len: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut rng = init::rng(17);
+        let mut x = init::normal([len], 0.5, 1.5, &mut rng).data().to_vec();
+        let mut gy: Vec<f32> = init::normal([len], 0.0, 1.0, &mut rng)
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| g * pow2i((i % 41) as i32 - 20))
+            .collect();
+        for t0 in (0..len - 256).step_by(256) {
+            (x[t0 + 10], x[t0 + 200]) = (9.0, 9.0);
+            (gy[t0 + 10], gy[t0 + 200]) = (pow2i(70), -pow2i(70));
+        }
+        let (a, s) = (pact.alpha, pact.step());
+        let specials = [
+            a,
+            a.next_down(),
+            a.next_up(),
+            0.5 * s,
+            100.5 * s,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for (i, &v) in specials.iter().enumerate() {
+            x[i * 97 + 1] = v;
+            x[len - 1 - i] = v;
+        }
+        gy[3] = -0.0;
+        (x, gy)
+    }
+
+    #[test]
+    fn shared_loops_match_serial_oracle_bitwise() {
+        // Up to PAR_BLOCK elements `dα` is one block, so the blocked sum
+        // runs in the serial loop's order; above it the order changes.
+        let pact = Pact::new(2.0, 8, 1e-3);
+        let (x, gy) = edge_case_input(&pact, PAR_BLOCK);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (xt, gt) = (Tensor::from_slice(&x), Tensor::from_slice(&gy));
+        let (a, s) = (pact.alpha, pact.step());
+        let want_y = xt.map(|v| round_half_even(v.clamp(0.0, a) / s) * s);
+        let (want_dx, want_dalpha) = serial_backward(&pact, &x, &gy);
+        for threads in [1usize, 4] {
+            pool::set_threads(threads);
+            assert_eq!(bits(pact.quantize(&xt).data()), bits(want_y.data()));
+            let g = pact.backward(&xt, &gt);
+            assert_eq!(g.dalpha.to_bits(), want_dalpha.to_bits(), "{threads} threads");
+            assert_eq!(bits(g.dx.data()), bits(&want_dx), "{threads} threads");
+        }
+        pool::set_threads(0);
+    }
+
+    #[test]
+    fn blocked_alpha_gradient_is_thread_count_independent() {
+        let pact = Pact::new(2.0, 8, 0.0);
+        let (x, gy) = edge_case_input(&pact, 3 * PAR_BLOCK + 77);
+        let (xt, gt) = (Tensor::from_slice(&x), Tensor::from_slice(&gy));
+        pool::set_threads(1);
+        let serial = pact.backward(&xt, &gt);
+        pool::set_threads(4);
+        let parallel = pact.backward(&xt, &gt);
+        pool::set_threads(0);
+        assert_eq!(serial.dalpha.to_bits(), parallel.dalpha.to_bits());
+        assert_eq!(serial.dx, parallel.dx);
+    }
 
     #[test]
     fn forward_clips_to_alpha() {

@@ -7,6 +7,10 @@
 //! while keeping `round(x) != x` in the gradient expressions, which yields a
 //! threshold gradient that trades off range and precision instead of only
 //! growing the range.
+//!
+//! The module also holds the one pooled forward loop and the one backward
+//! loop that FakeQuant and PACT run too; each quantizer supplies only its
+//! element rule.
 
 use crate::spec::{round_half_even, QuantSpec};
 use tqt_rt::pool;
@@ -18,9 +22,156 @@ use tqt_tensor::Tensor;
 /// identical in serial and parallel runs.
 pub(crate) const PAR_BLOCK: usize = 8192;
 
-/// Elements per tile of the backward loop: the eq. 7 terms of one tile
-/// are staged on the stack before their in-order f64 sum.
+/// Elements per tile of the backward loop: the threshold-gradient terms
+/// of one tile are staged on the stack before their in-order f64 sum.
 const TILE: usize = 256;
+
+/// The one forward loop every quantizer runs: `out[i] = q(xd[i])` over
+/// fixed [`PAR_BLOCK`]s on the `tqt-rt` pool. Elementwise, so the result
+/// is bitwise independent of the thread count. `out` may be dirty.
+///
+/// # Panics
+///
+/// Panics if `out.len() != xd.len()`.
+pub(crate) fn forward_pass(xd: &[f32], out: &mut [f32], q: impl Fn(f32) -> f32 + Sync + Copy) {
+    assert_eq!(out.len(), xd.len(), "quantize output length mismatch");
+    // `move`: the block owns a copy of the rule, so the element loop
+    // needs no reload of its scalars after each store.
+    pool::par_chunks_mut(out, PAR_BLOCK, move |ci, chunk| {
+        let xs = &xd[ci * PAR_BLOCK..][..chunk.len()];
+        for (o, &v) in chunk.iter_mut().zip(xs) {
+            *o = q(v);
+        }
+    });
+}
+
+/// The one backward loop every quantizer runs. `ste(x, g)` is the
+/// quantizer's element rule: the masked input gradient written to `dx`,
+/// and the element's `K` threshold-gradient terms. With `gyd` absent the
+/// upstream gradient is `dx` itself, read before it is masked. Each term
+/// is summed in f64 in index order within fixed [`PAR_BLOCK`]s, starting
+/// from `+0.0`, and the block partials are folded in block order, again
+/// from `+0.0`, so the result is bitwise independent of the thread count
+/// (and of the toolchain's `Sum` start value).
+pub(crate) fn backward_pass<const K: usize>(
+    xd: &[f32],
+    gyd: Option<&[f32]>,
+    dx: &mut [f32],
+    ste: impl Fn(f32, f32) -> (f32, [f32; K]) + Sync + Copy,
+) -> [f32; K] {
+    let mut partials = vec![0.0f64; xd.len().div_ceil(PAR_BLOCK) * K];
+    pool::par_chunks_mut2(dx, PAR_BLOCK, &mut partials, K, move |ci, chunk, acc| {
+        let base = ci * PAR_BLOCK;
+        // Per tile, the element loop has no loop-carried dependence; only
+        // the f64 sums of its terms run in series, in index order.
+        let mut terms = [[0.0f32; K]; TILE];
+        let mut sum = [0.0f64; K];
+        for (t, tile) in chunk.chunks_mut(TILE).enumerate() {
+            let at = base + t * TILE;
+            let xs = &xd[at..at + tile.len()];
+            let terms = &mut terms[..tile.len()];
+            match gyd {
+                Some(gyd) => {
+                    let gs = &gyd[at..at + tile.len()];
+                    for j in 0..tile.len() {
+                        (tile[j], terms[j]) = ste(xs[j], gs[j]);
+                    }
+                }
+                None => {
+                    for j in 0..tile.len() {
+                        (tile[j], terms[j]) = ste(xs[j], tile[j]);
+                    }
+                }
+            }
+            for term in terms.iter() {
+                for k in 0..K {
+                    sum[k] += term[k] as f64;
+                }
+            }
+        }
+        acc.copy_from_slice(&sum);
+    });
+    let mut total = [0.0f64; K];
+    for block in partials.chunks_exact(K) {
+        for k in 0..K {
+            total[k] += block[k];
+        }
+    }
+    total.map(|t| t as f32)
+}
+
+/// [`forward_pass`] into a new tensor shaped like `x`.
+pub(crate) fn forward_tensor(x: &Tensor, q: impl Fn(f32) -> f32 + Sync + Copy) -> Tensor {
+    let mut y = Tensor::zeros(x.shape().clone());
+    forward_pass(x.data(), y.data_mut(), q);
+    y
+}
+
+/// [`backward_pass`] over tensors: the input gradient as a new tensor
+/// shaped like `x`, and the `K` threshold gradients.
+///
+/// # Panics
+///
+/// Panics if `gy` has a different shape than `x`.
+pub(crate) fn backward_tensor<const K: usize>(
+    x: &Tensor,
+    gy: &Tensor,
+    ste: impl Fn(f32, f32) -> (f32, [f32; K]) + Sync + Copy,
+) -> (Tensor, [f32; K]) {
+    assert!(
+        x.shape().same_as(gy.shape()),
+        "upstream gradient shape {} does not match input {}",
+        gy.shape(),
+        x.shape()
+    );
+    let mut dx = Tensor::zeros(x.shape().clone());
+    let grads = backward_pass(x.data(), Some(gy.data()), dx.data_mut(), ste);
+    (dx, grads)
+}
+
+/// TQT's element rule at one power-of-2 scale `s` and integer clip range
+/// `[n, p]`: its forward formula (eq. 4) and its gradient formula
+/// (eqs. 7–8), each written once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tqt {
+    pub(crate) s: f32,
+    pub(crate) n: f32,
+    pub(crate) p: f32,
+}
+
+impl Tqt {
+    fn at(log2_t: f32, spec: QuantSpec) -> Self {
+        Tqt {
+            s: spec.scale_for_log2_t(log2_t),
+            n: spec.qmin(),
+            p: spec.qmax(),
+        }
+    }
+
+    /// `q(x; s) = clip(round(x / s), n, p) · s` (eq. 4).
+    #[inline(always)]
+    pub(crate) fn forward(self, x: f32) -> f32 {
+        round_half_even(x / self.s).clamp(self.n, self.p) * self.s
+    }
+
+    /// The masked input gradient (eq. 8) and the log-threshold term
+    /// (eq. 7) of one element with upstream gradient `g`. One rounding
+    /// yields both. A NaN code fails both comparisons, so it passes the
+    /// gradient through and contributes a NaN term.
+    #[inline(always)]
+    fn backward(self, x: f32, g: f32) -> (f32, [f32; 1]) {
+        let r = x / self.s;
+        let q = round_half_even(r);
+        let (local, keep) = if q < self.n {
+            (self.n, 0.0)
+        } else if q > self.p {
+            (self.p, 0.0)
+        } else {
+            (q - r, g)
+        };
+        (keep, [g * self.s * std::f32::consts::LN_2 * local])
+    }
+}
 
 /// Fused forward pass of the TQT quantizer (eq. 4):
 ///
@@ -37,29 +188,20 @@ const TILE: usize = 256;
 /// assert_eq!(y.data()[1], -1.0);                  // clipped to n*s
 /// ```
 pub fn quantize(x: &Tensor, log2_t: f32, spec: QuantSpec) -> Tensor {
-    let mut y = Tensor::zeros(x.shape().clone());
-    quantize_into(x.data(), log2_t, spec, y.data_mut());
-    y
+    let rule = Tqt::at(log2_t, spec);
+    forward_tensor(x, move |v| rule.forward(v))
 }
 
 /// [`quantize`] over raw slices: the planned-executor entry point. `out`
-/// may be dirty — every element is assigned. Same parallel structure as
-/// the tensor path, so results are bit-identical.
+/// may be dirty — every element is assigned. Same loop and rule as the
+/// tensor path, so results are bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != xd.len()`.
 pub fn quantize_into(xd: &[f32], log2_t: f32, spec: QuantSpec, out: &mut [f32]) {
-    assert_eq!(out.len(), xd.len(), "quantize output length mismatch");
-    let s = spec.scale_for_log2_t(log2_t);
-    let (n, p) = (spec.qmin(), spec.qmax());
-    pool::par_chunks_mut(out, PAR_BLOCK, |ci, chunk| {
-        let base = ci * PAR_BLOCK;
-        let end = base + chunk.len();
-        for (o, &v) in chunk.iter_mut().zip(&xd[base..end]) {
-            *o = round_half_even(v / s).clamp(n, p) * s;
-        }
-    });
+    let rule = Tqt::at(log2_t, spec);
+    forward_pass(xd, out, move |v| rule.forward(v));
 }
 
 /// Gradients produced by [`quantize_backward`].
@@ -99,22 +241,16 @@ pub struct TqtGrads {
 ///
 /// Panics if `gy` has a different shape than `x`.
 pub fn quantize_backward(x: &Tensor, log2_t: f32, spec: QuantSpec, gy: &Tensor) -> TqtGrads {
-    assert!(
-        x.shape().same_as(gy.shape()),
-        "upstream gradient shape {} does not match input {}",
-        gy.shape(),
-        x.shape()
-    );
-    let mut dx = Tensor::zeros(x.shape().clone());
-    let dlog2_t = quantize_backward_into(x.data(), log2_t, spec, gy.data(), dx.data_mut());
+    let rule = Tqt::at(log2_t, spec);
+    let (dx, [dlog2_t]) = backward_tensor(x, gy, move |x, g| rule.backward(x, g));
     TqtGrads { dx, dlog2_t }
 }
 
 /// [`quantize_backward`] over raw slices: writes the STE input gradient
 /// into `dx` (may be dirty — every element is assigned: the upstream
 /// gradient inside the clip range, `0.0` outside) and returns the scalar
-/// log-threshold gradient. Identical parallel structure and f64 block
-/// reduction as the tensor path, so results are bit-identical.
+/// log-threshold gradient. Same loop and f64 block reduction as the
+/// tensor path, so results are bit-identical.
 ///
 /// # Panics
 ///
@@ -128,7 +264,8 @@ pub fn quantize_backward_into(
 ) -> f32 {
     assert_eq!(gyd.len(), xd.len(), "upstream gradient length mismatch");
     assert_eq!(dx.len(), xd.len(), "dx length mismatch");
-    backward_pass(xd, log2_t, spec, Some(gyd), dx)
+    let rule = Tqt::at(log2_t, spec);
+    backward_pass(xd, Some(gyd), dx, move |x, g| rule.backward(x, g))[0]
 }
 
 /// In-place weight-STE variant of [`quantize_backward_into`]: the scalar
@@ -148,106 +285,23 @@ pub fn quantize_backward_inplace(
     grad: &mut [f32],
 ) -> f32 {
     assert_eq!(grad.len(), xd.len(), "gradient length mismatch");
-    backward_pass(xd, log2_t, spec, None, grad)
-}
-
-/// The one backward loop behind both entry points. Each element is
-/// rounded once, and that one rounding yields both the eq. 8 mask written
-/// to `dx` and the eq. 7 term of the threshold gradient. With `gyd` absent
-/// the upstream gradient is `dx` itself, read before it is masked. The
-/// f64 terms are summed in index order within fixed [`PAR_BLOCK`]s and
-/// the block partials folded serially in block order, so the result is
-/// bitwise independent of the thread count.
-fn backward_pass(
-    xd: &[f32],
-    log2_t: f32,
-    spec: QuantSpec,
-    gyd: Option<&[f32]>,
-    dx: &mut [f32],
-) -> f32 {
-    let s = spec.scale_for_log2_t(log2_t);
-    let (n, p) = (spec.qmin(), spec.qmax());
-    let mut partials = vec![0.0f64; xd.len().div_ceil(PAR_BLOCK)];
-    pool::par_chunks_mut2(dx, PAR_BLOCK, &mut partials, 1, |ci, chunk, acc| {
-        let base = ci * PAR_BLOCK;
-        // Scalars copied into the block's own locals, so the element loop
-        // needs no reload of them after each store and vectorizes.
-        let (s, n, p, ln2) = (s, n, p, std::f32::consts::LN_2);
-        // The masked gradient of one element and its eq. 7 term. A NaN
-        // code fails both comparisons, so it passes the gradient through
-        // and contributes a NaN term, as the if/else chain reads.
-        let ste = |x: f32, g: f32| -> (f32, f32) {
-            let r = x / s;
-            let q = round_half_even(r);
-            let (local, keep) = if q < n {
-                (n, 0.0)
-            } else if q > p {
-                (p, 0.0)
-            } else {
-                (q - r, g)
-            };
-            (keep, g * s * ln2 * local)
-        };
-        // Per tile, the element loop has no loop-carried dependence; only
-        // the f64 sum of its terms runs in series, in index order.
-        let mut terms = [0.0f32; TILE];
-        let mut sum = 0.0f64;
-        for (t, tile) in chunk.chunks_mut(TILE).enumerate() {
-            let at = base + t * TILE;
-            let xs = &xd[at..at + tile.len()];
-            let terms = &mut terms[..tile.len()];
-            match gyd {
-                Some(gyd) => {
-                    let gs = &gyd[at..at + tile.len()];
-                    for j in 0..tile.len() {
-                        (tile[j], terms[j]) = ste(xs[j], gs[j]);
-                    }
-                }
-                None => {
-                    for j in 0..tile.len() {
-                        (tile[j], terms[j]) = ste(xs[j], tile[j]);
-                    }
-                }
-            }
-            for &term in terms.iter() {
-                sum += term as f64;
-            }
-        }
-        acc[0] = sum;
-    });
-    let dlog2_t: f64 = partials.iter().sum();
-    dlog2_t as f32
+    let rule = Tqt::at(log2_t, spec);
+    backward_pass(xd, None, grad, move |x, g| rule.backward(x, g))[0]
 }
 
 /// Per-element local gradient of the quantizer output with respect to the
-/// log-threshold (eq. 7, before multiplying by the upstream gradient).
-/// Exposed for the transfer-curve reproduction of Figure 1.
+/// log-threshold (eq. 7, before multiplying by the upstream gradient):
+/// the backward rule's term at unit upstream gradient. Exposed for the
+/// transfer-curve reproduction of Figure 1.
 pub fn local_grad_log2_t(v: f32, log2_t: f32, spec: QuantSpec) -> f32 {
-    let s = spec.scale_for_log2_t(log2_t);
-    let (n, p) = (spec.qmin(), spec.qmax());
-    let r = v / s;
-    let q = round_half_even(r);
-    let ln2 = std::f32::consts::LN_2;
-    s * ln2
-        * if q < n {
-            n
-        } else if q > p {
-            p
-        } else {
-            q - r
-        }
+    Tqt::at(log2_t, spec).backward(v, 1.0).1[0]
 }
 
 /// Per-element local gradient of the quantizer output with respect to its
-/// input (eq. 8). Exposed for Figure 1.
+/// input (eq. 8): the backward rule's mask at unit upstream gradient, so
+/// a NaN input passes, as in training. Exposed for Figure 1.
 pub fn local_grad_input(v: f32, log2_t: f32, spec: QuantSpec) -> f32 {
-    let s = spec.scale_for_log2_t(log2_t);
-    let q = round_half_even(v / s);
-    if q >= spec.qmin() && q <= spec.qmax() {
-        1.0
-    } else {
-        0.0
-    }
+    Tqt::at(log2_t, spec).backward(v, 1.0).0
 }
 
 /// An "unfused" reference implementation of the forward pass built from
@@ -561,6 +615,58 @@ mod tests {
         }
         assert!(!two_pass_backward(&x, 0.0, QuantSpec::INT8, &gy).1.is_nan());
         tqt_rt::pool::set_threads(0);
+    }
+
+    #[test]
+    fn local_grads_are_the_backward_rule_on_one_element() {
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let specials = [
+            0.0,
+            -0.0,
+            0.3,
+            0.5 / 128.0,
+            127.5 / 128.0,
+            -128.5 / 128.0,
+            7.5 / 8.0,
+            -8.5 / 8.0,
+            1e-40,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for spec in [QuantSpec::INT8, QuantSpec::UINT8, QuantSpec::INT4] {
+            for log2_t in [0.0f32, -0.7] {
+                for v in specials {
+                    let g = quantize_backward(
+                        &Tensor::from_slice(&[v]),
+                        log2_t,
+                        spec,
+                        &Tensor::from_slice(&[1.0]),
+                    );
+                    let (dx, dt) = (local_grad_input(v, log2_t, spec), local_grad_log2_t(v, log2_t, spec));
+                    assert!(same(dx, g.dx.data()[0]), "{spec:?} {log2_t} {v}: {dx}");
+                    assert!(same(dt, g.dlog2_t), "{spec:?} {log2_t} {v}: {dt}");
+                }
+            }
+        }
+        // A NaN input passes its gradient through in training, so the
+        // helper reports 1 for it as well.
+        assert_eq!(local_grad_input(f32::NAN, 0.0, QuantSpec::INT8), 1.0);
+        assert!(local_grad_log2_t(f32::NAN, 0.0, QuantSpec::INT8).is_nan());
+    }
+
+    #[test]
+    fn empty_tensor_threshold_gradients_are_positive_zero() {
+        // Every quantizer's block fold starts from +0.0.
+        let (x, gy) = (Tensor::zeros([0]), Tensor::zeros([0]));
+        let g = quantize_backward(&x, 0.0, QuantSpec::INT8, &gy);
+        assert_eq!(g.dlog2_t.to_bits(), 0.0f32.to_bits());
+        assert!(g.dx.is_empty());
+        assert_eq!(quantize_backward_inplace(&[], 0.0, QuantSpec::INT8, &mut []).to_bits(), 0);
+        let fq = crate::fakequant::FakeQuant::new(-1.0, 1.0, 8).backward(&x, &gy);
+        assert_eq!((fq.dmin.to_bits(), fq.dmax.to_bits()), (0, 0));
+        let pact = crate::pact::Pact::new(1.0, 8, 0.0).backward(&x, &gy);
+        assert_eq!(pact.dalpha.to_bits(), 0);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! **Bit-identity guarantee:** every `par_*` entry point assigns each
 //! output chunk to exactly one closure invocation and performs no
 //! cross-chunk reduction, so *which* thread runs a chunk cannot affect the
-//! result: parallel and serial execution are bit-identical. The `serial`
-//! cargo feature (or [`force_serial`] at runtime) collapses everything
-//! onto the calling thread for deterministic debugging;
+//! result: parallel and serial execution are bit-identical. One thread
+//! (`set_threads(1)` or `TQT_RT_THREADS=1`) runs everything on the
+//! calling thread for deterministic debugging;
 //! `crates/tensor/tests/parallel_parity.rs` verifies the guarantee.
 //!
 //! A panic inside a region closure is caught on the worker, forwarded to
@@ -33,33 +33,20 @@
 //! stack). Workers survive panics — the pool never wedges
 //! (`crates/rt/tests/pool_stress.rs`).
 //!
-//! Thread count: `TQT_RT_THREADS` in the environment, or [`set_threads`]
-//! at runtime (useful for exercising the parallel paths on single-core
-//! CI machines), or [`std::thread::available_parallelism`].
+//! Thread count: [`set_threads`] at runtime (useful for exercising the
+//! parallel paths on single-core CI machines), else `TQT_RT_THREADS` in
+//! the environment, else [`std::thread::available_parallelism`]. The
+//! last two are read once per process.
 
 use crate::hb;
 use crate::sched;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
 
 /// Runtime thread-count override; 0 means "auto" (env, then hardware).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces (or un-forces) serial execution at runtime. Used by tests to
-/// compare parallel and serial results inside one process; the `serial`
-/// cargo feature is the static equivalent.
-pub fn force_serial(on: bool) {
-    FORCE_SERIAL.store(on, Ordering::SeqCst);
-}
-
-/// Whether `par_*` calls currently run on the calling thread.
-pub fn is_serial() -> bool {
-    cfg!(feature = "serial") || FORCE_SERIAL.load(Ordering::SeqCst)
-}
 
 /// Overrides the number of threads parallel regions may use (`0` restores
 /// the automatic choice). Takes effect on the next region; the pool grows
@@ -71,25 +58,22 @@ pub fn set_threads(n: usize) {
 }
 
 /// Number of threads a parallel region may use (including the caller).
+/// Without a [`set_threads`] override this is the automatic count,
+/// resolved once per process: `TQT_RT_THREADS` if set to a positive
+/// number, else the hardware parallelism.
 pub fn threads() -> usize {
-    if is_serial() {
-        return 1;
-    }
     let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
     }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    let env = *ENV.get_or_init(|| {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
         std::env::var("TQT_RT_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0)
-    });
-    if env > 0 {
-        return env;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// How many blocks a region is split into per participating thread.
@@ -223,8 +207,8 @@ pub fn spawned_workers() -> usize {
 /// included, and returns when every block has completed. Re-throws the
 /// first panic raised by a block.
 ///
-/// With one effective thread (`serial` feature, [`force_serial`],
-/// `set_threads(1)`, `TQT_RT_THREADS=1`, or a single-core machine) this
+/// With one effective thread (`set_threads(1)`, `TQT_RT_THREADS=1`, or
+/// a single-core machine) this
 /// is a plain loop on the calling thread: no worker is spawned, no lock
 /// taken, no condvar signalled.
 fn run_region(nblocks: usize, job: &(dyn Fn(usize) + Sync)) {
@@ -477,17 +461,6 @@ pub fn par_chunks_mut4<T, F>(
     ranges.check("par_chunks_mut4", len);
 }
 
-/// Row-wise parallel iteration over a `[rows, row_len]` row-major buffer:
-/// calls `f(row_index, row)` for every row. Thin wrapper over
-/// [`par_chunks_mut`] named for the common tensor-kernel case.
-pub fn par_iter_rows<T, F>(data: &mut [T], row_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_mut(data, row_len, f);
-}
-
 /// Computes `(0..n).map(f).collect()` with the index range fanned out
 /// across the worker pool. Equivalent to
 /// `(0..n).into_par_iter().map(f).collect()`.
@@ -595,9 +568,10 @@ mod tests {
             data
         };
         let parallel = run();
-        force_serial(true);
+        let prev = threads();
+        set_threads(1);
         let serial = run();
-        force_serial(false);
+        set_threads(prev);
         assert_eq!(parallel, serial);
     }
 
@@ -636,9 +610,10 @@ mod tests {
             }))
         };
         let parallel = run();
-        force_serial(true);
+        let prev = threads();
+        set_threads(1);
         let serial = run();
-        force_serial(false);
+        set_threads(prev);
         // Bit-identical, not merely close: same partition, same order.
         assert_eq!(parallel.to_bits(), serial.to_bits());
     }

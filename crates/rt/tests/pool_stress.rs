@@ -99,7 +99,7 @@ fn pool_survives_nesting_repetition_and_panics() {
     let wide = pool::par_map(4097, |i| i as u64 + 7);
     assert_eq!(wide[4096], 4096 + 7);
 
-    // 6. Serial override still collapses everything onto this thread and
+    // 6. One thread still collapses everything onto this thread and
     //    produces identical bytes.
     let run = || {
         let mut data = vec![0.0f32; 2048];
@@ -111,9 +111,10 @@ fn pool_survives_nesting_repetition_and_panics() {
         data
     };
     let parallel = run();
-    pool::force_serial(true);
+    let prev = pool::threads();
+    pool::set_threads(1);
     let serial = run();
-    pool::force_serial(false);
+    pool::set_threads(prev);
     assert_eq!(parallel, serial, "serial/parallel bit-identity violated");
 
     pool::set_threads(0); // restore auto for any sibling test

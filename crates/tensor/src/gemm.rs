@@ -66,69 +66,6 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     gemm_strided(m, n, k, a, k, 1, b, 1, k, c, parallel);
 }
 
-/// A full row-major `[m, k]` LHS packed **once** into the exact
-/// slab/panel layout the blocked kernel consumes: for each [`KC`]-deep
-/// k-slab in ascending `k`, every [`MR`]-tall k-major row panel of the
-/// whole matrix (zero-padded like [`pack_a`]). Slab `pc` starts at
-/// `m.div_ceil(MR) * MR * pc`, so any [`MC`]-aligned row block's panels
-/// form a contiguous sub-slice and [`gemm_nn_prepacked`] can skip
-/// per-call packing entirely. Packing is element-wise order-preserving
-/// and the micro-kernel consumes identical panel bytes, so the prepacked
-/// path is bit-identical to [`gemm_nn`]. Read-only after construction —
-/// a plain owned `Vec`, safe to share across pool blocks (no
-/// thread-local scratch guard involved).
-#[derive(Debug, Clone)]
-pub struct PackedA {
-    data: Vec<f32>,
-    m: usize,
-    k: usize,
-}
-
-impl PackedA {
-    /// Packs a row-major `a: [m, k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * k`.
-    pub fn pack(a: &[f32], m: usize, k: usize) -> Self {
-        let mut data = vec![0.0f32; packed_a_len(m, k)];
-        pack_a_full_into(a, m, k, &mut data);
-        PackedA { data, m, k }
-    }
-
-    /// The packed operand's `m` (row) dimension.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// The packed operand's `k` (reduction) dimension.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// [`gemm_nn`] (`c += a @ b`) over a pre-packed LHS: identical blocking,
-/// summation order, and therefore bit-identical f32 results — the A
-/// packing just happened at [`PackedA::pack`] time instead of per call.
-/// The hot use is convolution, where one weight matrix multiplies one
-/// im2col matrix per image per inference call.
-///
-/// # Panics
-///
-/// Panics if `a` was packed for different `(m, k)` dims.
-pub fn gemm_nn_prepacked(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &PackedA,
-    b: &[f32],
-    c: &mut [f32],
-    parallel: bool,
-) {
-    assert_eq!((a.m, a.k), (m, k), "packed lhs dims mismatch");
-    gemm_nn_prepacked_slice(m, n, k, &a.data, b, c, parallel);
-}
-
 /// Packed-LHS buffer length for a row-major `[m, k]` operand:
 /// `m.div_ceil(MR) * MR * k` elements (rows rounded up to whole MR
 /// panels, every k column present).
@@ -136,10 +73,13 @@ pub fn packed_a_len(m: usize, k: usize) -> usize {
     m.div_ceil(MR) * MR * k
 }
 
-/// Packs a row-major `a: [m, k]` into `dst` in the exact slab/panel
-/// layout [`gemm_nn_prepacked_slice`] consumes — the slice-destination
-/// form of [`PackedA::pack`], for executors that keep packed weights in a
-/// plan-owned arena and re-pack in place each training step.
+/// Packs a full row-major LHS `a: [m, k]` **once** into `dst`, in the
+/// exact slab/panel layout [`gemm_nn_prepacked_slice`] consumes: for each
+/// [`KC`]-deep k-slab in ascending `k`, every [`MR`]-tall k-major row
+/// panel of the whole matrix (zero-padded like [`pack_a`]). Slab `pc`
+/// starts at `m.div_ceil(MR) * MR * pc`, so any [`MC`]-aligned row
+/// block's panels form a contiguous sub-slice. Executors keep the packed
+/// weights in a plan-owned arena and re-pack in place each training step.
 ///
 /// # Panics
 ///
@@ -155,11 +95,14 @@ pub fn pack_a_full_into(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
     }
 }
 
-/// [`gemm_nn_prepacked`] over a raw packed-LHS slice (as produced by
-/// [`pack_a_full_into`]): same blocking, same summation order, same
-/// bit-identical-to-[`gemm_nn`] guarantee. This is the entry point for
-/// arena-resident packed weights; [`PackedA`] remains the owned
-/// convenience wrapper.
+/// [`gemm_nn`] (`c += a @ b`) over an LHS packed by
+/// [`pack_a_full_into`]: identical blocking, summation order, and
+/// therefore bit-identical f32 results — the A packing just happened
+/// once, ahead of the call, instead of per call. The hot use is
+/// convolution, where one weight matrix multiplies one im2col matrix per
+/// image. Packing is element-wise order-preserving and the packed buffer
+/// is read-only during the call, so it is safe to share across pool
+/// blocks.
 ///
 /// # Panics
 ///
@@ -542,32 +485,18 @@ mod tests {
         for &(m, n, k) in &shapes {
             let a = fill(m * k, 101 + m as u64);
             let b = fill(k * n, 202 + n as u64);
-            let packed = PackedA::pack(&a, m, k);
-            assert_eq!((packed.m(), packed.k()), (m, k));
+            let mut packed = vec![f32::NAN; packed_a_len(m, k)];
+            pack_a_full_into(&a, m, k, &mut packed);
+            assert_eq!(packed.len(), m.div_ceil(MR) * MR * k);
             for parallel in [false, true] {
                 let mut c_ref = vec![0.5f32; m * n];
                 gemm_nn(m, n, k, &a, &b, &mut c_ref, parallel);
                 let mut c_pp = vec![0.5f32; m * n];
-                gemm_nn_prepacked(m, n, k, &packed, &b, &mut c_pp, parallel);
+                gemm_nn_prepacked_slice(m, n, k, &packed, &b, &mut c_pp, parallel);
                 assert_eq!(c_ref, c_pp, "[{m}x{n}x{k}] parallel={parallel}");
             }
         }
         tqt_rt::pool::set_threads(0);
-    }
-
-    #[test]
-    fn slice_prepack_matches_owned_prepack() {
-        let (m, n, k) = (MC + 7, 65, KC + 9);
-        let a = fill(m * k, 303);
-        let b = fill(k * n, 304);
-        let packed = PackedA::pack(&a, m, k);
-        let mut arena = vec![0.0f32; packed_a_len(m, k)];
-        pack_a_full_into(&a, m, k, &mut arena);
-        let mut c_owned = vec![0.25f32; m * n];
-        gemm_nn_prepacked(m, n, k, &packed, &b, &mut c_owned, false);
-        let mut c_slice = vec![0.25f32; m * n];
-        gemm_nn_prepacked_slice(m, n, k, &arena, &b, &mut c_slice, false);
-        assert_eq!(c_owned, c_slice);
     }
 
     #[test]

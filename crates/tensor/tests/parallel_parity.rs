@@ -1,12 +1,12 @@
 //! Verifies the thread pool's bit-identity guarantee on the tensor
 //! kernels that use it: on a fixed seed, the parallel path and the
-//! serial path (`tqt_rt::pool::force_serial`, the runtime twin of the
-//! `serial` cargo feature) must produce *bit-identical* outputs — not
+//! serial path (`tqt_rt::pool::set_threads(1)`, the runtime twin of
+//! `TQT_RT_THREADS=1`) must produce *bit-identical* outputs — not
 //! merely close ones. This is what makes every experiment in the repo
 //! reproducible regardless of core count.
 //!
-//! All kernels are exercised from a single `#[test]` because the serial
-//! override is process-global state; splitting it across tests would race
+//! All kernels are exercised from a single `#[test]` because the thread
+//! count is process-global state; splitting it across tests would race
 //! with the parallel half of the comparison.
 
 use tqt_rt::pool;
@@ -52,12 +52,13 @@ fn parallel_kernels_bit_identical_to_serial() {
         )
     };
 
-    assert!(!pool::is_serial(), "test must start on the parallel path");
+    assert!(pool::threads() > 1, "test must start on the parallel path");
     let par = run();
-    pool::force_serial(true);
-    assert!(pool::is_serial());
+    let prev = pool::threads();
+    pool::set_threads(1);
+    assert_eq!(pool::threads(), 1);
     let ser = run();
-    pool::force_serial(false);
+    pool::set_threads(prev);
 
     // Tensor equality is exact element-wise f32 equality — bit identity.
     assert_eq!(par.0, ser.0, "matmul differs");

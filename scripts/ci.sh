@@ -75,6 +75,17 @@ cargo test -q --offline -p tqt-graph --test planned_parity
 # patterns against `f32::round_ties_even`, bit for bit (any NaN matches
 # any NaN); tier-1 runs only an edge-case set and a strided sweep.
 cargo test -q --release --offline -p tqt-quant -- --ignored
+# Quantizer end-to-end pin: regenerate the TQT and FakeQuant transfer
+# curves, the toy-model Adam runs and the PACT comparison into a temp dir
+# and diff them byte-for-byte against the recorded files in results/
+# (about 3 s). Any change to a quantizer's forward or gradient formula,
+# or to the order its gradients are summed in, shows here.
+pin_dir="$(mktemp -d)"
+for b in figure1 figure2 figure3 figure9 table4 pact_comparison; do
+  TQT_RESULTS_DIR="$pin_dir" cargo run --release --offline -q -p tqt-bench --bin "$b" >/dev/null
+  diff "results/$b.csv" "$pin_dir/$b.csv"
+done
+rm -rf "$pin_dir"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Forbidden-pattern gate: unwrap/expect in the numeric substrates,
 # narrowing casts in requant, float equality outside tests, and thread

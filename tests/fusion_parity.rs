@@ -39,9 +39,10 @@ fn fused_plans_are_bit_identical_across_the_zoo() {
 
         for batch in [1usize, 4] {
             let x = init::normal([batch, 3, 32, 32], 0.0, 1.0, &mut rng);
+            let prev = pool::threads();
             for serial in [false, true] {
-                pool::force_serial(serial);
-                let threads = if serial { 1 } else { 4 };
+                let threads = if serial { 1 } else { prev };
+                pool::set_threads(threads);
                 let (y0, s0) = ig.run_with_stats(&x);
                 let (y1, s1) = fg.run_with_stats(&x);
                 assert_eq!(
@@ -63,7 +64,7 @@ fn fused_plans_are_bit_identical_across_the_zoo() {
                     kind.name()
                 );
             }
-            pool::force_serial(false);
+            pool::set_threads(prev);
         }
     }
     pool::set_threads(0);

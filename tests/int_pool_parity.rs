@@ -2,7 +2,7 @@
 //! the full lowered IntGraph forward pass over every zoo model must
 //! produce byte-identical quantized outputs — and identical saturation /
 //! overflow statistics — whether it runs on the parallel path with
-//! several workers or under `force_serial`. This is the integer-engine
+//! several workers or on one thread (`set_threads(1)`). This is the integer-engine
 //! counterpart of `tests/pool_parity_quantized.rs` and the guarantee
 //! that lets the tqt-verify containment and sanitizer results carry over
 //! to parallel deployment runs.
@@ -30,9 +30,10 @@ fn int_forward_bit_identical_serial_vs_parallel_all_models() {
 
         let x = init::normal([2, 3, 32, 32], 0.0, 1.0, &mut rng);
         let (y_par, stats_par) = ig.run_with_stats(&x);
-        pool::force_serial(true);
+        let prev = pool::threads();
+        pool::set_threads(1);
         let (y_ser, stats_ser) = ig.run_with_stats(&x);
-        pool::force_serial(false);
+        pool::set_threads(prev);
 
         // QTensor equality is exact element-wise i64 comparison.
         assert_eq!(y_par, y_ser, "{kind:?}: integer output differs serial vs parallel");

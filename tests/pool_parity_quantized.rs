@@ -1,7 +1,7 @@
 //! End-to-end bit-identity of the persistent worker pool: a full
 //! quantized (TQT) forward + backward pass on a zoo model must produce
 //! byte-identical logits and parameter gradients whether it runs on the
-//! parallel path with several workers or under `force_serial`. This is
+//! parallel path with several workers or on one thread. This is
 //! the whole-graph version of the kernel-level guarantee in
 //! `crates/tensor/tests/parallel_parity.rs` — it covers the quantizer,
 //! batch-norm, pooling and loss kernels between the GEMMs too.
@@ -46,9 +46,8 @@ fn quantized_forward_backward_bit_identical_serial_vs_parallel() {
     let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
 
     let (logits_par, grads_par) = fwd_bwd(&mut g, &x, &labels);
-    pool::force_serial(true);
+    pool::set_threads(1);
     let (logits_ser, grads_ser) = fwd_bwd(&mut g, &x, &labels);
-    pool::force_serial(false);
     pool::set_threads(0);
 
     // Tensor equality is exact element-wise f32 comparison: bit identity.

@@ -75,10 +75,11 @@ fn quantized_pipeline_bit_accurate_serial_override() {
         let x = init::normal([2, 2, 8, 8], 0.0, 1.3, &mut rng);
         let y_par = g.forward(&x, Mode::Eval);
         let yi_par = ig.run(&x).dequantize();
-        tqt_rt::pool::force_serial(true);
+        let prev = tqt_rt::pool::threads();
+        tqt_rt::pool::set_threads(1);
         let y_ser = g.forward(&x, Mode::Eval);
         let yi_ser = ig.run(&x).dequantize();
-        tqt_rt::pool::force_serial(false);
+        tqt_rt::pool::set_threads(prev);
         prop_assert_eq!(&y_par, &y_ser);
         prop_assert_eq!(&yi_par, &yi_ser);
         prop_assert_eq!(y_par, yi_par);

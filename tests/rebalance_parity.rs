@@ -79,8 +79,9 @@ fn resnet8_gains_fused_rebalanced_add_chains() {
     let mut rng = init::rng(1371);
     let x = init::normal([2, 3, 32, 32], 0.0, 1.0, &mut rng);
     let mut outs = Vec::new();
+    let prev = pool::threads();
     for serial in [false, true] {
-        pool::force_serial(serial);
+        pool::set_threads(if serial { 1 } else { prev });
         let (y0, s0) = rig.run_with_stats(&x);
         let (y1, s1) = fig.run_with_stats(&x);
         assert_eq!(y0, y1, "fused rebalanced output differs (serial={serial})");
@@ -91,7 +92,6 @@ fn resnet8_gains_fused_rebalanced_add_chains() {
         );
         outs.push(y0);
     }
-    pool::force_serial(false);
     pool::set_threads(0);
     assert_eq!(outs[0], outs[1], "serial and 4-thread outputs differ");
 }
@@ -255,8 +255,9 @@ fn rebalanced_merges_match_dyadic_reference_across_random_grids() {
 
         let x = init::normal(dims, 0.0, 1.0, &mut frng);
         let (expect, expect_frac) = dyadic_reference(&rg, x.data());
+        let prev = pool::threads();
         for serial in [false, true] {
-            pool::force_serial(serial);
+            pool::set_threads(if serial { 1 } else { prev });
             let (y, _) = rg.run_with_stats(&x);
             assert_eq!(
                 y.format.frac, expect_frac,
@@ -269,7 +270,7 @@ fn rebalanced_merges_match_dyadic_reference_across_random_grids() {
                  diverged from the dyadic reference on grids {operands:?}"
             );
         }
-        pool::force_serial(false);
+        pool::set_threads(prev);
     }
     pool::set_threads(0);
     assert!(

@@ -59,9 +59,10 @@ fn batch_dispatch_is_bit_identical_to_single_requests() {
                 continue;
             }
             let x = init::normal([rung, 3, 32, 32], 0.0, 1.0, &mut rng);
+            let prev = pool::threads();
             for serial in [true, false] {
-                pool::force_serial(serial);
-                let threads = if serial { 1 } else { 4 };
+                let threads = if serial { 1 } else { prev };
+                pool::set_threads(threads);
                 let plan_k = eng.plan_for(rung).expect("ladder rung is planned");
                 let mut ex_k = IntExecutor::with_plan(eng.graph(), plan_k);
                 let (yk, sk) = ex_k.run_with_stats(&x);
@@ -102,7 +103,7 @@ fn batch_dispatch_is_bit_identical_to_single_requests() {
                     kind.name()
                 );
             }
-            pool::force_serial(false);
+            pool::set_threads(prev);
         }
     }
     pool::set_threads(0);
