@@ -208,9 +208,8 @@ pub fn spawned_workers() -> usize {
 /// first panic raised by a block.
 ///
 /// With one effective thread (`set_threads(1)`, `TQT_RT_THREADS=1`, or
-/// a single-core machine) this
-/// is a plain loop on the calling thread: no worker is spawned, no lock
-/// taken, no condvar signalled.
+/// a single-core machine) this is a plain loop on the calling thread: no
+/// worker is spawned, no lock taken, no condvar signalled.
 fn run_region(nblocks: usize, job: &(dyn Fn(usize) + Sync)) {
     if nblocks == 0 {
         return;
