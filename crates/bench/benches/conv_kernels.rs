@@ -1,7 +1,8 @@
-//! Convolution bench: im2col-based `conv2d` forward and backward at the
+//! Convolution bench: the implicit-GEMM `conv2d` forward and backward
+//! (windows gathered straight into the blocked GEMM's panels) at the
 //! layer shapes the zoo models hit on 32×32 inputs, plus a depthwise
 //! layer for the MobileNet path. Establishes the persisted `BENCH_conv`
-//! trajectory for the blocked-GEMM + scratch-arena kernels.
+//! trajectory.
 
 use tqt_rt::bench::{black_box, Bench, Report};
 use tqt_tensor::conv::{conv2d, conv2d_backward, depthwise_conv2d, Conv2dGeom};
@@ -26,6 +27,9 @@ fn main() {
             ("mid_32x16x16", 4, 32, 16, 64, 3, 1),
             // Strided downsampling layer.
             ("down_64x16x16_s2", 4, 64, 16, 128, 3, 2),
+            // ResNet8's first stage at the QAT batch: the layer whose
+            // workspace sets the training step's footprint.
+            ("resnet8_16x32x32_b32", 32, 16, 32, 16, 3, 1),
         ]
     };
 
@@ -35,7 +39,7 @@ fn main() {
         let x = init::normal([n, c, hw, hw], 0.0, 1.0, &mut rng);
         let w = init::normal([cout, c, k, k], 0.0, 0.1, &mut rng);
         let (oh, ow) = g.out_size(hw, hw);
-        // Multiply-add count of the forward im2col product.
+        // Multiply-add count of the forward product.
         let flops = 2 * (n * cout * oh * ow * c * k * k) as u64;
         report.push(bench.run_with_throughput(&format!("conv2d/fwd/{label}"), flops, || {
             black_box(conv2d(black_box(&x), black_box(&w), g));

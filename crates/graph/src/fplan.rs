@@ -32,12 +32,14 @@
 //! run.
 //!
 //! Outside the slots, the plan accounts three plan-owned arenas the
-//! executor reuses across steps: `ws` (im2col / per-image workspace
-//! high-water across all conv nodes; forward workspaces only in a
-//! forward-only plan), `wpack` (packed-filter panel high-water across
-//! standard convs; forward-step-local, so shared), and `qw` (per-node
-//! quantized-weight segments that must persist from the forward quantize
-//! to the backward STE).
+//! executor reuses across steps: `ws` (per-image conv workspace
+//! high-water across all conv nodes: the staged zero-padded image and
+//! its tap table, plus one block of gradient columns and the
+//! weight-gradient partial on a training plan; `n·kelems`
+//! weight-gradient partials for depthwise), `wpack` (packed-filter
+//! panel high-water across standard convs; forward-step-local, so
+//! shared), and `qw` (per-node quantized-weight segments that must
+//! persist from the forward quantize to the backward STE).
 
 use crate::ir::{op_params, Graph, Op};
 use tqt_plan::{assign_slots, TapeStep};
@@ -446,6 +448,17 @@ impl FloatPlan {
             ValueKind::Grad(i) => format!("grad({})", g.node(i).name),
             ValueKind::Temp(i) => format!("grad({})#staged", g.node(i).name),
         }
+    }
+
+    /// Test-only mutation hook: shortens the plan-owned workspace by one
+    /// element, as a planner that under-sized a conv's staged windows
+    /// would. Returns the shortened length, or `None` if the plan has no
+    /// workspace to shorten. The mutated plan must never be executed; it
+    /// exists to prove the float plan verifier refutes it (`TQT-V018`).
+    #[doc(hidden)]
+    pub fn inject_short_workspace(&mut self) -> Option<usize> {
+        self.ws_len = self.ws_len.checked_sub(1)?;
+        Some(self.ws_len)
     }
 
     /// Test-only mutation hook: re-aliases one value onto the slot of a

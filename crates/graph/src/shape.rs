@@ -120,6 +120,7 @@ pub fn conv_shape(
             wd[2], wd[3], geom.kh, geom.kw
         ));
     }
+    degenerate_geom(geom, "kernel")?;
     if h + 2 * geom.pad < geom.kh || w + 2 * geom.pad < geom.kw {
         return Err(format!(
             "kernel {}x{} does not fit padded input {h}x{w} (pad {})",
@@ -128,6 +129,18 @@ pub fn conv_shape(
     }
     let (oh, ow) = geom.out_size(h, w);
     Ok(vec![n, cout, oh, ow])
+}
+
+/// Refuses a zero stride, which [`Conv2dGeom::out_size`] would divide
+/// by, and a zero kernel extent, whose window reads nothing.
+fn degenerate_geom(geom: Conv2dGeom, what: &str) -> Result<(), String> {
+    if geom.stride == 0 || geom.kh == 0 || geom.kw == 0 {
+        return Err(format!(
+            "{what} {}x{} with stride {} is degenerate",
+            geom.kh, geom.kw, geom.stride
+        ));
+    }
+    Ok(())
 }
 
 /// A dense layer with weight dims `wd` (`[in, out]`) over an
@@ -151,6 +164,7 @@ pub fn pool_shape(x: &[usize], geom: Conv2dGeom) -> Result<Vec<usize>, String> {
         return Err(format!("pool needs a 4-D `[n, c, h, w]` input, got {x:?}"));
     }
     let (h, w) = (x[2], x[3]);
+    degenerate_geom(geom, "pool window")?;
     if h + 2 * geom.pad < geom.kh || w + 2 * geom.pad < geom.kw {
         return Err(format!(
             "pool window {}x{} does not fit padded input {h}x{w} (pad {})",

@@ -341,7 +341,7 @@ where
 /// of `a` (size `ca`) and chunk `i` of `b` (size `cb`) and hands both to
 /// `f(i, a_chunk, b_chunk)`. The two buffers must tile into the same
 /// number of chunks. Used by kernels that pair each output chunk with a
-/// private scratch chunk (e.g. per-image conv output + im2col workspace)
+/// private scratch chunk (e.g. per-image conv output + staged image)
 /// so the scratch is plan-owned rather than checked out per call.
 ///
 /// # Panics

@@ -407,10 +407,19 @@ mod tests {
             depthwise: false,
             w_frac: 4,
         }]);
+        let zero_stride = chain(vec![IntOp::Conv {
+            w: vec![1; 4 * 2 * 3 * 3],
+            wdims: [4, 2, 3, 3],
+            bias: None,
+            geom: Conv2dGeom::new(3, 0, 1),
+            depthwise: false,
+            w_frac: 4,
+        }]);
         let cases = [
             (dense, vec![1, 4]),
             (concat, vec![1, 2, 4, 4]),
             (conv, vec![1, 2, 8, 8]),
+            (zero_stride, vec![1, 2, 8, 8]),
         ];
         for (nodes, dims) in cases {
             let out = nodes.len() - 1;

@@ -1,16 +1,21 @@
-//! 2-D convolution (im2col-based) and depthwise convolution, forward and
-//! backward, on NCHW tensors.
+//! 2-D convolution (implicit GEMM) and depthwise convolution, forward
+//! and backward, on NCHW tensors.
 //!
 //! Weight layout is `[out_channels, in_channels, kh, kw]` for standard
 //! convolution and `[channels, 1, kh, kw]` for depthwise convolution
 //! (channel multiplier 1, as used by MobileNets).
 //!
-//! The im2col products go through the blocked [`crate::gemm`] kernel
-//! (serial, since the per-image loop is already parallel), and the column
-//! matrices live in the thread-local [`Scratch`] arena so they are reused
-//! across layers and training steps rather than reallocated per image.
+//! Standard convolution is a GEMM against each image's im2col matrix
+//! `[c*kh*kw, oh*ow]`, but that matrix is never written: each image is
+//! staged once, zero-padded, with a tap-offset table, and the blocked
+//! [`crate::gemm`] kernel gathers windows straight into its B panels
+//! (serial, since the per-image loop is already parallel). The forward
+//! product and the weight gradient read the windows; the input gradient
+//! is computed one [`DX_BLOCK`]-pixel block of gradient columns at a
+//! time and folded back through the same windows. Workspaces are
+//! caller-owned and sized by [`conv2d_fwd_ws`] and [`conv2d_bwd_ws`].
 
-use crate::gemm;
+use crate::gemm::{self, Lhs, Rhs, Windows};
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 use tqt_rt::pool;
@@ -150,48 +155,6 @@ pub fn im2col_into<T: Copy>(
     }
 }
 
-/// Unfolds one `f32` image (see [`im2col_into`]).
-fn im2col(img: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, cols: &mut [f32]) {
-    im2col_into(img, 0.0, c, h, w, g, cols);
-}
-
-/// Folds a column matrix back into an image, accumulating overlaps
-/// (the adjoint of [`im2col`]). Each image element receives its adds in
-/// `(ci, ki, kj, oi, oj)` order. Only in-bounds rows and columns
-/// ([`in_bounds`]) are visited, each row's run contiguously at stride 1.
-fn col2im(cols: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, img: &mut [f32]) {
-    let (oh, ow) = g.out_size(h, w);
-    let ncols = oh * ow;
-    img.fill(0.0);
-    for ci in 0..c {
-        let plane = &mut img[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..g.kh {
-            let ois = in_bounds(ki, h, oh, g);
-            for kj in 0..g.kw {
-                let js = in_bounds(kj, w, ow, g);
-                if js.is_empty() {
-                    continue;
-                }
-                let row = ((ci * g.kh + ki) * g.kw + kj) * ncols;
-                for oi in ois.clone() {
-                    let ii = oi * g.stride + ki - g.pad;
-                    let dst = &mut plane[ii * w + js.start * g.stride + kj - g.pad..(ii + 1) * w];
-                    let src = &cols[row + oi * ow + js.start..row + oi * ow + js.end];
-                    if g.stride == 1 {
-                        for (d, &v) in dst.iter_mut().zip(src) {
-                            *d += v;
-                        }
-                    } else {
-                        for (d, &v) in dst.iter_mut().step_by(g.stride).zip(src) {
-                            *d += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn check_conv_shapes(x: &Tensor, w: &Tensor, depthwise: bool) {
     assert_eq!(x.ndim(), 4, "conv input must be NCHW, got {}", x.shape());
     assert_eq!(w.ndim(), 4, "conv weight must be 4-D, got {}", w.shape());
@@ -220,30 +183,137 @@ fn check_conv_shapes(x: &Tensor, w: &Tensor, depthwise: bool) {
     }
 }
 
-/// Per-image workspace length (f32 elements) for [`conv2d_into`]: one
-/// im2col column matrix `[c*kh*kw, oh*ow]`.
-pub fn conv2d_fwd_ws(c: usize, h: usize, w: usize, g: Conv2dGeom) -> usize {
-    let (oh, ow) = g.out_size(h, w);
-    c * g.kh * g.kw * oh * ow
+/// Stages one `[c, h, w]` image for window gathers, as the integer
+/// route's `pad_image` does: `ws[..c·hp·wp]` receives the image
+/// zero-padded to `hp = h + 2·pad`, `wp = w + 2·pad`, and the next
+/// `c·kh·kw` entries the offset of every tap `(ci, ki, kj)` within one
+/// padded window. `ws` is [`conv2d_fwd_ws`] long and may be dirty: every
+/// element is written.
+///
+/// # Panics
+///
+/// Panics if `img` or `ws` is shorter than the shapes imply, or if the
+/// kernel does not fit the padded input.
+fn stage_windows<'a>(
+    img: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    g: Conv2dGeom,
+    ws: &'a mut [f32],
+) -> Windows<'a> {
+    let (_, ow) = g.out_size(h, w);
+    let (p, hp, wp) = (g.pad, h + 2 * g.pad, w + 2 * g.pad);
+    let (plane, rest) = ws.split_at_mut(c * hp * wp);
+    let taps = &mut rest[..c * g.kh * g.kw];
+    for ci in 0..c {
+        let dst = &mut plane[ci * hp * wp..(ci + 1) * hp * wp];
+        dst[..p * wp].fill(0.0);
+        dst[(p + h) * wp..].fill(0.0);
+        for i in 0..h {
+            let row = &mut dst[(p + i) * wp..(p + i + 1) * wp];
+            row[..p].fill(0.0);
+            row[p..p + w].copy_from_slice(&img[(ci * h + i) * w..(ci * h + i + 1) * w]);
+            row[p + w..].fill(0.0);
+        }
+    }
+    let window = g.kh * g.kw;
+    for (t, tap) in taps.iter_mut().enumerate() {
+        let (ci, ki, kj) = (t / window, t / g.kw % g.kh, t % g.kw);
+        *tap = Windows::tap_bits((ci * hp + ki) * wp + kj);
+    }
+    Windows {
+        plane,
+        taps,
+        ow,
+        stride: g.stride,
+        wp,
+    }
 }
 
+/// Per-image workspace length (f32 elements) for [`conv2d_into`]: the
+/// zero-padded image `[c, h+2·pad, w+2·pad]` and its `c*kh*kw` tap table.
+pub fn conv2d_fwd_ws(c: usize, h: usize, w: usize, g: Conv2dGeom) -> usize {
+    c * (h + 2 * g.pad) * (w + 2 * g.pad) + c * g.kh * g.kw
+}
+
+/// Output pixels per block of gradient columns in
+/// [`conv2d_backward_into`]: one column block of the GEMM driver.
+pub const DX_BLOCK: usize = gemm::NC;
+
 /// Per-image workspace length (f32 elements) for
-/// [`conv2d_backward_into`]: the im2col matrix, the gradient column
-/// matrix, and one per-image weight-gradient partial.
+/// [`conv2d_backward_into`]: the staged image and tap table of
+/// [`conv2d_fwd_ws`], one block of gradient columns
+/// `[c*kh*kw, min(oh*ow, DX_BLOCK)]`, and one per-image weight-gradient
+/// partial `[cout, c*kh*kw]`.
 pub fn conv2d_bwd_ws(c: usize, h: usize, w: usize, cout: usize, g: Conv2dGeom) -> usize {
     let (oh, ow) = g.out_size(h, w);
     let krows = c * g.kh * g.kw;
-    2 * krows * oh * ow + cout * krows
+    conv2d_fwd_ws(c, h, w, g) + krows * (oh * ow).min(DX_BLOCK) + cout * krows
+}
+
+/// The adjoint of the window gather: adds the gradient columns `cols`
+/// `[c*kh*kw, pb]` of output pixels `[p0, p0 + pb)` into `plane`, an
+/// image's gradient laid out zero-padded as [`stage_windows`] stages the
+/// image, at the offsets of its tap table `taps`. Tap rows are added in
+/// ascending `(ci, ki, kj)` order; within a row each pixel's tap lands on
+/// a different element. Taps that read padding land in the padding,
+/// which [`unstage`] drops.
+fn fold_windows(
+    cols: &[f32],
+    p0: usize,
+    taps: &[f32],
+    h: usize,
+    w: usize,
+    g: Conv2dGeom,
+    plane: &mut [f32],
+) {
+    let (_, ow) = g.out_size(h, w);
+    let wp = w + 2 * g.pad;
+    let pb = cols.len() / taps.len();
+    for (row, &bits) in cols.chunks_exact(pb).zip(taps) {
+        let tap = Windows::tap_offset(bits);
+        // Runs of pixels that share an output row.
+        let mut j = 0;
+        while j < pb {
+            let (oi, oj) = ((p0 + j) / ow, (p0 + j) % ow);
+            let len = (ow - oj).min(pb - j);
+            let at = (oi * wp + oj) * g.stride + tap;
+            let src = &row[j..j + len];
+            if g.stride == 1 {
+                for (d, &v) in plane[at..at + len].iter_mut().zip(src) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in plane[at..].iter_mut().step_by(g.stride).zip(src) {
+                    *d += v;
+                }
+            }
+            j += len;
+        }
+    }
+}
+
+/// Copies the interior of a padded `[c, h+2·pad, w+2·pad]` plane into
+/// the `[c, h, w]` image `img` (every element is written).
+fn unstage(plane: &[f32], h: usize, w: usize, g: Conv2dGeom, img: &mut [f32]) {
+    let (hp, wp, p) = (h + 2 * g.pad, w + 2 * g.pad, g.pad);
+    for (i, dst) in img.chunks_exact_mut(w).enumerate() {
+        let (ci, row) = (i / h, i % h);
+        dst.copy_from_slice(&plane[(ci * hp + row + p) * wp + p..][..w]);
+    }
 }
 
 /// Standard 2-D convolution forward over raw slices with caller-owned
 /// workspace: the planned-executor entry point. `xd` is `[n, c, h, w]`,
 /// `wpack` the filter matrix `[cout, c*kh*kw]` packed by
 /// [`gemm::pack_a_full_into`], `out` is `[n, cout, oh, ow]` (may be
-/// dirty; fully overwritten), and `ws` holds `n` per-image im2col
-/// workspaces of [`conv2d_fwd_ws`] elements each. Compute structure —
-/// per-image parallel region, serial prepacked GEMM per image — is
-/// identical to the allocating [`conv2d`], so results are bit-identical.
+/// dirty; fully overwritten), and `ws` holds `n` per-image workspaces of
+/// [`conv2d_fwd_ws`] elements each. Per image, in one parallel region:
+/// stage the image, then one serial prepacked GEMM whose B panels are
+/// gathered from the windows. The panels hold the im2col matrix's values
+/// in its order, so the result is bit-identical to multiplying that
+/// matrix.
 ///
 /// # Panics
 ///
@@ -264,17 +334,17 @@ pub fn conv2d_into(
     let (oh, ow) = g.out_size(h, w);
     let ncols = oh * ow;
     let krows = c * g.kh * g.kw;
+    let per = conv2d_fwd_ws(c, h, w, g);
     assert_eq!(xd.len(), n * c * h * w, "conv input length mismatch");
     assert_eq!(out.len(), n * cout * ncols, "conv output length mismatch");
-    assert_eq!(ws.len(), n * krows * ncols, "conv workspace length mismatch");
-    pool::par_chunks_mut2(out, cout * ncols, ws, krows * ncols, |ni, ochunk, cols| {
-        // im2col writes every workspace element, so it can stay dirty.
-        im2col(&xd[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, cols);
+    assert_eq!(ws.len(), n * per, "conv workspace length mismatch");
+    pool::par_chunks_mut2(out, cout * ncols, ws, per, |ni, ochunk, wsi| {
+        let win = stage_windows(&xd[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, wsi);
         // ochunk[co, :] = W[cout, krows] @ cols[krows, ncols]; GEMM
         // accumulates, so clear the (possibly reused) output chunk first.
         // Serial GEMM — already inside the per-image parallel region.
         ochunk.fill(0.0);
-        gemm::gemm_nn_prepacked_slice(cout, ncols, krows, wpack, cols, ochunk, false);
+        gemm::gemm(cout, ncols, krows, Lhs::Packed(wpack), Rhs::Windows(win), ochunk, false);
     });
 }
 
@@ -284,6 +354,18 @@ pub fn conv2d_into(
 /// accumulated into it in ascending image order, reproducing the
 /// allocating path's serial reduction bit-for-bit. `ws` holds `n`
 /// per-image workspaces of [`conv2d_bwd_ws`] elements each.
+///
+/// The weight gradient gathers its B panels from the staged windows,
+/// read transposed. The input gradient `W^T · gy` is computed one
+/// [`DX_BLOCK`]-pixel block of gradient columns at a time, each folded
+/// into the staged plane (free once the weight gradient is done) through
+/// the same windows. The blocks run from the last pixel to the first:
+/// for one input element, a later tap `(ci, ki, kj)` reads it from an
+/// earlier output pixel, so this order, with each block's tap rows in
+/// ascending order, gives every element its adds in ascending tap order,
+/// as a fold of the whole column matrix does. Each column's value
+/// depends only on its `cout` sum, which the column blocking does not
+/// touch, so the result is bit-identical to that fold.
 ///
 /// # Panics
 ///
@@ -306,7 +388,10 @@ pub fn conv2d_backward_into(
     let (oh, ow) = g.out_size(h, w);
     let ncols = oh * ow;
     let krows = c * g.kh * g.kw;
-    let per = 2 * krows * ncols + cout * krows;
+    let staged = conv2d_fwd_ws(c, h, w, g);
+    let plane_len = c * (h + 2 * g.pad) * (w + 2 * g.pad);
+    let block = ncols.min(DX_BLOCK);
+    let per = conv2d_bwd_ws(c, h, w, cout, g);
     assert_eq!(xd.len(), n * c * h * w, "conv input length mismatch");
     assert_eq!(wdat.len(), cout * krows, "conv weight length mismatch");
     assert_eq!(gyd.len(), n * cout * ncols, "conv upstream length mismatch");
@@ -314,25 +399,34 @@ pub fn conv2d_backward_into(
     assert_eq!(gw.len(), cout * krows, "conv gw length mismatch");
     assert_eq!(ws.len(), n * per, "conv workspace length mismatch");
     pool::par_chunks_mut2(gx, c * h * w, ws, per, |ni, gxchunk, wsi| {
-        let (cols, rest) = wsi.split_at_mut(krows * ncols);
-        let (gcols, gwpart) = rest.split_at_mut(krows * ncols);
-        // im2col writes every element, so the workspace can stay dirty.
-        im2col(&xd[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, cols);
+        let (stage, rest) = wsi.split_at_mut(staged);
+        let (gcols, gwpart) = rest.split_at_mut(krows * block);
+        let win = stage_windows(&xd[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, stage);
         let gslice = &gyd[ni * cout * ncols..(ni + 1) * cout * ncols];
         // grad_w partial = gy[cout, ncols] @ cols[krows, ncols]^T; GEMM
-        // accumulates, so both destinations start zeroed.
+        // accumulates, so every destination starts zeroed.
         gwpart.fill(0.0);
-        gemm::gemm_nt(cout, krows, ncols, gslice, cols, gwpart, false);
-        // grad_cols = W[cout, krows]^T @ gy[cout, ncols].
-        gcols.fill(0.0);
-        gemm::gemm_tn(krows, ncols, cout, wdat, gslice, gcols, false);
-        // col2im zero-fills gxchunk itself before scattering.
-        col2im(gcols, c, h, w, g, gxchunk);
+        let gyrows = Lhs::rows(gslice, ncols);
+        gemm::gemm(cout, krows, ncols, gyrows, Rhs::WindowsT(win), gwpart, false);
+        // grad_cols[:, block] = W[cout, krows]^T @ gy[cout, block], folded
+        // into the plane the image was staged in, last block first.
+        let (plane, taps) = stage.split_at_mut(plane_len);
+        plane.fill(0.0);
+        let wt = Lhs::Strided { a: wdat, rs: 1, cs: krows };
+        for p0 in (0..ncols).step_by(block).rev() {
+            let pb = block.min(ncols - p0);
+            let gcols = &mut gcols[..krows * pb];
+            gcols.fill(0.0);
+            let gyblock = Rhs::Strided { b: &gslice[p0..], rs: ncols, cs: 1 };
+            gemm::gemm(krows, pb, cout, wt, gyblock, gcols, false);
+            fold_windows(gcols, p0, taps, h, w, g, plane);
+        }
+        unstage(plane, h, w, g, gxchunk);
     });
     // Serial weight-gradient reduction in deterministic image order —
     // bit-identical to the serial path regardless of thread count.
     for ni in 0..n {
-        let gwpart = &ws[ni * per + 2 * krows * ncols..ni * per + per];
+        let gwpart = &ws[ni * per + per - cout * krows..(ni + 1) * per];
         for (a, &b) in gw.iter_mut().zip(gwpart) {
             *a += b;
         }
@@ -362,7 +456,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, g: Conv2dGeom) -> Tensor {
     // by the kernel) replaces the former per-image checkouts.
     let mut wpack = Scratch::uninit(gemm::packed_a_len(cout, krows));
     gemm::pack_a_full_into(w.data(), cout, krows, &mut wpack);
-    let mut ws = Scratch::uninit(n * krows * ncols);
+    let mut ws = Scratch::uninit(n * conv2d_fwd_ws(c, h, wd, g));
     conv2d_into(x.data(), n, c, h, wd, &wpack, cout, g, &mut out, &mut ws);
     Tensor::from_vec([n, cout, oh, ow], out)
 }
@@ -602,6 +696,50 @@ pub fn depthwise_conv2d_backward_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unfolds one `f32` image (see [`im2col_into`]): the column matrix the
+    /// window gathers replaced, kept as their oracle.
+    fn im2col(img: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, cols: &mut [f32]) {
+        im2col_into(img, 0.0, c, h, w, g, cols);
+    }
+
+    /// Folds a column matrix back into an image, accumulating overlaps
+    /// (the adjoint of [`im2col_into`]). Each image element receives its adds in
+    /// `(ci, ki, kj, oi, oj)` order. Only in-bounds rows and columns
+    /// ([`in_bounds`]) are visited, each row's run contiguously at stride 1.
+    /// The fold the blocked window fold replaced, kept as its oracle.
+    fn col2im(cols: &[f32], c: usize, h: usize, w: usize, g: Conv2dGeom, img: &mut [f32]) {
+        let (oh, ow) = g.out_size(h, w);
+        let ncols = oh * ow;
+        img.fill(0.0);
+        for ci in 0..c {
+            let plane = &mut img[ci * h * w..(ci + 1) * h * w];
+            for ki in 0..g.kh {
+                let ois = in_bounds(ki, h, oh, g);
+                for kj in 0..g.kw {
+                    let js = in_bounds(kj, w, ow, g);
+                    if js.is_empty() {
+                        continue;
+                    }
+                    let row = ((ci * g.kh + ki) * g.kw + kj) * ncols;
+                    for oi in ois.clone() {
+                        let ii = oi * g.stride + ki - g.pad;
+                        let dst = &mut plane[ii * w + js.start * g.stride + kj - g.pad..(ii + 1) * w];
+                        let src = &cols[row + oi * ow + js.start..row + oi * ow + js.end];
+                        if g.stride == 1 {
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d += v;
+                            }
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(g.stride).zip(src) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn geom_out_sizes() {
@@ -864,6 +1002,149 @@ mod tests {
             empty_rows > 0,
             "no geometry exercised an empty column range"
         );
+    }
+
+    /// The im2col + GEMM (+ col2im) path the window gathers replaced,
+    /// kept as their oracle: per image, the column matrix, the prepacked
+    /// forward GEMM over it, the `gemm_nt` weight-gradient partial over
+    /// it, and the `gemm_tn` + [`col2im`] input gradient; partials summed
+    /// in image order. Returns `(y, gx, gw)`.
+    #[allow(clippy::too_many_arguments)]
+    fn conv_im2col_oracle(
+        xd: &[f32],
+        wdat: &[f32],
+        gyd: &[f32],
+        n: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        cout: usize,
+        g: Conv2dGeom,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (oh, ow) = g.out_size(h, w);
+        let (krows, ncols, img) = (c * g.kh * g.kw, oh * ow, c * h * w);
+        let mut wpack = vec![0.0; gemm::packed_a_len(cout, krows)];
+        gemm::pack_a_full_into(wdat, cout, krows, &mut wpack);
+        let (mut y, mut gx) = (vec![0.0; n * cout * ncols], vec![0.0; n * img]);
+        let mut gw = vec![0.0; cout * krows];
+        let mut cols = vec![0.0; krows * ncols];
+        for ni in 0..n {
+            im2col(&xd[ni * img..(ni + 1) * img], c, h, w, g, &mut cols);
+            let yi = &mut y[ni * cout * ncols..(ni + 1) * cout * ncols];
+            gemm::gemm_nn_prepacked_slice(cout, ncols, krows, &wpack, &cols, yi, false);
+            let gyi = &gyd[ni * cout * ncols..(ni + 1) * cout * ncols];
+            let mut gwpart = vec![0.0; cout * krows];
+            gemm::gemm_nt(cout, krows, ncols, gyi, &cols, &mut gwpart, false);
+            let mut gcols = vec![0.0; krows * ncols];
+            gemm::gemm_tn(krows, ncols, cout, wdat, gyi, &mut gcols, false);
+            col2im(&gcols, c, h, w, g, &mut gx[ni * img..(ni + 1) * img]);
+            for (a, &b) in gw.iter_mut().zip(&gwpart) {
+                *a += b;
+            }
+        }
+        (y, gx, gw)
+    }
+
+    /// `rhs` packed block by block as the GEMM driver packs a `[k, n]`
+    /// operand, as bit patterns.
+    fn packed_panels(rhs: Rhs, k: usize, n: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        for jc in (0..n).step_by(gemm::NC) {
+            let nc = gemm::NC.min(n - jc);
+            for pc in (0..k).step_by(gemm::KC) {
+                let kc = gemm::KC.min(k - pc);
+                let mut panel = vec![f32::NAN; nc.div_ceil(gemm::NR) * gemm::NR * kc];
+                rhs.pack(pc, jc, kc, nc, &mut panel);
+                out.extend(panel.iter().map(|v| v.to_bits()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn window_conv_matches_im2col_oracle_bitwise() {
+        // (c, h, w, geom): the unfold sweep, plus layers past one KC slab
+        // of taps, past one NC block of pixels (and so, read transposed,
+        // past one KC slab of pixels), both at once, and past one NC
+        // block of taps.
+        let mut geoms: Vec<(usize, usize, usize, Conv2dGeom)> = unfold_geometries()
+            .into_iter()
+            .enumerate()
+            .map(|(t, (h, w, g))| (1 + t % 3, h, w, g))
+            .collect();
+        geoms.extend([
+            (30, 6, 6, Conv2dGeom::same(3)),
+            (2, 24, 24, Conv2dGeom::same(3)),
+            (29, 23, 23, Conv2dGeom::same(3)),
+            (60, 5, 7, Conv2dGeom::new(3, 2, 1)),
+        ]);
+        let ncols = |&(_, h, w, g): &(usize, usize, usize, Conv2dGeom)| {
+            let (oh, ow) = g.out_size(h, w);
+            oh * ow
+        };
+        let krows = |&(c, _, _, g): &(usize, usize, usize, Conv2dGeom)| c * g.kh * g.kw;
+        assert!(geoms
+            .iter()
+            .any(|s| krows(s) > gemm::KC && ncols(s) > gemm::NC));
+        assert!(geoms.iter().any(|s| krows(s) > gemm::NC));
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (t, &(c, h, w, g)) in geoms.iter().enumerate() {
+            let (oh, ow) = g.out_size(h, w);
+            let (kr, nc, img) = (c * g.kh * g.kw, oh * ow, c * h * w);
+            // Distinct, sign-varied values so a misplaced tap shows.
+            let x: Vec<f32> = (0..3 * img)
+                .map(|i| ((i * 7919 + t) % 263) as f32 * 0.037 - 4.85)
+                .collect();
+
+            // The gathered panels hold the column matrix's bits exactly,
+            // read straight and transposed.
+            let mut cols = vec![0.0; kr * nc];
+            im2col(&x[..img], c, h, w, g, &mut cols);
+            let mut ws = vec![f32::NAN; conv2d_fwd_ws(c, h, w, g)];
+            let win = stage_windows(&x[..img], c, h, w, g, &mut ws);
+            assert_eq!(
+                packed_panels(Rhs::Windows(win), kr, nc),
+                packed_panels(Rhs::rows(&cols, nc), kr, nc),
+                "B panels c={c} h={h} w={w} {g:?}"
+            );
+            let cols_t = Rhs::Strided { b: &cols, rs: 1, cs: nc };
+            assert_eq!(
+                packed_panels(Rhs::WindowsT(win), nc, kr),
+                packed_panels(cols_t, nc, kr),
+                "transposed B panels c={c} h={h} w={w} {g:?}"
+            );
+
+            for cout in [1usize, 7, 16, 17] {
+                let wdat: Vec<f32> = (0..cout * kr)
+                    .map(|i| ((i * 104_729 + 5 * t) % 211) as f32 * 0.01 - 1.05)
+                    .collect();
+                let mut wpack = vec![0.0; gemm::packed_a_len(cout, kr)];
+                gemm::pack_a_full_into(&wdat, cout, kr, &mut wpack);
+                for n in [1usize, 3] {
+                    let xd = &x[..n * img];
+                    let gy: Vec<f32> = (0..n * cout * nc)
+                        .map(|i| ((i * 6151 + 3 * t) % 509) as f32 * 0.004 - 1.01)
+                        .collect();
+                    let (y0, gx0, gw0) = conv_im2col_oracle(xd, &wdat, &gy, n, c, h, w, cout, g);
+                    for threads in [1, 4] {
+                        tqt_rt::pool::set_threads(threads);
+                        let at = format!("c={c} h={h} w={w} {g:?} cout={cout} n={n} threads={threads}");
+                        let mut y = vec![f32::NAN; n * cout * nc];
+                        let mut ws = vec![f32::NAN; n * conv2d_fwd_ws(c, h, w, g)];
+                        conv2d_into(xd, n, c, h, w, &wpack, cout, g, &mut y, &mut ws);
+                        assert_eq!(bits(&y), bits(&y0), "forward {at}");
+                        let (mut gx, mut gw) = (vec![f32::NAN; n * img], vec![0.0; cout * kr]);
+                        let mut ws = vec![f32::NAN; n * conv2d_bwd_ws(c, h, w, cout, g)];
+                        conv2d_backward_into(
+                            xd, &wdat, &gy, n, c, h, w, cout, g, &mut gx, &mut gw, &mut ws,
+                        );
+                        assert_eq!(bits(&gw), bits(&gw0), "dW {at}");
+                        assert_eq!(bits(&gx), bits(&gx0), "dX {at}");
+                    }
+                }
+            }
+        }
+        tqt_rt::pool::set_threads(0);
     }
 
     #[test]

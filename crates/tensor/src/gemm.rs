@@ -1,5 +1,6 @@
-//! Cache-blocked single-precision GEMM: the one micro-kernel behind
-//! `matmul`/`matmul_tn`/`matmul_nt` and the im2col convolution products.
+//! Cache-blocked single-precision GEMM: the one driver loop and
+//! micro-kernel behind `matmul`/`matmul_tn`/`matmul_nt` and the
+//! convolution products.
 //!
 //! Structure is the classic three-level blocking (GotoBLAS/BLIS):
 //!
@@ -14,7 +15,11 @@
 //! the same code path (and the same floating-point result) serves every
 //! shape, including edge tiles smaller than one register tile and inputs
 //! accessed through transposed strides (`tn`/`nt` — no transpose is ever
-//! materialized).
+//! materialized). Only the packers know where an operand lives: A is
+//! strided or packed once ahead of the call; B is strided or a
+//! convolution's windows, gathered from a staged image straight into the
+//! panels and read as the im2col matrix or its transpose. A panel's
+//! values do not depend on the source, so neither does the product.
 //!
 //! **Determinism.** Each output element `c[i,j]` is accumulated in a
 //! fixed order: KC-slabs in ascending `k`, and within a slab a single
@@ -25,8 +30,8 @@
 //! fixed and are part of that contract: changing [`KC`] changes rounding
 //! (within the documented `~1e-6` relative band of any other order).
 //!
-//! Workspace comes from the thread-local [`Scratch`] arena — packing
-//! buffers are reused across calls, layers, and training steps.
+//! The packing panels come from the thread-local [`Scratch`] arena and
+//! are reused across calls, layers, and training steps.
 
 use crate::scratch::Scratch;
 use tqt_rt::pool;
@@ -40,9 +45,9 @@ pub const NR: usize = 16;
 /// Rows of A per cache block: 10 MR-panels; one `apack` is 60 KiB (L2).
 const MC: usize = 60;
 /// Depth of one k-slab. Fixed: part of the summation-order contract.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Columns of B per cache block (`bpack` is at most `KC*NC` = 512 KiB).
-const NC: usize = 512;
+pub(crate) const NC: usize = 512;
 
 /// `c += a @ b` for row-major `a: [m, k]`, `b: [k, n]`, `c: [m, n]`.
 ///
@@ -51,19 +56,21 @@ const NC: usize = 512;
 /// Panics (via debug assertions / slice indexing) if the buffers are
 /// shorter than the shapes imply.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], parallel: bool) {
-    gemm_strided(m, n, k, a, k, 1, b, n, 1, c, parallel);
+    gemm(m, n, k, Lhs::rows(a, k), Rhs::rows(b, n), c, parallel);
 }
 
 /// `c += a^T @ b` for `a: [k, m]`, `b: [k, n]`, `c: [m, n]`, reading `a`
 /// through transposed strides (no materialized transpose).
 pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], parallel: bool) {
-    gemm_strided(m, n, k, a, 1, m, b, n, 1, c, parallel);
+    let at = Lhs::Strided { a, rs: 1, cs: m };
+    gemm(m, n, k, at, Rhs::rows(b, n), c, parallel);
 }
 
 /// `c += a @ b^T` for `a: [m, k]`, `b: [n, k]`, `c: [m, n]`, reading `b`
 /// through transposed strides (no materialized transpose).
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], parallel: bool) {
-    gemm_strided(m, n, k, a, k, 1, b, 1, k, c, parallel);
+    let bt = Rhs::Strided { b, rs: 1, cs: k };
+    gemm(m, n, k, Lhs::rows(a, k), bt, c, parallel);
 }
 
 /// Packed-LHS buffer length for a row-major `[m, k]` operand:
@@ -74,7 +81,7 @@ pub fn packed_a_len(m: usize, k: usize) -> usize {
 }
 
 /// Packs a full row-major LHS `a: [m, k]` **once** into `dst`, in the
-/// exact slab/panel layout [`gemm_nn_prepacked_slice`] consumes: for each
+/// exact slab/panel layout a prepacked LHS is read in: for each
 /// [`KC`]-deep k-slab in ascending `k`, every [`MR`]-tall k-major row
 /// panel of the whole matrix (zero-padded like [`pack_a`]). Slab `pc`
 /// starts at `m.div_ceil(MR) * MR * pc`, so any [`MC`]-aligned row
@@ -98,11 +105,7 @@ pub fn pack_a_full_into(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
 /// [`gemm_nn`] (`c += a @ b`) over an LHS packed by
 /// [`pack_a_full_into`]: identical blocking, summation order, and
 /// therefore bit-identical f32 results — the A packing just happened
-/// once, ahead of the call, instead of per call. The hot use is
-/// convolution, where one weight matrix multiplies one im2col matrix per
-/// image. Packing is element-wise order-preserving and the packed buffer
-/// is read-only during the call, so it is safe to share across pool
-/// blocks.
+/// once, ahead of the call, instead of per call.
 ///
 /// # Panics
 ///
@@ -116,41 +119,7 @@ pub fn gemm_nn_prepacked_slice(
     c: &mut [f32],
     parallel: bool,
 ) {
-    assert_eq!(
-        apack_full.len(),
-        packed_a_len(m, k),
-        "packed lhs length mismatch"
-    );
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    debug_assert!(c.len() >= m * n, "C buffer too small");
-    let mpanels = m.div_ceil(MR);
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let npanels = nc.div_ceil(NR);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let mut bpack = Scratch::uninit(npanels * NR * kc);
-            pack_b(b, n, 1, pc, jc, kc, nc, &mut bpack);
-            let slab = mpanels * MR * pc;
-            let block = |ic0: usize, cblock: &mut [f32]| {
-                let mc = MC.min(m - ic0);
-                // MC is a multiple of MR, so a row block's panels start on
-                // a panel boundary and are contiguous within the slab.
-                let apack =
-                    &apack_full[slab + (ic0 / MR) * MR * kc..][..mc.div_ceil(MR) * MR * kc];
-                mul_block(apack, &bpack, mc, kc, n, jc, nc, cblock);
-            };
-            if parallel && m > MC && pool::threads() > 1 {
-                pool::par_chunks_mut(c, MC * n, |bi, cblock| block(bi * MC, cblock));
-            } else {
-                for (bi, cblock) in c.chunks_mut(MC * n).enumerate() {
-                    block(bi * MC, cblock);
-                }
-            }
-        }
-    }
+    gemm(m, n, k, Lhs::Packed(apack_full), Rhs::rows(b, n), c, parallel);
 }
 
 /// Reference kernel: the naive row-axpy loop the blocked kernel replaced.
@@ -172,25 +141,212 @@ pub fn gemm_nn_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
     }
 }
 
-/// Blocked `c += A·B` over arbitrary strides: `A[i, kk] = a[i*a_rs +
-/// kk*a_cs]`, `B[kk, j] = b[kk*b_rs + j*b_cs]`, `c` row-major `[m, n]`
-/// contiguous. `parallel` fans the `MC` row-block loop out over the
-/// worker pool (set it `false` when the caller is already inside a
-/// parallel region with one GEMM per worker, as the conv kernels are).
-#[allow(clippy::too_many_arguments)]
-fn gemm_strided(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    c: &mut [f32],
-    parallel: bool,
-) {
+/// The left operand of [`gemm`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lhs<'a> {
+    /// `A[i, kk] = a[i*rs + kk*cs]`, packed per row block.
+    Strided {
+        /// Backing storage.
+        a: &'a [f32],
+        /// Row stride.
+        rs: usize,
+        /// Column stride.
+        cs: usize,
+    },
+    /// The whole operand packed once by [`pack_a_full_into`]. The hot
+    /// use is convolution, where one weight matrix multiplies every
+    /// image's windows. The packed buffer is read-only during the call,
+    /// so it is safe to share across pool blocks.
+    Packed(&'a [f32]),
+}
+
+impl<'a> Lhs<'a> {
+    /// A row-major `[m, k]` operand.
+    pub(crate) fn rows(a: &'a [f32], k: usize) -> Self {
+        Lhs::Strided { a, rs: k, cs: 1 }
+    }
+}
+
+/// The right operand of [`gemm`]: where its B panels are gathered from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rhs<'a> {
+    /// `B[kk, j] = b[kk*rs + j*cs]`.
+    Strided {
+        /// Backing storage.
+        b: &'a [f32],
+        /// Row stride.
+        rs: usize,
+        /// Column stride.
+        cs: usize,
+    },
+    /// One image's im2col matrix `[taps, oh*ow]`, read in place from the
+    /// staged image: `B[t, p]` is tap `t` of output pixel `p`'s window.
+    Windows(Windows<'a>),
+    /// Its transpose `[oh*ow, taps]`: `B[p, t]`, the operand of the
+    /// weight gradient `gy · cols^T`.
+    WindowsT(Windows<'a>),
+}
+
+impl<'a> Rhs<'a> {
+    /// A row-major `[k, n]` operand.
+    pub(crate) fn rows(b: &'a [f32], n: usize) -> Self {
+        Rhs::Strided { b, rs: n, cs: 1 }
+    }
+
+    /// Packs `kc×nc` of B from `(k0, j0)` into NR-wide, k-major panels,
+    /// zero-padding the ragged last panel. Every source yields the same
+    /// panel values for the same logical B, so the product does not
+    /// depend on where B lives.
+    pub(crate) fn pack(&self, k0: usize, j0: usize, kc: usize, nc: usize, dst: &mut [f32]) {
+        match *self {
+            Rhs::Strided { b, rs, cs } => pack_b(b, rs, cs, k0, j0, kc, nc, dst),
+            Rhs::Windows(win) => win.pack(k0, j0, kc, nc, dst),
+            Rhs::WindowsT(win) => win.pack_t(k0, j0, kc, nc, dst),
+        }
+    }
+}
+
+/// A convolution's im2col matrix, never materialized: one image staged
+/// zero-padded to `[c, hp, wp]` plus the offset of every reduction tap
+/// `(ci, ki, kj)` within one window, in im2col's row order. Tap `t` of
+/// output pixel `p = oi*ow + oj` is
+/// `plane[(oi*wp + oj)*stride + taps[t]]`, so a gathered panel holds
+/// exactly the values an im2col matrix would. Built by
+/// [`crate::conv::stage_windows`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Windows<'a> {
+    /// The zero-padded image, `[c, hp, wp]`.
+    pub(crate) plane: &'a [f32],
+    /// Tap offsets as `u32` bit patterns ([`Windows::tap_bits`]), so the
+    /// table shares the f32 workspace with the plane.
+    pub(crate) taps: &'a [f32],
+    /// Output width.
+    pub(crate) ow: usize,
+    /// Convolution stride.
+    pub(crate) stride: usize,
+    /// Padded input width.
+    pub(crate) wp: usize,
+}
+
+impl Windows<'_> {
+    /// The f32 whose bits store tap offset `off`: a bit pattern that is
+    /// never computed with, so it round-trips exactly. Saturating keeps
+    /// an absurd offset an out-of-bounds panic, not a wrap.
+    pub(crate) fn tap_bits(off: usize) -> f32 {
+        f32::from_bits(u32::try_from(off).unwrap_or(u32::MAX))
+    }
+
+    /// The tap offset stored by [`Windows::tap_bits`].
+    #[inline(always)]
+    pub(crate) fn tap_offset(bits: f32) -> usize {
+        bits.to_bits() as usize
+    }
+
+    /// Offset of tap `t` within one window.
+    #[inline(always)]
+    fn tap(&self, t: usize) -> usize {
+        Self::tap_offset(self.taps[t])
+    }
+
+    /// Offset of output pixel `p`'s window origin within the plane.
+    #[inline(always)]
+    fn origin(&self, p: usize) -> usize {
+        (p / self.ow * self.wp + p % self.ow) * self.stride
+    }
+
+    /// [`pack_b`] over `B[t, p]`: each panel's NR pixels split into runs
+    /// that share an output row, so every tap row is a few contiguous
+    /// copies at stride 1.
+    fn pack(&self, k0: usize, j0: usize, kc: usize, nc: usize, dst: &mut [f32]) {
+        for q in 0..nc.div_ceil(NR) {
+            let panel = &mut dst[q * NR * kc..(q + 1) * NR * kc];
+            let cols = NR.min(nc - q * NR);
+            // (first panel column, window origin, length) per run.
+            let mut runs = [(0usize, 0usize, 0usize); NR];
+            let (mut nruns, mut s) = (0, 0);
+            while s < cols {
+                let p = j0 + q * NR + s;
+                let len = (self.ow - p % self.ow).min(cols - s);
+                runs[nruns] = (s, self.origin(p), len);
+                nruns += 1;
+                s += len;
+            }
+            let (rows, _) = panel.as_chunks_mut::<NR>();
+            if let [(0, at, NR)] = runs[..nruns] {
+                if self.stride == 1 {
+                    // The common large-layer panel: one output row's run,
+                    // a fixed-size copy per tap.
+                    for (kk, row) in rows.iter_mut().enumerate() {
+                        let t = at + self.tap(k0 + kk);
+                        row.copy_from_slice(&self.plane[t..t + NR]);
+                    }
+                    continue;
+                }
+            }
+            for (kk, row) in rows.iter_mut().enumerate() {
+                let t = self.tap(k0 + kk);
+                for &(s, at, len) in &runs[..nruns] {
+                    let dst = &mut row[s..s + len];
+                    let src = &self.plane[at + t..];
+                    if self.stride == 1 {
+                        dst.copy_from_slice(&src[..len]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(self.stride)) {
+                            *d = v;
+                        }
+                    }
+                }
+                row[cols..].fill(0.0);
+            }
+        }
+    }
+
+    /// [`pack_b`] over `B[p, t]`: each panel's NR tap offsets are read
+    /// once, then every pixel row gathers them from its window.
+    fn pack_t(&self, k0: usize, j0: usize, kc: usize, nc: usize, dst: &mut [f32]) {
+        for q in 0..nc.div_ceil(NR) {
+            let panel = &mut dst[q * NR * kc..(q + 1) * NR * kc];
+            let cols = NR.min(nc - q * NR);
+            let mut taps = [0usize; NR];
+            for (s, t) in taps.iter_mut().enumerate().take(cols) {
+                *t = self.tap(j0 + q * NR + s);
+            }
+            // Walk the pixels' window origins without a division per row.
+            let (mut oj, mut at) = (k0 % self.ow, self.origin(k0));
+            let row_step = self.stride * (self.wp - (self.ow - 1));
+            for row in panel.chunks_exact_mut(NR) {
+                let window = &self.plane[at..];
+                for (d, &t) in row.iter_mut().zip(&taps[..cols]) {
+                    *d = window[t];
+                }
+                row[cols..].fill(0.0);
+                oj += 1;
+                if oj == self.ow {
+                    oj = 0;
+                    at += row_step;
+                } else {
+                    at += self.stride;
+                }
+            }
+        }
+    }
+}
+
+/// Blocked `c += A·B`, `c` row-major `[m, n]` contiguous: the one driver
+/// loop behind every entry point. `parallel` fans the `MC` row-block
+/// loop out over the worker pool (set it `false` when the caller is
+/// already inside a parallel region with one GEMM per worker, as the
+/// conv kernels are).
+///
+/// # Panics
+///
+/// Panics if a packed LHS is not [`packed_a_len`]`(m, k)` long, and
+/// (via debug assertions / slice indexing) if the other buffers are
+/// shorter than the shapes imply.
+pub(crate) fn gemm(m: usize, n: usize, k: usize, a: Lhs, b: Rhs, c: &mut [f32], parallel: bool) {
+    if let Lhs::Packed(full) = a {
+        assert_eq!(full.len(), packed_a_len(m, k), "packed lhs length mismatch");
+    }
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -201,12 +357,24 @@ fn gemm_strided(
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let mut bpack = Scratch::uninit(npanels * NR * kc);
-            pack_b(b, b_rs, b_cs, pc, jc, kc, nc, &mut bpack);
+            b.pack(pc, jc, kc, nc, &mut bpack);
             let block = |ic0: usize, cblock: &mut [f32]| {
                 let mc = MC.min(m - ic0);
-                let mut apack = Scratch::uninit(mc.div_ceil(MR) * MR * kc);
-                pack_a(a, a_rs, a_cs, ic0, pc, mc, kc, &mut apack);
-                mul_block(&apack, &bpack, mc, kc, n, jc, nc, cblock);
+                let alen = mc.div_ceil(MR) * MR * kc;
+                match a {
+                    // MC is a multiple of MR, so a row block's panels
+                    // start on a panel boundary and are contiguous
+                    // within the slab.
+                    Lhs::Packed(full) => {
+                        let apack = &full[m.div_ceil(MR) * MR * pc + ic0 * kc..][..alen];
+                        mul_block(apack, &bpack, mc, kc, n, jc, nc, cblock);
+                    }
+                    Lhs::Strided { a, rs, cs } => {
+                        let mut apack = Scratch::uninit(alen);
+                        pack_a(a, rs, cs, ic0, pc, mc, kc, &mut apack);
+                        mul_block(&apack, &bpack, mc, kc, n, jc, nc, cblock);
+                    }
+                }
             };
             // One chunk per MC rows of C; identical block boundaries on
             // both paths, so this is purely a scheduling choice.

@@ -1,9 +1,11 @@
 //! Thread-local, grow-only scratch arenas for kernel workspace buffers.
 //!
-//! The im2col column matrices and GEMM packing panels used to be
-//! `vec![0.0; ...]` per image per call — at training-loop frequencies
-//! that is thousands of multi-hundred-KB allocations (and page faults)
-//! per second. Each arena keeps a per-thread free stack of `Vec<T>`
+//! GEMM packing panels, the integer route's column matrices and the
+//! allocating conv wrappers' workspaces would otherwise be
+//! `vec![0.0; ...]` per call — at training-loop frequencies that is
+//! thousands of multi-hundred-KB allocations (and page faults) per
+//! second. (The planned float executor sizes its conv workspace once,
+//! in the plan; see `tqt_graph::fplan`.) Each arena keeps a per-thread free stack of `Vec<T>`
 //! buffers: `uninit`/`zeroed` pop one (LIFO, so a steady loop re-pairs
 //! each call site with the buffer it used last time), grow it if
 //! needed, and the guard's `Drop` pushes it back. Capacity is never
@@ -49,8 +51,8 @@ macro_rules! scratch_arena {
         impl $name {
             /// Takes a buffer of `len` elements with **unspecified
             /// contents** (whatever a previous user left behind). Use
-            /// when the kernel fully overwrites the buffer — im2col and
-            /// GEMM packing do.
+            /// when the kernel fully overwrites the buffer — the unfold,
+            /// the window staging and GEMM packing do.
             pub fn uninit(len: usize) -> $name {
                 let mut buf: Vec<$ty> = $free
                     .with(|f| f.borrow_mut().pop())
@@ -66,8 +68,7 @@ macro_rules! scratch_arena {
             }
 
             /// Takes a buffer of `len` elements cleared to zero. Use
-            /// for accumulation workspaces (e.g. the col2im gradient
-            /// columns).
+            /// for accumulation workspaces.
             pub fn zeroed(len: usize) -> $name {
                 let mut s = $name::uninit(len);
                 s.fill($zero);
@@ -103,8 +104,8 @@ macro_rules! scratch_arena {
 
 scratch_arena!(
     /// RAII guard over a borrowed `f32` scratch buffer; derefs to
-    /// `[f32]` of the requested length. Used by the float im2col /
-    /// GEMM-packing path.
+    /// `[f32]` of the requested length. Used by the float GEMM packing
+    /// and the allocating conv wrappers.
     Scratch,
     f32,
     0.0,

@@ -54,7 +54,7 @@ use tqt_fixedpoint::lower::{IntGraph, IntOp};
 use tqt_fixedpoint::{GemmRoute, IntPlan};
 use tqt_graph::fplan::{FloatPlan, ValueKind};
 use tqt_graph::{Graph, Op as FOp};
-use tqt_tensor::conv::{conv2d_bwd_ws, conv2d_fwd_ws, Conv2dGeom};
+use tqt_tensor::conv::{Conv2dGeom, DX_BLOCK};
 use tqt_tensor::gemm::packed_a_len;
 
 /// Independently re-derived facts about one planned graph.
@@ -550,10 +550,13 @@ pub fn check_plan(g: &IntGraph, plan: &IntPlan) -> Report {
 ///   compared per value (`TQT-V018`); the rule itself is checked against
 ///   the reference interpreter's per-node outputs zoo-wide by the
 ///   `tqt-models` tests;
-/// * the plan-owned `ws`/`wpack`/`qw` arena accounting is re-derived from
-///   the kernel workspace contracts (`conv2d_fwd_ws`, plus
-///   `conv2d_bwd_ws` on a training plan, depthwise `n·kelems`,
-///   `packed_a_len`) and the graph's weight quantizers (`TQT-V018`);
+/// * the plan-owned `ws`/`wpack`/`qw` arena accounting is re-derived
+///   (`TQT-V018`) from the graph's weight quantizers and the kernels'
+///   workspace contracts, restated here from the geometry instead of
+///   calling the kernels' own sizing functions: per conv image the
+///   zero-padded plane and tap table, plus on a training plan one
+///   `DX_BLOCK`-pixel block of gradient columns and the weight-gradient
+///   partial; depthwise `n·kelems`; `packed_a_len`;
 /// * xhat values exist exactly on batch-norm nodes of a training plan and
 ///   nowhere in a forward-only one;
 /// * the forward tape must structurally match the graph (step *i*
@@ -663,14 +666,20 @@ pub fn check_float_plan(g: &Graph, plan: &FloatPlan) -> Report {
             .map(|p| p.value.len());
         match &node.op {
             FOp::Conv(l) => {
+                // Per image: the zero-padded plane and one tap offset
+                // per reduction row; to train, also one block of
+                // gradient columns and the weight-gradient partial.
                 let (nb, c, h, w) = (ish[0], ish[1], ish[2], ish[3]);
                 let g2 = l.geom();
-                let cout = shapes[id][1];
-                ws_need = ws_need.max(nb * conv2d_fwd_ws(c, h, w, g2));
+                let (cout, pixels) = (shapes[id][1], shapes[id][2] * shapes[id][3]);
+                let taps = c * g2.kh * g2.kw;
+                let staged = c * (h + 2 * g2.pad) * (w + 2 * g2.pad) + taps;
+                ws_need = ws_need.max(nb * staged);
                 if training {
-                    ws_need = ws_need.max(nb * conv2d_bwd_ws(c, h, w, cout, g2));
+                    let gcols = taps * pixels.min(DX_BLOCK);
+                    ws_need = ws_need.max(nb * (staged + gcols + cout * taps));
                 }
-                wpack_need = wpack_need.max(packed_a_len(cout, c * g2.kh * g2.kw));
+                wpack_need = wpack_need.max(packed_a_len(cout, taps));
             }
             FOp::Depthwise(_) => {
                 let kelems = weight_elems.unwrap_or(0);

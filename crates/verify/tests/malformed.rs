@@ -76,6 +76,44 @@ fn v002_channel_mismatch() {
     assert!(sr.report.has(Code::Shape), "{}", sr.report);
 }
 
+/// `TQT-V002`: a stride-0 conv and a stride-0 pool, refused at the node
+/// instead of dividing by zero.
+#[test]
+fn v002_zero_stride() {
+    let mut rng = init::rng(5);
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let c = g.add(
+        "c0",
+        Op::Conv(Conv2d::new("c0", 3, 4, Conv2dGeom::new(3, 0, 1), &mut rng)),
+        &[x],
+    );
+    g.set_output(c);
+    let sr = infer_shapes(&g, &[1, 3, 8, 8]);
+    let at_c0 = sr
+        .report
+        .diags
+        .iter()
+        .any(|d| d.code == Code::Shape && d.node.as_deref() == Some("c0"));
+    assert!(at_c0, "no V002 at `c0`:\n{}", sr.report);
+
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let p = g.add(
+        "p0",
+        Op::AvgPool(AvgPool2d::new(Conv2dGeom::new(2, 0, 0))),
+        &[x],
+    );
+    g.set_output(p);
+    let sr = infer_shapes(&g, &[1, 3, 8, 8]);
+    let at_p0 = sr
+        .report
+        .diags
+        .iter()
+        .any(|d| d.code == Code::Shape && d.node.as_deref() == Some("p0"));
+    assert!(at_p0, "no V002 at `p0`:\n{}", sr.report);
+}
+
 /// `TQT-V002`: dense weight does not accept the incoming feature count.
 #[test]
 fn v002_dense_feature_mismatch() {
@@ -170,6 +208,27 @@ fn v002_int_conv_channel_mismatch() {
     };
     let ig = IntGraph::from_parts(int_chain(vec![("conv", conv)]), 2);
     assert_int_shape_refuted(&ig, &[1, 2, 8, 8], "conv");
+}
+
+/// `TQT-V002` on a lowered graph: a stride-0 conv, and a max pool with a
+/// zero-extent window.
+#[test]
+fn v002_int_zero_stride() {
+    let conv = IntOp::Conv {
+        w: vec![1; 4 * 2 * 3 * 3],
+        wdims: [4, 2, 3, 3],
+        bias: None,
+        geom: Conv2dGeom::new(3, 0, 1),
+        depthwise: false,
+        w_frac: 4,
+    };
+    let ig = IntGraph::from_parts(int_chain(vec![("conv", conv)]), 2);
+    assert_int_shape_refuted(&ig, &[1, 2, 8, 8], "conv");
+    let pool = IntOp::MaxPool {
+        geom: Conv2dGeom::new(0, 1, 0),
+    };
+    let ig = IntGraph::from_parts(int_chain(vec![("pool", pool)]), 2);
+    assert_int_shape_refuted(&ig, &[1, 2, 8, 8], "pool");
 }
 
 /// `TQT-V003`: a compute op with a weight quantizer but no activation

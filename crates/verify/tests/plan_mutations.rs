@@ -333,6 +333,30 @@ fn forward_only_premature_release_is_refuted() {
     assert_premature_release_refuted(&g, plan);
 }
 
+/// A float plan one element short of the conv workspace the checker
+/// re-derives from the geometry is refuted as V018, on a training plan
+/// (staged windows, gradient columns and weight-gradient partials) and
+/// on a forward-only one (staged windows alone).
+#[test]
+fn short_float_workspace_is_refuted_as_v018() {
+    let mut g = float_skip_graph();
+    let training = FloatPlan::new(&mut g, &FDIMS);
+    let forward = FloatPlan::forward_only(&g, &FDIMS);
+    assert!(training.scratch_elems() > forward.scratch_elems());
+    for mut plan in [training, forward] {
+        let short = plan
+            .inject_short_workspace()
+            .expect("a conv graph has a workspace");
+        let r = check_float_plan(&g, &plan);
+        assert!(
+            r.diags.iter().any(|d| d.code == Code::PlanStorage
+                && d.detail.contains(&format!("plan accounts {short} workspace elements"))),
+            "V018 expected for the short workspace (training: {}):\n{r}",
+            plan.is_training()
+        );
+    }
+}
+
 #[test]
 fn storage_shrink_is_refuted_as_v018() {
     let g = skip_graph();

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo test -q --offline
+# Float-kernel gate: the tensor crate's bitwise oracles (window-gathered
+# conv forward, weight and input gradients against im2col + GEMM +
+# col2im; the unfold and fold against their per-element loops), the
+# GEMM edge-tile and parallel-split tests, and the conv gradchecks.
+cargo test -q --offline -p tqt-tensor
 # Integer-kernel gates: the fused i8 GEMM against its i64 scalar oracle,
 # and serial-vs-parallel bit-identity of the full integer engine across
 # the zoo (the guarantee that lets sanitizer results carry to parallel
