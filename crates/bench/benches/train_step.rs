@@ -1,4 +1,4 @@
-//! End-to-end bench: one full QAT training step (forward in `Mode::Train`,
+//! End-to-end bench: one full QAT training step (training-mode forward,
 //! softmax cross-entropy, backward, Adam updates for weights and
 //! thresholds) on a quantized zoo model. This is the number the kernel
 //! work exists to improve — every matmul, conv, quantizer and optimizer

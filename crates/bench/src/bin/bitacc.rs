@@ -8,7 +8,6 @@ use tqt_fixedpoint::lower;
 use tqt_graph::{quantize_graph, QuantizeOptions, WeightBits};
 use tqt_graph::transforms;
 use tqt_models::INPUT_DIMS;
-use tqt_nn::Mode;
 use tqt_tensor::init;
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
             let samples = 4;
             for _ in 0..samples {
                 let x = init::normal([2, 3, 32, 32], 0.0, 1.2, &mut rng);
-                let yf = g.forward(&x, Mode::Eval);
+                let yf = g.infer(&x);
                 let yi = ig.run(&x).dequantize();
                 max_diff = max_diff.max(yf.max_abs_diff(&yi));
             }

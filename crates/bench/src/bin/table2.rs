@@ -7,7 +7,7 @@
 use tqt::experiment::ExpEnv;
 use tqt_bench::{pct, Args, Sink};
 use tqt_models::ModelKind;
-use tqt_nn::{Mode, ParamKind};
+use tqt_nn::ParamKind;
 use tqt_quant::calib::{calibrate, ThresholdInit};
 use tqt_quant::tqt::quantize;
 use tqt_quant::QuantSpec;
@@ -34,11 +34,11 @@ fn main() {
     let mut g = env.pretrained(model);
 
     // A representative weight tensor (first conv) and activation tensor
-    // (its output on the calibration batch).
+    // (its output on the calibration batch: a forward-only run with the
+    // graph output pointed at conv1).
     let conv = g.find("conv1").expect("conv1 exists");
-    let x = env.calib.clone();
-    g.forward(&x, Mode::Train);
-    let act = g.activations()[conv].clone();
+    g.set_output(conv);
+    let act = g.infer(&env.calib);
     let w = {
         let node = g.node_mut(conv);
         tqt_graph::ir::op_params_mut(&mut node.op)

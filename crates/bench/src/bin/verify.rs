@@ -5,11 +5,12 @@
 //!
 //! 1. structure + shapes + lints on the float graph (`TQT-V001`…`V010`);
 //! 2. transform invariant checking with a semantic probe (`TQT-V014`);
-//! 3. one smoke QAT step with the float-exec NaN/Inf sanitizer, then the
-//!    float *training* plan — the slot assignment the trainer executes
-//!    over the forward+backward tape — and the *forward-only* plan that
-//!    calibration and validation execute are proven alias-free and
-//!    storage-sound (`TQT-V016`…`V018` again, on float values);
+//! 3. one smoke QAT step with the float-exec NaN/Inf sanitizer
+//!    (`TQT-V015`) on the float *training* plan — the slot assignment the
+//!    trainer executes over the forward+backward tape — which is then
+//!    proven alias-free and storage-sound together with the
+//!    *forward-only* plan that calibration and validation execute
+//!    (`TQT-V016`…`V018` again, on float values);
 //! 4. lowering, then the interval/bit-width dataflow proving i64
 //!    accumulators cannot overflow and shifts are legal (`V011`…`V013`);
 //! 5. an instrumented integer run cross-checked against the proofs
@@ -64,16 +65,14 @@
 use std::time::{Duration, Instant};
 use tqt_bench::{select_models, Args};
 use tqt_graph::{quantize_graph, QuantizeOptions, WeightBits};
-use tqt_nn::loss::softmax_cross_entropy;
-use tqt_nn::Mode;
 use tqt_tensor::init;
 use tqt_fixedpoint::GemmRoute;
-use tqt_graph::FloatPlan;
+use tqt_graph::{FloatExecutor, FloatPlan};
 use tqt_verify::{
     analyze, certify, check_batch_schedules, check_containment, check_float_plan,
     check_fold_partition, check_plan, check_schedules, checked_fuse_with_provenance,
     checked_optimize, checked_rebalance_with_provenance, infer_float_grids, infer_int_grids,
-    collect_hb_findings, verify, Report, Stage,
+    collect_hb_findings, qat_smoke_step, verify, Report, Stage,
 };
 
 /// Records the wall-clock lap since `*t` under `name` and restarts it.
@@ -231,30 +230,24 @@ fn check_model(
         return timings; // lowering would panic on a graph the lints rejected
     }
 
-    // Smoke QAT step with the float-exec sanitizer: forward in train mode,
-    // NaN/Inf counters must stay zero, then one backward pass.
+    // Smoke QAT step with the float-exec sanitizer, on the training plan
+    // the trainer executes: quantizer inputs, logits, and every parameter
+    // value and gradient after the backward must stay finite.
     let x = init::normal(dims.clone(), 0.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..batch).map(|i| i % tqt_models::NUM_CLASSES).collect();
-    let logits = g.forward(&x, Mode::Train);
-    let (nan, inf) = g.nonfinite_counts();
-    if nan != 0 || inf != 0 {
-        report.push_global(
-            tqt_verify::Code::SanitizerViolation,
-            format!("QAT smoke step produced {nan} NaN / {inf} Inf activations"),
-        );
+    let mut ex = FloatExecutor::new(FloatPlan::new(&mut g, &dims), &g);
+    let smoke = qat_smoke_step(&mut g, &mut ex, &x, &labels);
+    let smoke_clean = smoke.is_clean();
+    report.merge(smoke);
+    lap(&mut timings, &mut t, "qat");
+    if !smoke_clean {
         return timings;
     }
-    let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
-    g.zero_grads();
-    g.backward(&dlogits);
-    lap(&mut timings, &mut t, "qat");
 
     // Float plan alias-freedom proofs (`TQT-V016`…`V018`): the training
-    // plan over the forward+backward tape the trainer executes, and the
-    // forward-only plan calibration and validation execute, both proven
-    // here on the exact graph the QAT step just ran.
-    let fplan = FloatPlan::new(&mut g, &dims);
-    report.merge(check_float_plan(&g, &fplan));
+    // plan the QAT step just ran, and the forward-only plan calibration
+    // and validation execute.
+    report.merge(check_float_plan(&g, ex.plan()));
     report.merge(check_float_plan(&g, &FloatPlan::forward_only(&g, &dims)));
     lap(&mut timings, &mut t, "fplan");
 

@@ -215,8 +215,8 @@ mod tests {
         assert!(env.zoo_dir.join("darknet.json").exists());
         let mut g2 = env.pretrained(ModelKind::DarkNet);
         let x = env.calib.clone();
-        let y1 = g1.forward(&x, tqt_nn::Mode::Eval);
-        let y2 = g2.forward(&x, tqt_nn::Mode::Eval);
+        let y1 = g1.infer(&x);
+        let y2 = g2.infer(&x);
         y1.assert_close(&y2, 0.0);
         clear_zoo_entry(&env.zoo_dir, ModelKind::DarkNet);
     }

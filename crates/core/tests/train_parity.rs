@@ -6,8 +6,8 @@
 //! the parameter arena) must produce bit-equal validation histories,
 //! threshold traces, and final parameters to [`reference_train`], the
 //! same schedule run here over the reference interpreter
-//! (`Graph::forward`/`backward`) and the per-`Param` Adam, at 1 and 4
-//! threads.
+//! ([`tqt_reference::Interpreter`]) and the per-`Param`
+//! [`tqt_reference::Adam`], at 1 and 4 threads.
 
 use tqt::trainer::{freeze_all_batchnorms, train};
 use tqt::{TrainHyper, TrainResult, ValPoint};
@@ -16,10 +16,10 @@ use tqt_graph::state::StateDict;
 use tqt_graph::{quantize_graph, transforms, Graph, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
 use tqt_nn::loss::{softmax_cross_entropy, topk_accuracy};
-use tqt_nn::optim::Adam;
 use tqt_nn::schedule::StaircaseDecay;
-use tqt_nn::{Mode, Param, ParamKind};
+use tqt_nn::{Param, ParamKind};
 use tqt_quant::freeze::FreezeController;
+use tqt_reference::{Adam, Interpreter, Mode};
 use tqt_rt::pool;
 
 fn tiny_data() -> (Dataset, Dataset) {
@@ -46,7 +46,7 @@ fn build_graph(quantized: bool, reference: bool, val_d: &Dataset) -> Graph {
         quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
         let calib = tqt_data::calibration_batch(val_d, 50, 3);
         if reference {
-            g.calibrate_reference(&calib);
+            Interpreter::new().calibrate(&mut g, &calib);
         } else {
             g.calibrate(&calib);
         }
@@ -57,8 +57,9 @@ fn build_graph(quantized: bool, reference: bool, val_d: &Dataset) -> Graph {
 /// `(top1, top5, mean loss)` on the reference interpreter.
 fn reference_evaluate(g: &mut Graph, data: &Dataset, batch: usize) -> (f32, f32, f32) {
     let (mut top1, mut top5, mut loss, mut n) = (0.0f64, 0.0f64, 0.0f64, 0usize);
+    let mut interp = Interpreter::new();
     for (x, labels) in eval_batches(data, batch) {
-        let logits = g.forward(&x, Mode::Eval);
+        let logits = interp.forward(g, &x, Mode::Eval);
         let (l, _) = softmax_cross_entropy(&logits, &labels);
         let (t1, t5) = topk_accuracy(&logits, &labels);
         let b = labels.len() as f64;
@@ -134,16 +135,17 @@ fn reference_train(
         }
     };
 
+    let mut interp = Interpreter::new();
     let mut step = 0u64;
     for epoch in 0..hyper.epochs {
         for (x, labels) in BatchIter::new(train_data, hyper.batch, hyper.seed, epoch as u64) {
             if step == hyper.bn_freeze_after {
                 freeze_all_batchnorms(g);
             }
-            let logits = g.forward(&x, Mode::Train);
+            let logits = interp.forward(g, &x, Mode::Train);
             let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
             g.zero_grads();
-            g.backward(&dlogits);
+            interp.backward(g, &dlogits);
             if !trainable_tids.is_empty() {
                 let values = log2_ts(g);
                 for (ci, &tid) in trainable_tids.iter().enumerate() {

@@ -21,10 +21,10 @@
 //! ([`crate::intgemm`]); `tests/fusion_parity.rs` checks outputs and total
 //! saturation/overflow counts bit-identical across the zoo.
 //!
-//! The pass composes with [`crate::rebalance`]: a rebalancing coercion
-//! inserted on a single-consumer conv/dense chain is an ordinary
-//! [`IntOp::Requant`], so chain discovery absorbs it like any other
-//! member — the epilogue simply carries two consecutive
+//! The pass composes with [`crate::rebalance`](fn@crate::rebalance): a
+//! rebalancing coercion inserted on a single-consumer conv/dense chain is
+//! an ordinary [`IntOp::Requant`], so chain discovery absorbs it like any
+//! other member — the epilogue simply carries two consecutive
 //! [`EpiStep::Requant`] steps (site requant, then coercion) and the
 //! rebalanced intermediate never materializes a buffer.
 

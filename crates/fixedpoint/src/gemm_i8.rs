@@ -105,7 +105,7 @@ pub enum RequantMode<'a> {
 }
 
 /// A `[k, n]` RHS packed **once** into the NR-wide k-pair panel layout
-/// the micro-kernel consumes (see [`pack_b`]). Build it when the weight
+/// the micro-kernel consumes (see `pack_b`). Build it when the weight
 /// matrix is known (e.g. at plan time) and pass it to
 /// [`gemm_i8_fused_prepacked`] or [`gemm_i8_narrow_fused`]: no call packs
 /// B. Read-only after construction — one `PackedB` can be shared across

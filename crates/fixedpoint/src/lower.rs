@@ -400,7 +400,8 @@ impl IntGraph {
 
     /// Disassembles the graph into its node list and output index — the
     /// inverse of [`from_parts`](Self::from_parts), used by graph-level
-    /// rewrites ([`crate::fuse`]) that rebuild the node list.
+    /// rewrites ([`crate::fuse`](fn@crate::fuse)) that rebuild the node
+    /// list.
     pub fn into_parts(self) -> (Vec<IntNode>, usize) {
         (self.nodes, self.output)
     }
@@ -788,7 +789,6 @@ pub fn lower_with_provenance(g: &mut Graph) -> (IntGraph, Provenance) {
 mod tests {
     use super::*;
     use tqt_graph::{quantize_graph, transforms, QuantizeOptions};
-    use tqt_nn::Mode;
     use tqt_tensor::init;
 
     fn quantized_toy_graph(seed: u64) -> (Graph, Tensor) {
@@ -817,7 +817,7 @@ mod tests {
     fn lowered_graph_is_bit_accurate() {
         let (mut g, calib) = quantized_toy_graph(100);
         let ig = lower(&mut g);
-        let y_float = g.forward(&calib, Mode::Eval);
+        let y_float = g.infer(&calib);
         let y_int = ig.run(&calib).dequantize();
         assert_eq!(
             y_float, y_int,
@@ -832,7 +832,7 @@ mod tests {
         let mut rng = init::rng(102);
         for _ in 0..5 {
             let x = init::normal([2, 2, 8, 8], 0.0, 1.5, &mut rng);
-            let y_float = g.forward(&x, Mode::Eval);
+            let y_float = g.infer(&x);
             let y_int = ig.run(&x).dequantize();
             assert_eq!(y_float, y_int);
         }
@@ -862,7 +862,7 @@ mod tests {
             (g, calib)
         };
         let ig = lower(&mut g);
-        let y_float = g.forward(&calib, Mode::Eval);
+        let y_float = g.infer(&calib);
         let y_int = ig.run(&calib).dequantize();
         assert_eq!(y_float, y_int, "leaky-relu path must stay bit-exact");
     }

@@ -1,24 +1,25 @@
 //! Planned float executor: runs one QAT training step (forward +
 //! backward) or one forward-only pass over the slot buffers of a
 //! [`FloatPlan`], with zero steady-state allocations. It is the only
-//! float engine the set-up, training and evaluation paths call:
-//! [`Graph::calibrate`], the trainer's steps and validation, and
-//! distribution capture all run here.
+//! float engine: [`Graph::calibrate`], [`Graph::infer`], the trainer's
+//! steps and validation, and distribution capture all run here.
 //!
-//! **Bit-identity contract.** Every op's arithmetic is the slice kernel
-//! the allocating layer wraps: conv and depthwise ([`tqt_tensor::conv`]),
-//! dense ([`tqt_tensor::gemm`]), per-channel bias add and sum
+//! **Bit-identity contract.** Every op's arithmetic is one slice kernel:
+//! conv and depthwise ([`tqt_tensor::conv`]), dense
+//! ([`tqt_tensor::gemm`]), per-channel bias add and sum
 //! ([`tqt_tensor::ops`]), pooling ([`tqt_nn::pool`]), batch norm
 //! ([`tqt_nn::batchnorm`]), concat ([`tqt_nn::merge`]) and the quantizer
-//! ([`tqt_quant::tqt`]). The `tqt-nn` unit tests and finite-difference
-//! gradchecks check that arithmetic. What this executor owns, and what
-//! `crates/graph/tests/planned_parity.rs` and the trainer's
-//! `train_parity` test compare bit-for-bit against the reference
-//! interpreter (`Graph::forward`/`backward`), is the rest: slot liveness,
-//! gradient fan-in order (the reference move-then-axpy order: the first
-//! contribution in descending-node order writes, later ones accumulate),
-//! threshold gradients accumulated in the same descending node order,
-//! arena plumbing, quantized-weight staging, and calibration order.
+//! ([`tqt_quant::tqt`]). The test-only `tqt-reference` crate wraps the
+//! same kernels in allocating per-layer forward/backward, and its value
+//! tests and finite-difference gradchecks check that arithmetic. What
+//! this executor owns, and what `crates/graph/tests/planned_parity.rs`
+//! and the trainer's `train_parity` test compare bit-for-bit against the
+//! reference interpreter (`tqt_reference::Interpreter`), is the rest:
+//! slot liveness, gradient fan-in order (the reference move-then-axpy
+//! order: the first contribution in descending-node order writes, later
+//! ones accumulate), threshold gradients accumulated in the same
+//! descending node order, arena plumbing, quantized-weight staging, and
+//! calibration order.
 //!
 //! Parameters are read from a [`ParamArena`] (the pooled-optimizer
 //! layout); thresholds and batch-norm running statistics stay
@@ -345,8 +346,8 @@ impl FloatExecutor {
 
     /// Runs the planned backward pass from the loss gradient `dout`,
     /// accumulating layer-parameter gradients into `arena` (which must
-    /// arrive zeroed, like `Graph::zero_grads` before the reference
-    /// backward) and threshold gradients onto `g`'s side table.
+    /// arrive zeroed) and threshold gradients onto `g`'s side table
+    /// (zeroed by [`Graph::zero_grads`]).
     ///
     /// # Panics
     ///
@@ -671,6 +672,27 @@ pub fn sync_thresholds_from_arena(g: &mut Graph, arena: &ParamArena) {
 }
 
 impl Graph {
+    /// One forward-only pass of `x` on a fresh arena and forward-only
+    /// plan, with `hook` (if any) called by every quantizer.
+    fn forward_once(&mut self, x: &Tensor, hook: Option<&mut QuantHook<'_>>) -> Tensor {
+        let arena = build_arena(self);
+        let mut ex = FloatExecutor::new(FloatPlan::forward_only(self, x.dims()), self);
+        ex.run_forward(self, &arena, x, hook)
+    }
+
+    /// Runs inference on `x`: one forward-only pass in eval mode (batch
+    /// norm on its running statistics) and returns the graph output.
+    /// Builds its plan and arena per call; a caller that runs many
+    /// batches of one shape should keep a [`FloatExecutor`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no input/output, `x` does not fit it, or a
+    /// quantizer is uncalibrated.
+    pub fn infer(&mut self, x: &Tensor) -> Tensor {
+        self.forward_once(x, None)
+    }
+
     /// Runs a calibration pass on a forward-only plan: flows `x` through
     /// the graph, initializing every uncalibrated threshold from the
     /// distribution its quantizer sees (the full-precision weights for
@@ -684,16 +706,17 @@ impl Graph {
     ///
     /// Panics if the graph has no input/output or `x` does not fit it.
     pub fn calibrate(&mut self, x: &Tensor) -> Tensor {
-        let arena = build_arena(self);
-        let mut ex = FloatExecutor::new(FloatPlan::forward_only(self, x.dims()), self);
         let mut proposed = vec![false; self.thresholds().len()];
-        ex.forward_hooked(self, &arena, x, &mut |tid, ts, data| {
-            if ts.calibrated && !proposed[tid] {
-                return;
-            }
-            let p = calibrate_log2_t(&Tensor::from_slice(data), ts.init, ts.spec);
-            ts.set_log2_t(if proposed[tid] { ts.log2_t().max(p) } else { p });
-            proposed[tid] = true;
-        })
+        self.forward_once(
+            x,
+            Some(&mut |tid, ts, data| {
+                if ts.calibrated && !proposed[tid] {
+                    return;
+                }
+                let p = calibrate_log2_t(&Tensor::from_slice(data), ts.init, ts.spec);
+                ts.set_log2_t(if proposed[tid] { ts.log2_t().max(p) } else { p });
+                proposed[tid] = true;
+            }),
+        )
     }
 }

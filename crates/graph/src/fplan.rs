@@ -3,9 +3,9 @@
 //! (calibration, evaluation, distribution capture) onto the generic
 //! slot-reuse engine in [`tqt_plan`].
 //!
-//! The reference interpreter ([`crate::exec`]) allocates a fresh tensor
-//! for every node output, every retained activation, and every gradient,
-//! each step. This planner instead enumerates every intermediate **value**
+//! The reference interpreter (`tqt_reference::Interpreter`, test-only)
+//! allocates a fresh tensor for every node output, every retained
+//! activation, and every gradient, each step. This planner instead enumerates every intermediate **value**
 //! of a pass as an SSA tape and asks [`tqt_plan::assign_slots`] for a
 //! liveness-minimal buffer assignment, exactly like the integer inference
 //! engine's `IntPlan`. The value model:

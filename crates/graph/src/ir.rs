@@ -143,8 +143,6 @@ impl ThresholdState {
 pub struct WeightQuant {
     /// Threshold id in the graph's side table.
     pub tid: ThresholdId,
-    /// Stashed full-precision weights during a quantized forward pass.
-    pub(crate) saved_w: Option<Tensor>,
 }
 
 impl WeightQuant {
@@ -152,7 +150,7 @@ impl WeightQuant {
     /// assemble (possibly deliberately malformed) graphs by hand; the normal
     /// path is `quantize_graph`.
     pub fn new(tid: ThresholdId) -> Self {
-        WeightQuant { tid, saved_w: None }
+        WeightQuant { tid }
     }
 }
 
@@ -177,9 +175,6 @@ pub struct Graph {
     pub(crate) thresholds: Vec<ThresholdState>,
     pub(crate) input: Option<NodeId>,
     pub(crate) output: Option<NodeId>,
-    /// Per-node outputs retained by a training-mode forward pass for use by
-    /// backward and by distribution reports (Figure 5).
-    pub(crate) acts: Vec<Tensor>,
 }
 
 impl Graph {
@@ -345,12 +340,6 @@ impl Graph {
         for p in self.params_mut() {
             p.zero_grad();
         }
-    }
-
-    /// Per-node outputs from the most recent training-mode forward pass
-    /// (empty otherwise). Index by [`NodeId`]. Used by distribution reports.
-    pub fn activations(&self) -> &[Tensor] {
-        &self.acts
     }
 
     /// Restores the invariant that node ids are topologically ordered

@@ -9,9 +9,6 @@
 //!   share one scale (the paper's merged `q'` scales for concat,
 //!   eltwise-add and bias).
 //! * [`shape`] — the one per-op shape rule and [`Graph::infer_shapes`].
-//! * [`exec`] — the reference interpreter: allocating topological
-//!   forward/backward and its own calibration pass, which the planned
-//!   executor's parity tests compare against.
 //! * [`transforms`] — batch-norm folding, identity splicing,
 //!   concat-of-concat collapsing, avgpool → depthwise conversion.
 //! * [`quantize`] — the automatic quantization pass implementing the
@@ -20,10 +17,11 @@
 //! * [`fplan`] / [`fexec`] — the one float engine: a liveness-planned
 //!   slot assignment over the forward+backward training tape or a
 //!   forward-only tape, and the allocation-free executor that runs it for
-//!   calibration ([`Graph::calibrate`]), training and evaluation,
-//!   bit-identical to [`exec`].
+//!   calibration ([`Graph::calibrate`]), inference ([`Graph::infer`]),
+//!   training and evaluation. Its parity tests check it bit for bit
+//!   against the allocating interpreter in the test-only
+//!   `tqt-reference` crate.
 
-pub mod exec;
 pub mod fexec;
 pub mod fplan;
 pub mod ir;

@@ -359,10 +359,7 @@ pub fn quantize_graph(g: &mut Graph, opts: QuantizeOptions) {
             opts.weight_init,
             opts.mode,
         ));
-        g.node_mut(id).wq = Some(WeightQuant {
-            tid,
-            saved_w: None,
-        });
+        g.node_mut(id).wq = Some(WeightQuant::new(tid));
     }
 
     g.toposort();
@@ -407,7 +404,7 @@ fn insert_quant_after(g: &mut Graph, x: NodeId, tid: usize) -> NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tqt_nn::{Concat, Conv2d, Dense, EltwiseAdd, GlobalAvgPool, Mode, Relu};
+    use tqt_nn::{Concat, Conv2d, Dense, EltwiseAdd, GlobalAvgPool, Relu};
     use tqt_tensor::conv::Conv2dGeom;
     use tqt_tensor::init;
 
@@ -581,10 +578,10 @@ mod tests {
         let mut gq = build_residual_net();
         let mut gf = build_residual_net(); // identical seeds => same weights
         let x = init::normal([2, 2, 8, 8], 0.0, 1.0, &mut rng);
-        let yf = gf.forward(&x, Mode::Eval);
+        let yf = gf.infer(&x);
         quantize_graph(&mut gq, QuantizeOptions::static_int8());
         gq.calibrate(&x);
-        let yq = gq.forward(&x, Mode::Eval);
+        let yq = gq.infer(&x);
         assert_eq!(yf.dims(), yq.dims());
         let err = yf.max_abs_diff(&yq);
         let scale = yf.abs_max().max(1e-6);
@@ -627,25 +624,33 @@ mod tests {
 
     #[test]
     fn end_to_end_quantized_training_step_reduces_loss() {
+        use crate::fexec::{build_arena, sync_thresholds_from_arena, sync_thresholds_to_arena};
+        use crate::{FloatExecutor, FloatPlan};
         use tqt_nn::loss::softmax_cross_entropy;
-        use tqt_nn::optim::Adam;
+        use tqt_nn::{ParamKind, PooledAdam};
         let mut g = build_residual_net();
         quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
         let mut rng = init::rng(73);
         let x = init::normal([8, 2, 8, 8], 0.0, 1.0, &mut rng);
         let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
         g.calibrate(&x);
-        let mut opt = Adam::paper(1e-2);
+        let mut arena = build_arena(&mut g);
+        let mut ex = FloatExecutor::new(FloatPlan::new(&mut g, x.dims()), &g);
+        let mut opt = PooledAdam::paper(1e-2, &arena);
+        let all = [ParamKind::Weight, ParamKind::Bias, ParamKind::BatchNorm, ParamKind::Threshold];
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..30 {
-            let logits = g.forward(&x, Mode::Train);
+            let logits = ex.forward(&mut g, &arena, &x);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &labels);
             first.get_or_insert(loss);
             last = loss;
             g.zero_grads();
-            g.backward(&dlogits);
-            opt.step(&mut g.params_mut());
+            arena.zero_grads();
+            ex.backward(&mut g, &mut arena, &dlogits);
+            sync_thresholds_to_arena(&g, &mut arena);
+            opt.step(&mut arena, &all);
+            sync_thresholds_from_arena(&mut g, &arena);
         }
         assert!(
             last < first.unwrap() * 0.9,

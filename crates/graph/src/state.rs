@@ -195,7 +195,9 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tqt_nn::{BatchNorm, Conv2d, Mode};
+    use crate::fexec::build_arena;
+    use crate::{FloatExecutor, FloatPlan};
+    use tqt_nn::{BatchNorm, Conv2d};
     use tqt_tensor::conv::Conv2dGeom;
     use tqt_tensor::init;
 
@@ -218,17 +220,19 @@ mod tests {
         let mut rng = init::rng(80);
         let mut g1 = net(80);
         // Train a bit so running stats are non-trivial.
+        let arena = build_arena(&mut g1);
+        let mut ex = FloatExecutor::new(FloatPlan::new(&mut g1, &[4, 1, 5, 5]), &g1);
         for _ in 0..5 {
             let x = init::normal([4, 1, 5, 5], 1.0, 2.0, &mut rng);
-            g1.forward(&x, Mode::Train);
+            ex.forward(&mut g1, &arena, &x);
         }
         let sd = g1.state_dict();
         let mut g2 = net(81); // different seed => different weights
         let x = init::normal([2, 1, 5, 5], 0.0, 1.0, &mut rng);
-        assert!(g1.forward(&x, Mode::Eval).max_abs_diff(&g2.forward(&x, Mode::Eval)) > 1e-4);
+        assert!(g1.infer(&x).max_abs_diff(&g2.infer(&x)) > 1e-4);
         g2.load_state_dict(&sd);
-        let y1 = g1.forward(&x, Mode::Eval);
-        let y2 = g2.forward(&x, Mode::Eval);
+        let y1 = g1.infer(&x);
+        let y2 = g2.infer(&x);
         y1.assert_close(&y2, 0.0);
     }
 

@@ -265,7 +265,7 @@ pub fn optimize(g: &mut Graph, input_dims: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tqt_nn::{AvgPool2d, BatchNorm, Concat, Conv2d, Mode, Relu};
+    use tqt_nn::{AvgPool2d, BatchNorm, Concat, Conv2d, Relu};
     use tqt_tensor::conv::Conv2dGeom;
     use tqt_tensor::{init, Tensor};
 
@@ -296,11 +296,11 @@ mod tests {
     #[test]
     fn bn_fold_preserves_inference() {
         let (mut g, x) = conv_bn_relu();
-        let before = g.forward(&x, Mode::Eval);
+        let before = g.infer(&x);
         let folds = fold_batch_norm(&mut g);
         assert_eq!(folds, 1);
         assert!(g.find("bn").is_none(), "bn node should be removed");
-        let after = g.forward(&x, Mode::Eval);
+        let after = g.infer(&x);
         before.assert_close(&after, 1e-4);
     }
 
@@ -318,10 +318,10 @@ mod tests {
         let i2 = g.add("id2", Op::Identity, &[c]);
         g.set_output(i2);
         let input = init::normal([1, 1, 4, 4], 0.0, 1.0, &mut rng);
-        let before = g.forward(&input, Mode::Eval);
+        let before = g.infer(&input);
         assert_eq!(splice_identities(&mut g), 2);
         assert_eq!(g.len(), 2);
-        let after = g.forward(&input, Mode::Eval);
+        let after = g.infer(&input);
         before.assert_close(&after, 0.0);
     }
 
@@ -337,11 +337,11 @@ mod tests {
         g.set_output(outer);
         let mut rng = init::rng(62);
         let input = init::normal([2, 2, 3, 3], 0.0, 2.0, &mut rng);
-        let before = g.forward(&input, Mode::Eval);
+        let before = g.infer(&input);
         assert_eq!(collapse_concat_of_concat(&mut g), 1);
         assert!(g.find("cat_inner").is_none());
         assert_eq!(g.node(g.find("cat_outer").unwrap()).inputs.len(), 3);
-        let after = g.forward(&input, Mode::Eval);
+        let after = g.infer(&input);
         before.assert_close(&after, 0.0);
     }
 
@@ -357,19 +357,19 @@ mod tests {
         g.set_output(p);
         let mut rng = init::rng(63);
         let input = init::normal([2, 3, 4, 4], 0.0, 1.0, &mut rng);
-        let before = g.forward(&input, Mode::Eval);
+        let before = g.infer(&input);
         assert_eq!(avgpool_to_depthwise(&mut g, &[1, 3, 4, 4]), 1);
         assert!(matches!(g.node(g.find("pool").unwrap()).op, Op::Depthwise(_)));
-        let after = g.forward(&input, Mode::Eval);
+        let after = g.infer(&input);
         before.assert_close(&after, 1e-5);
     }
 
     #[test]
     fn full_pipeline_preserves_semantics() {
         let (mut g, x) = conv_bn_relu();
-        let before = g.forward(&x, Mode::Eval);
+        let before = g.infer(&x);
         optimize(&mut g, &[1, 2, 5, 5]);
-        let after = g.forward(&x, Mode::Eval);
+        let after = g.infer(&x);
         before.assert_close(&after, 1e-4);
     }
 

@@ -2,8 +2,11 @@
 //! insertion-heavy passes, pruning behaviour, determinism of the
 //! quantization pass, and calibration idempotence.
 
-use tqt_graph::{quantize_graph, Graph, Op, QuantizeOptions, WeightBits};
-use tqt_nn::{Conv2d, Dense, EltwiseAdd, GlobalAvgPool, Mode, Relu};
+use tqt_graph::{
+    build_arena, quantize_graph, FloatExecutor, FloatPlan, Graph, Op, QuantizeOptions, WeightBits,
+};
+use tqt_nn::{Conv2d, Dense, EltwiseAdd, GlobalAvgPool, Relu};
+use tqt_reference::{Interpreter, Mode};
 use tqt_tensor::conv::Conv2dGeom;
 use tqt_tensor::init;
 
@@ -61,7 +64,7 @@ fn calibration_is_idempotent_for_fixed_thresholds() {
     g.calibrate(&x);
     let first: Vec<f32> = g.thresholds().iter().map(|t| t.log2_t()).collect();
     // A second forward pass must not move fixed thresholds.
-    g.forward(&x, Mode::Eval);
+    g.infer(&x);
     let second: Vec<f32> = g.thresholds().iter().map(|t| t.log2_t()).collect();
     assert_eq!(first, second);
 }
@@ -74,9 +77,11 @@ fn training_forward_does_not_recalibrate() {
     let x = init::normal([4, 2, 8, 8], 0.0, 1.0, &mut rng);
     g.calibrate(&x);
     let before: Vec<f32> = g.thresholds().iter().map(|t| t.log2_t()).collect();
-    let y = g.forward(&x, Mode::Train);
+    let mut arena = build_arena(&mut g);
+    let mut ex = FloatExecutor::new(FloatPlan::new(&mut g, x.dims()), &g);
+    let y = ex.forward(&mut g, &arena, &x);
     g.zero_grads();
-    g.backward(&y);
+    ex.backward(&mut g, &mut arena, &y);
     // Gradients accumulate but values change only via the optimizer.
     let after: Vec<f32> = g.thresholds().iter().map(|t| t.log2_t()).collect();
     assert_eq!(before, after);
@@ -112,10 +117,10 @@ fn toposort_preserves_semantics_after_shuffle_like_insertions() {
     let mut g = residual_net(8);
     let mut rng = init::rng(9);
     let x = init::normal([2, 2, 8, 8], 0.0, 1.0, &mut rng);
-    let y_ref = g.forward(&x, Mode::Eval);
+    let y_ref = Interpreter::new().forward(&mut g, &x, Mode::Eval);
     quantize_graph(&mut g, QuantizeOptions::static_int8());
     g.calibrate(&x);
-    let y_q = g.forward(&x, Mode::Eval);
+    let y_q = Interpreter::new().forward(&mut g, &x, Mode::Eval);
     assert_eq!(y_ref.dims(), y_q.dims());
     // Quantized output approximates the float output (sanity that the
     // sorted graph still computes the same function).
@@ -130,11 +135,11 @@ fn weight_quantizer_survives_state_dict_roundtrip() {
     let mut rng = init::rng(11);
     let x = init::normal([4, 2, 8, 8], 0.0, 1.0, &mut rng);
     g.calibrate(&x);
-    let y1 = g.forward(&x, Mode::Eval);
+    let y1 = g.infer(&x);
     let sd = g.state_dict();
     let mut g2 = residual_net(12); // different weights
     quantize_graph(&mut g2, QuantizeOptions::retrain_wt_th(WeightBits::Int8));
     g2.load_state_dict(&sd);
-    let y2 = g2.forward(&x, Mode::Eval);
+    let y2 = g2.infer(&x);
     y1.assert_close(&y2, 0.0);
 }

@@ -19,8 +19,9 @@ use tqt_graph::fplan::FloatPlan;
 use tqt_graph::{quantize_graph, transforms, FloatExecutor, Graph, Op, QuantizeOptions, WeightBits};
 use tqt_nn::{
     AvgPool2d, BatchNorm, Conv2d, Dense, DepthwiseConv2d, EltwiseAdd, Flatten, GlobalAvgPool,
-    MaxPool2d, Mode, Relu,
+    MaxPool2d, Relu,
 };
+use tqt_reference::{Interpreter, Mode};
 use tqt_rt::pool;
 use tqt_tensor::conv::Conv2dGeom;
 use tqt_tensor::init;
@@ -101,10 +102,11 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
     // Twin graphs: identical weights, quantization topology, calibration.
     let mut gl = make_net(71, quantized);
     let mut gp = make_net(71, quantized);
+    let mut rl = Interpreter::new();
     let mut rng = init::rng(72);
     if quantized {
         let x0 = init::normal(DIMS.to_vec(), 0.0, 1.0, &mut rng);
-        gl.calibrate_reference(&x0);
+        rl.calibrate(&mut gl, &x0);
         gp.calibrate(&x0);
     }
 
@@ -124,9 +126,9 @@ fn run_parity(threads: usize, steps: usize, quantized: bool) {
         let x = init::normal(DIMS.to_vec(), 0.0, 1.0, &mut rng);
         let dout = init::normal(vec![DIMS[0], 5], 0.0, 0.1, &mut rng);
 
-        let yl = gl.forward(&x, Mode::Train);
+        let yl = rl.forward(&mut gl, &x, Mode::Train);
         gl.zero_grads();
-        gl.backward(&dout);
+        rl.backward(&mut gl, &dout);
 
         let yp = ex.forward(&mut gp, &arena, &x);
         gp.zero_grads();
@@ -262,7 +264,8 @@ fn run_forward_only_parity(threads: usize, quantized: bool) {
     let stats_before = stats(&gl);
 
     let x0 = init::normal(DIMS.to_vec(), 0.0, 1.0, &mut rng);
-    let yl = gl.calibrate_reference(&x0);
+    let mut rl = Interpreter::new();
+    let yl = rl.calibrate(&mut gl, &x0);
     let yp = gp.calibrate(&x0);
     assert_eq!(
         bits(yl.data()),
@@ -285,7 +288,7 @@ fn run_forward_only_parity(threads: usize, quantized: bool) {
         let mut ex = FloatExecutor::new(FloatPlan::forward_only(&gp, &dims), &gp);
         for _ in 0..3 {
             let x = init::normal(dims.to_vec(), 0.0, 1.0, &mut rng);
-            let yl = gl.forward(&x, Mode::Eval);
+            let yl = rl.forward(&mut gl, &x, Mode::Eval);
             let yp = ex.forward(&mut gp, &arena, &x);
             assert_eq!(
                 bits(yl.data()),

@@ -284,7 +284,6 @@ fn darknet(seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tqt_nn::Mode;
     use tqt_tensor::{init, Tensor};
 
     #[test]
@@ -293,55 +292,9 @@ mod tests {
         let x = init::normal([2, 3, 32, 32], 0.0, 1.0, &mut rng);
         for kind in ModelKind::all() {
             let mut g = kind.build(1);
-            let y = g.forward(&x, Mode::Eval);
+            let y = g.infer(&x);
             assert_eq!(y.dims(), &[2, NUM_CLASSES], "{kind} wrong output shape");
             assert!(y.all_finite(), "{kind} produced non-finite logits");
-        }
-    }
-
-    #[test]
-    fn all_models_backprop() {
-        let mut rng = init::rng(91);
-        let x = init::normal([2, 3, 32, 32], 0.0, 1.0, &mut rng);
-        for kind in ModelKind::all() {
-            let mut g = kind.build(2);
-            let y = g.forward(&x, Mode::Train);
-            g.zero_grads();
-            g.backward(&y);
-            // At least one weight gradient must be non-zero.
-            let any_grad = g
-                .params_mut()
-                .iter()
-                .any(|p| p.grad.data().iter().any(|&v| v != 0.0));
-            assert!(any_grad, "{kind} produced no gradients");
-        }
-    }
-
-    /// The symbolic shape rule against the reference interpreter: for
-    /// every zoo model at batch 1 and 8, `Graph::infer_shapes` must give
-    /// exactly the dims of every node output a training-mode forward
-    /// retains.
-    #[test]
-    fn infer_shapes_matches_forward() {
-        let mut rng = init::rng(93);
-        for kind in ModelKind::all() {
-            let mut g = kind.build(4);
-            for batch in [1, 8] {
-                let mut dims = INPUT_DIMS;
-                dims[0] = batch;
-                let shapes = g.infer_shapes(&dims);
-                let x = init::normal(dims.to_vec(), 0.0, 1.0, &mut rng);
-                g.forward(&x, Mode::Train);
-                assert_eq!(shapes.len(), g.len(), "{kind}: one shape per node");
-                for (id, act) in g.activations().iter().enumerate() {
-                    assert_eq!(
-                        shapes[id],
-                        act.dims(),
-                        "{kind} batch {batch}: node `{}`",
-                        g.node(id).name
-                    );
-                }
-            }
         }
     }
 
@@ -352,9 +305,9 @@ mod tests {
         let x = init::normal([2, 3, 32, 32], 0.0, 1.0, &mut rng);
         for kind in ModelKind::all() {
             let mut g = kind.build(3);
-            let before = g.forward(&x, Mode::Eval);
+            let before = g.infer(&x);
             transforms::optimize(&mut g, &INPUT_DIMS);
-            let folded = g.forward(&x, Mode::Eval);
+            let folded = g.infer(&x);
             before.assert_close(&folded, 1e-3);
             // No batch norms left.
             assert!(
@@ -363,7 +316,7 @@ mod tests {
             );
             quantize_graph(&mut g, QuantizeOptions::static_int8());
             g.calibrate(&x);
-            let yq = g.forward(&x, Mode::Eval);
+            let yq = g.infer(&x);
             assert!(yq.all_finite(), "{kind} quantized output not finite");
         }
     }
@@ -382,7 +335,7 @@ mod tests {
         let mut b = ModelKind::ResNet8.build(2);
         let x = Tensor::ones([1, 3, 32, 32]);
         assert!(
-            a.forward(&x, Mode::Eval).max_abs_diff(&b.forward(&x, Mode::Eval)) > 1e-6,
+            a.infer(&x).max_abs_diff(&b.infer(&x)) > 1e-6,
             "different seeds should give different nets"
         );
     }

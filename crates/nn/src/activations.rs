@@ -1,8 +1,7 @@
 //! Pointwise activation layers: ReLU, ReLU6, and leaky ReLU (the DarkNet
 //! activation with its dedicated quantization topology in Section 4.3).
 
-use crate::layer::{single, Layer, Mode};
-use tqt_tensor::Tensor;
+use crate::layer::Layer;
 
 /// Rectified linear unit, optionally capped (ReLU6), with an optional
 /// leaky negative slope.
@@ -14,7 +13,6 @@ use tqt_tensor::Tensor;
 pub struct Relu {
     cap: Option<f32>,
     negative_slope: f32,
-    cached_x: Option<Tensor>,
 }
 
 impl Relu {
@@ -23,7 +21,6 @@ impl Relu {
         Relu {
             cap: None,
             negative_slope: 0.0,
-            cached_x: None,
         }
     }
 
@@ -32,7 +29,6 @@ impl Relu {
         Relu {
             cap: Some(6.0),
             negative_slope: 0.0,
-            cached_x: None,
         }
     }
 
@@ -49,7 +45,6 @@ impl Relu {
         Relu {
             cap: None,
             negative_slope: alpha,
-            cached_x: None,
         }
     }
 
@@ -64,7 +59,6 @@ impl Relu {
         Relu {
             cap: Some(cap),
             negative_slope: 0.0,
-            cached_x: None,
         }
     }
 
@@ -169,85 +163,12 @@ impl Layer for Relu {
             "relu"
         }
     }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "relu");
-        if mode == Mode::Train {
-            self.cached_x = Some(x.clone());
-        }
-        let mut y = Tensor::zeros(x.shape().clone());
-        self.forward_into(x.data(), y.data_mut());
-        y
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let x = self
-            .cached_x
-            .take()
-            .expect("relu backward without cached forward");
-        assert!(
-            gy.shape().same_as(x.shape()),
-            "relu upstream gradient shape {} does not match input {}",
-            gy.shape(),
-            x.shape()
-        );
-        let mut gx = Tensor::zeros(x.shape().clone());
-        self.backward_into(x.data(), gy.data(), gx.data_mut());
-        vec![gx]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::gradcheck_layer;
     use tqt_tensor::init;
-
-    #[test]
-    fn relu_forward() {
-        let mut r = Relu::new();
-        let y = r.forward(&[&Tensor::from_slice(&[-1.0, 0.0, 2.0])], Mode::Eval);
-        assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn relu6_caps() {
-        let mut r = Relu::relu6();
-        let y = r.forward(&[&Tensor::from_slice(&[-1.0, 3.0, 9.0])], Mode::Eval);
-        assert_eq!(y.data(), &[0.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn leaky_negative_slope() {
-        let mut r = Relu::leaky(0.1);
-        let y = r.forward(&[&Tensor::from_slice(&[-2.0, 4.0])], Mode::Eval);
-        assert_eq!(y.data(), &[-0.2, 4.0]);
-    }
-
-    #[test]
-    fn gradients_mask_correctly() {
-        let mut r = Relu::relu6();
-        let x = Tensor::from_slice(&[-1.0, 3.0, 9.0]);
-        r.forward(&[&x], Mode::Train);
-        let g = r.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).remove(0);
-        assert_eq!(g.data(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn leaky_gradcheck() {
-        let mut rng = init::rng(30);
-        let mut r = Relu::leaky(0.1);
-        // Keep probes away from the kink at 0.
-        let x = init::uniform([64], 0.2, 2.0, &mut rng)
-            .zip_map(&init::uniform([64], -2.0, -0.2, &mut rng), |a, b| {
-                if (a + b) > 0.0 {
-                    a
-                } else {
-                    b
-                }
-            });
-        gradcheck_layer(&mut r, &[x], 1e-3, 1e-2);
-    }
 
     /// The per-element forward map the slice kernel replaced, kept as its
     /// oracle.

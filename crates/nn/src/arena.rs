@@ -1,18 +1,18 @@
 //! Contiguous parameter/gradient arena and the pooled Adam update.
 //!
-//! The per-`Param` optimizer path ([`crate::optim::Adam`]) walks a
-//! HashMap of per-tensor moment slots and updates each parameter in its
-//! own serial loop. At training-step frequency that costs a map lookup,
-//! two tensor allocations (first step) and a cache-cold walk per
-//! parameter. The arena instead lays every parameter out back-to-back in
-//! one `Vec<f32>` (values and gradients as twin buffers), and
-//! [`PooledAdam`] keeps its first/second moments as twin buffers of the
-//! same layout — one fused pass updates values, moments and gradients
-//! reads in lockstep over contiguous memory, fanned out over the worker
-//! pool in fixed [`ELEM_BLOCK`]-sized chunks.
+//! The per-`Param` optimizer path (`tqt_reference::Adam`, the test-only
+//! reference) walks a HashMap of per-tensor moment slots and updates each
+//! parameter in its own serial loop. At training-step frequency that
+//! costs a map lookup, two tensor allocations (first step) and a
+//! cache-cold walk per parameter. The arena instead lays every parameter
+//! out back-to-back in one `Vec<f32>` (values and gradients as twin
+//! buffers), and [`PooledAdam`] keeps its first/second moments as twin
+//! buffers of the same layout — one fused pass updates values, moments
+//! and gradients reads in lockstep over contiguous memory, fanned out
+//! over the worker pool in fixed `ELEM_BLOCK`-sized chunks.
 //!
 //! **Bit-identity contract:** the per-element update is exactly the
-//! scalar sequence of [`crate::optim::Adam::step`] — same f64
+//! scalar sequence of the reference `Adam::step` — same f64
 //! intermediate math, same f32 stores — and elements are independent, so
 //! the fused pass is bit-identical to the per-parameter reference at any
 //! thread count. Per-segment step counters replicate the lazy per-name
@@ -156,8 +156,8 @@ impl ParamArena {
 
 /// Adam over a [`ParamArena`]: moments stored as twin arena-layout
 /// buffers, updates fused into one pooled pass per segment. See the
-/// module docs for the bit-identity contract with
-/// [`crate::optim::Adam`].
+/// module docs for the bit-identity contract with the per-`Param`
+/// reference Adam.
 #[derive(Debug)]
 pub struct PooledAdam {
     lr: f32,

@@ -2,7 +2,7 @@
 //! statistics, and the freeze switch the paper uses after one epoch of
 //! quantized retraining (Section 5.2).
 
-use crate::layer::{single, Layer, Mode};
+use crate::layer::Layer;
 use crate::param::{Param, ParamKind};
 use tqt_tensor::{ops, Tensor};
 
@@ -24,19 +24,11 @@ pub struct BatchNorm {
     momentum: f32,
     eps: f32,
     stats_frozen: bool,
-    /// Boxed so the cached statistics do not widen every graph `Op`.
-    cache: Option<Box<BnCache>>,
-}
-
-#[derive(Debug)]
-struct BnCache {
-    xhat: Tensor,
-    stats: BnStats,
 }
 
 /// Per-channel statistics of one batch-norm forward pass, kept for its
-/// backward, plus the backward's per-channel sums. The layer keeps one in
-/// its training cache; the planned executor keeps one per batch-norm node.
+/// backward, plus the backward's per-channel sums. The planned executor
+/// keeps one per batch-norm node.
 #[derive(Debug)]
 pub struct BnStats {
     mean: Vec<f32>,
@@ -85,7 +77,6 @@ impl BatchNorm {
             momentum,
             eps,
             stats_frozen: false,
-            cache: None,
         }
     }
 
@@ -161,58 +152,6 @@ impl BatchNorm {
 impl Layer for BatchNorm {
     fn op_name(&self) -> &'static str {
         "batch_norm"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "batch_norm");
-        assert!(
-            x.ndim() == 2 || x.ndim() == 4,
-            "batch_norm input must be [N,C] or NCHW, got {}",
-            x.shape()
-        );
-        let use_batch_stats = mode == Mode::Train && !self.stats_frozen;
-        let mut stats = BnStats::new(self.gamma.value.len());
-        let mut xhat = Tensor::zeros(x.shape().clone());
-        let mut y = Tensor::zeros(x.shape().clone());
-        let running =
-            (!use_batch_stats).then(|| (self.running_mean.data(), self.running_var.data()));
-        batch_norm_into(
-            x.data(),
-            x.dim(0),
-            running,
-            self.eps,
-            self.gamma.value.data(),
-            self.beta.value.data(),
-            &mut stats,
-            Some(xhat.data_mut()),
-            y.data_mut(),
-        );
-        if use_batch_stats {
-            self.update_running_stats(&stats);
-        }
-        if mode == Mode::Train {
-            self.cache = Some(Box::new(BnCache { xhat, stats }));
-        }
-        y
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let BnCache { xhat, mut stats } = *self
-            .cache
-            .take()
-            .expect("batch_norm backward without cached forward");
-        let mut dx = Tensor::zeros(gy.shape().clone());
-        batch_norm_backward_into(
-            gy.data(),
-            xhat.data(),
-            gy.dim(0),
-            self.gamma.value.data(),
-            &mut stats,
-            self.gamma.grad.data_mut(),
-            self.beta.grad.data_mut(),
-            dx.data_mut(),
-        );
-        vec![dx]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -366,143 +305,5 @@ pub fn batch_norm_backward_into(
                 *o = gv * scale;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tqt_tensor::init;
-
-    #[test]
-    fn normalizes_batch_to_zero_mean_unit_var() {
-        let mut bn = BatchNorm::new("bn", 2, 0.9, 1e-5);
-        let mut rng = init::rng(20);
-        let x = init::normal([8, 2, 4, 4], 3.0, 2.0, &mut rng);
-        let y = bn.forward(&[&x], Mode::Train);
-        for c in 0..2 {
-            // Channel c's 8 blocks of 16 elements, in f64.
-            let vals: Vec<f64> = (0..8)
-                .flat_map(|n| y.data()[(n * 2 + c) * 16..(n * 2 + c + 1) * 16].iter())
-                .map(|&v| v as f64)
-                .collect();
-            let m = vals.iter().sum::<f64>() / vals.len() as f64;
-            let v = vals.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / vals.len() as f64;
-            assert!(m.abs() < 1e-4, "mean {m}");
-            assert!((v - 1.0).abs() < 1e-3, "var {v}");
-        }
-    }
-
-    #[test]
-    fn eval_uses_running_stats() {
-        let mut bn = BatchNorm::new("bn", 1, 0.9, 1e-5);
-        bn.set_running_stats(Tensor::from_slice(&[2.0]), Tensor::from_slice(&[4.0]));
-        let x = Tensor::from_vec([1, 1, 1, 2], vec![2.0, 4.0]);
-        let y = bn.forward(&[&x], Mode::Eval);
-        // (2-2)/2 = 0 ; (4-2)/2 = 1
-        assert!((y.data()[0]).abs() < 1e-3);
-        assert!((y.data()[1] - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn frozen_stats_stop_updating() {
-        let mut bn = BatchNorm::new("bn", 1, 0.5, 1e-5);
-        bn.freeze_stats();
-        let before = bn.running_stats().0.clone();
-        let x = Tensor::from_vec([2, 1, 1, 1], vec![10.0, 20.0]);
-        bn.forward(&[&x], Mode::Train);
-        assert_eq!(bn.running_stats().0, &before);
-    }
-
-    #[test]
-    fn running_stats_converge_to_distribution() {
-        let mut bn = BatchNorm::new("bn", 1, 0.8, 1e-5);
-        let mut rng = init::rng(21);
-        for _ in 0..200 {
-            let x = init::normal([16, 1, 2, 2], 5.0, 3.0, &mut rng);
-            bn.forward(&[&x], Mode::Train);
-        }
-        let (m, v) = bn.running_stats();
-        assert!((m.data()[0] - 5.0).abs() < 0.3, "mean {}", m.data()[0]);
-        assert!((v.data()[0] - 9.0).abs() < 1.5, "var {}", v.data()[0]);
-    }
-
-    #[test]
-    fn gradcheck_frozen_stats() {
-        let mut rng = init::rng(22);
-        let mut bn = BatchNorm::new("bn", 3, 0.9, 1e-5);
-        bn.params_mut()[0].value = init::uniform([3], 0.5, 1.5, &mut rng);
-        bn.params_mut()[1].value = init::uniform([3], -0.5, 0.5, &mut rng);
-        bn.set_running_stats(
-            init::uniform([3], -0.5, 0.5, &mut rng),
-            init::uniform([3], 0.5, 2.0, &mut rng),
-        );
-        // Freeze statistics so training and eval forwards coincide (the
-        // affine path); the gradcheck utility probes through Eval.
-        bn.freeze_stats();
-        let x = init::normal([4, 3, 2, 2], 0.0, 1.0, &mut rng);
-        crate::testutil::gradcheck_layer(&mut bn, &[x], 1e-2, 3e-2);
-    }
-
-    #[test]
-    fn gradcheck_batch_stats_manual() {
-        // Finite-difference the batch-statistics path directly (the
-        // generic utility probes through Eval, which uses different
-        // statistics).
-        let mut rng = init::rng(24);
-        let mut bn = BatchNorm::new("bn", 2, 0.9, 1e-5);
-        bn.params_mut()[0].value = init::uniform([2], 0.5, 1.5, &mut rng);
-        bn.params_mut()[1].value = init::uniform([2], -0.5, 0.5, &mut rng);
-        let x = init::normal([3, 2, 2, 2], 0.5, 1.3, &mut rng);
-        let y = bn.forward(&[&x], Mode::Train);
-        let gy = y.clone(); // L = 0.5 sum y^2
-        let dx = bn.backward(&gy).remove(0);
-        let loss = |bn: &mut BatchNorm, x: &Tensor| -> f64 {
-            let y = bn.forward(&[x], Mode::Train);
-            y.data().iter().map(|&v| 0.5 * (v as f64) * (v as f64)).sum()
-        };
-        let eps = 1e-2f32;
-        for &i in &[0usize, 5, 11, 17, 23] {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let fd = ((loss(&mut bn, &xp) - loss(&mut bn, &xm)) / (2.0 * eps as f64)) as f32;
-            assert!(
-                (fd - dx.data()[i]).abs() < 3e-2 * (1.0 + fd.abs()),
-                "batch-stats input grad mismatch at {i}: fd={fd} analytic={}",
-                dx.data()[i]
-            );
-        }
-    }
-
-    #[test]
-    fn batch_backward_zero_sum_identity() {
-        // With batch statistics, the per-channel input gradient must have
-        // zero mean and be orthogonal to xhat (both follow from the
-        // projection structure of the BN backward).
-        let mut rng = init::rng(23);
-        let mut bn = BatchNorm::new("bn", 2, 0.9, 1e-5);
-        let x = init::normal([4, 2, 3, 3], 1.0, 2.0, &mut rng);
-        let y = bn.forward(&[&x], Mode::Train);
-        let gy = init::normal(y.shape().clone(), 0.0, 1.0, &mut rng);
-        let dx = bn.backward(&gy).remove(0);
-        let sums = ops::sum_over_channel(&dx);
-        for c in 0..2 {
-            assert!(sums.data()[c].abs() < 1e-3, "channel {c} sum {}", sums.data()[c]);
-        }
-    }
-
-    #[test]
-    fn fold_params_linearize_the_op() {
-        let mut bn = BatchNorm::new("bn", 1, 0.9, 1e-5);
-        bn.set_running_stats(Tensor::from_slice(&[1.5]), Tensor::from_slice(&[0.25]));
-        bn.params_mut()[0].value = Tensor::from_slice(&[2.0]); // gamma
-        bn.params_mut()[1].value = Tensor::from_slice(&[0.5]); // beta
-        let (scale, shift) = bn.fold_params();
-        let x = Tensor::from_vec([1, 1, 1, 3], vec![0.0, 1.5, 3.0]);
-        let y = bn.forward(&[&x], Mode::Eval);
-        let folded = x.map(|v| v * scale.data()[0] + shift.data()[0]);
-        y.assert_close(&folded, 1e-4);
     }
 }

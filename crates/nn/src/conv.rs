@@ -1,11 +1,9 @@
 //! Convolution layers: standard and depthwise, with optional bias.
 
-use crate::layer::{single, Layer, Mode};
+use crate::layer::Layer;
 use crate::param::{Param, ParamKind};
-use tqt_tensor::conv::{
-    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dGeom,
-};
-use tqt_tensor::{init, ops, Tensor};
+use tqt_tensor::conv::Conv2dGeom;
+use tqt_tensor::{init, Tensor};
 
 /// Standard 2-D convolution layer (`[out, in, kh, kw]` weights, NCHW data).
 #[derive(Debug)]
@@ -13,7 +11,6 @@ pub struct Conv2d {
     w: Param,
     b: Option<Param>,
     geom: Conv2dGeom,
-    cached_x: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -34,7 +31,6 @@ impl Conv2d {
                 ParamKind::Bias,
             )),
             geom,
-            cached_x: None,
         }
     }
 
@@ -62,7 +58,6 @@ impl Conv2d {
             w: Param::new(format!("{name}/weight"), w, ParamKind::Weight),
             b: b.map(|b| Param::new(format!("{name}/bias"), b, ParamKind::Bias)),
             geom,
-            cached_x: None,
         }
     }
 
@@ -80,31 +75,6 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn op_name(&self) -> &'static str {
         "conv2d"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "conv2d");
-        let mut y = conv2d(x, &self.w.value, self.geom);
-        if let Some(b) = &self.b {
-            ops::add_channel_inplace(&mut y, &b.value);
-        }
-        if mode == Mode::Train {
-            self.cached_x = Some(x.clone());
-        }
-        y
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let x = self
-            .cached_x
-            .take()
-            .expect("conv2d backward without cached forward");
-        let (gx, gw) = conv2d_backward(&x, &self.w.value, gy, self.geom);
-        self.w.accumulate(&gw);
-        if let Some(b) = &mut self.b {
-            b.accumulate(&ops::sum_over_channel(gy));
-        }
-        vec![gx]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -132,7 +102,6 @@ pub struct DepthwiseConv2d {
     w: Param,
     b: Option<Param>,
     geom: Conv2dGeom,
-    cached_x: Option<Tensor>,
 }
 
 impl DepthwiseConv2d {
@@ -147,7 +116,6 @@ impl DepthwiseConv2d {
                 ParamKind::Bias,
             )),
             geom,
-            cached_x: None,
         }
     }
 
@@ -167,7 +135,6 @@ impl DepthwiseConv2d {
             w: Param::new(format!("{name}/weight"), w, ParamKind::Weight),
             b: b.map(|b| Param::new(format!("{name}/bias"), b, ParamKind::Bias)),
             geom,
-            cached_x: None,
         }
     }
 
@@ -180,31 +147,6 @@ impl DepthwiseConv2d {
 impl Layer for DepthwiseConv2d {
     fn op_name(&self) -> &'static str {
         "depthwise_conv2d"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "depthwise_conv2d");
-        let mut y = depthwise_conv2d(x, &self.w.value, self.geom);
-        if let Some(b) = &self.b {
-            ops::add_channel_inplace(&mut y, &b.value);
-        }
-        if mode == Mode::Train {
-            self.cached_x = Some(x.clone());
-        }
-        y
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let x = self
-            .cached_x
-            .take()
-            .expect("depthwise backward without cached forward");
-        let (gx, gw) = depthwise_conv2d_backward(&x, &self.w.value, gy, self.geom);
-        self.w.accumulate(&gw);
-        if let Some(b) = &mut self.b {
-            b.accumulate(&ops::sum_over_channel(gy));
-        }
-        vec![gx]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -221,45 +163,5 @@ impl Layer for DepthwiseConv2d {
             p.push(b);
         }
         p
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil::gradcheck_layer;
-
-    #[test]
-    fn conv_gradcheck() {
-        let mut rng = init::rng(10);
-        let mut l = Conv2d::new("c", 2, 3, Conv2dGeom::new(3, 2, 1), &mut rng);
-        let x = init::normal([2, 2, 5, 5], 0.0, 1.0, &mut rng);
-        gradcheck_layer(&mut l, &[x], 1e-2, 3e-2);
-    }
-
-    #[test]
-    fn depthwise_gradcheck() {
-        let mut rng = init::rng(11);
-        let mut l = DepthwiseConv2d::new("dw", 3, Conv2dGeom::same(3), &mut rng);
-        let x = init::normal([2, 3, 4, 4], 0.0, 1.0, &mut rng);
-        gradcheck_layer(&mut l, &[x], 1e-2, 3e-2);
-    }
-
-    #[test]
-    fn conv_bias_broadcasts() {
-        let w = Tensor::zeros([2, 1, 1, 1]);
-        let b = Tensor::from_slice(&[1.0, -1.0]);
-        let mut l = Conv2d::from_parts("c", w, Some(b), Conv2dGeom::new(1, 1, 0));
-        let x = Tensor::zeros([1, 1, 2, 2]);
-        let y = l.forward(&[&x], Mode::Eval);
-        assert_eq!(y.data(), &[1., 1., 1., 1., -1., -1., -1., -1.]);
-    }
-
-    #[test]
-    fn output_shape_stride2() {
-        let mut rng = init::rng(12);
-        let mut l = Conv2d::new("c", 3, 8, Conv2dGeom::new(3, 2, 1), &mut rng);
-        let y = l.forward(&[&Tensor::zeros([1, 3, 32, 32])], Mode::Eval);
-        assert_eq!(y.dims(), &[1, 8, 16, 16]);
     }
 }

@@ -1,8 +1,8 @@
 //! Fully-connected (dense / matmul) layer.
 
-use crate::layer::{single, Layer, Mode};
+use crate::layer::Layer;
 use crate::param::{Param, ParamKind};
-use tqt_tensor::{init, matmul, matmul_nt, matmul_tn, ops, Tensor};
+use tqt_tensor::{init, Tensor};
 
 /// A dense layer `y = x @ w + b` with `x: [n, in]`, `w: [in, out]`,
 /// `b: [out]`.
@@ -10,7 +10,6 @@ use tqt_tensor::{init, matmul, matmul_nt, matmul_tn, ops, Tensor};
 pub struct Dense {
     w: Param,
     b: Option<Param>,
-    cached_x: Option<Tensor>,
 }
 
 impl Dense {
@@ -24,7 +23,6 @@ impl Dense {
                 Tensor::zeros([out_dim]),
                 ParamKind::Bias,
             )),
-            cached_x: None,
         }
     }
 
@@ -48,7 +46,6 @@ impl Dense {
         Dense {
             w: Param::new(format!("{name}/weight"), w, ParamKind::Weight),
             b: b.map(|b| Param::new(format!("{name}/bias"), b, ParamKind::Bias)),
-            cached_x: None,
         }
     }
 
@@ -61,32 +58,6 @@ impl Dense {
 impl Layer for Dense {
     fn op_name(&self) -> &'static str {
         "dense"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "dense");
-        assert_eq!(x.ndim(), 2, "dense input must be [n, in], got {}", x.shape());
-        let mut y = matmul(x, &self.w.value);
-        if let Some(b) = &self.b {
-            ops::add_channel_inplace(&mut y, &b.value);
-        }
-        if mode == Mode::Train {
-            self.cached_x = Some(x.clone());
-        }
-        y
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let x = self
-            .cached_x
-            .take()
-            .expect("dense backward without cached forward");
-        // dW = x^T @ gy ; dx = gy @ w^T ; db = sum_rows(gy)
-        self.w.accumulate(&matmul_tn(&x, gy));
-        if let Some(b) = &mut self.b {
-            b.accumulate(&ops::sum_over_channel(gy));
-        }
-        vec![matmul_nt(gy, &self.w.value)]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -103,48 +74,5 @@ impl Layer for Dense {
             p.push(b);
         }
         p
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil::gradcheck_layer;
-
-    #[test]
-    fn forward_known_values() {
-        let w = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]);
-        let b = Tensor::from_slice(&[10., 20.]);
-        let mut d = Dense::from_parts("d", w, Some(b));
-        let x = Tensor::from_vec([1, 2], vec![1., 1.]);
-        let y = d.forward(&[&x], Mode::Eval);
-        assert_eq!(y.data(), &[14., 26.]);
-    }
-
-    #[test]
-    fn gradcheck() {
-        let mut rng = init::rng(1);
-        let mut d = Dense::new("d", 5, 3, &mut rng);
-        let x = init::normal([4, 5], 0.0, 1.0, &mut rng);
-        gradcheck_layer(&mut d, &[x], 1e-2, 2e-2);
-    }
-
-    #[test]
-    fn bias_gradient_is_row_sum() {
-        let mut rng = init::rng(2);
-        let mut d = Dense::new("d", 2, 2, &mut rng);
-        let x = Tensor::from_vec([3, 2], vec![1.; 6]);
-        d.forward(&[&x], Mode::Train);
-        let gy = Tensor::from_vec([3, 2], vec![1., 2., 1., 2., 1., 2.]);
-        d.backward(&gy);
-        assert_eq!(d.params()[1].grad.data(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "without cached forward")]
-    fn backward_requires_forward() {
-        let mut rng = init::rng(3);
-        let mut d = Dense::new("d", 2, 2, &mut rng);
-        d.backward(&Tensor::zeros([1, 2]));
     }
 }

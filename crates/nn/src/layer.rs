@@ -1,48 +1,13 @@
-//! The [`Layer`] trait: stateful forward/backward building blocks that the
-//! graph executor composes into networks.
+//! The [`Layer`] trait: the parameter-owning building blocks a graph
+//! embeds in its ops. Their arithmetic is the slice kernels next to each
+//! layer, which the planned float executor calls directly.
 
 use crate::param::Param;
-use tqt_tensor::Tensor;
 
-/// Whether a forward pass is a training step (batch statistics, cached
-/// activations for backward) or inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Training: layers cache activations for backward and batch-norm uses
-    /// batch statistics (unless frozen).
-    Train,
-    /// Inference: no caching, batch-norm uses moving statistics.
-    Eval,
-}
-
-/// A neural-network operation with explicit, hand-derived backward pass.
-///
-/// A layer may take several inputs (eltwise-add, concat) and produces one
-/// output. During a `Mode::Train` forward pass it caches whatever it needs;
-/// `backward` consumes that cache, *accumulates* parameter gradients into
-/// its [`Param`]s, and returns the gradients with respect to each input in
-/// order.
+/// A neural-network operation: its name and its trainable parameters.
 pub trait Layer: std::fmt::Debug + Send {
     /// Human-readable operation name (e.g. `"conv2d"`).
     fn op_name(&self) -> &'static str;
-
-    /// Runs the layer on `inputs`, caching state for backward when
-    /// `mode == Mode::Train`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if the number or shapes of inputs are invalid
-    /// for the layer.
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor;
-
-    /// Backpropagates `gy` through the cached forward pass, returning one
-    /// gradient per input.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if no training-mode forward pass preceded this
-    /// call or if `gy` has the wrong shape.
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor>;
 
     /// This layer's trainable parameters (empty for stateless layers).
     fn params(&self) -> Vec<&Param> {
@@ -53,34 +18,4 @@ pub trait Layer: std::fmt::Debug + Send {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
-}
-
-/// Helper for single-input layers: unwraps the input slice.
-///
-/// # Panics
-///
-/// Panics if `inputs` does not contain exactly one tensor.
-pub fn single<'a>(inputs: &[&'a Tensor], op: &str) -> &'a Tensor {
-    assert_eq!(
-        inputs.len(),
-        1,
-        "{op} expects exactly 1 input, got {}",
-        inputs.len()
-    );
-    inputs[0]
-}
-
-/// Helper for two-input layers.
-///
-/// # Panics
-///
-/// Panics if `inputs` does not contain exactly two tensors.
-pub fn pair<'a>(inputs: &[&'a Tensor], op: &str) -> (&'a Tensor, &'a Tensor) {
-    assert_eq!(
-        inputs.len(),
-        2,
-        "{op} expects exactly 2 inputs, got {}",
-        inputs.len()
-    );
-    (inputs[0], inputs[1])
 }

@@ -5,28 +5,30 @@
 //! the TQT reproduction runs on — the role TensorFlow plays for the
 //! original paper.
 //!
-//! Provides the [`Layer`] trait and implementations for every operation the
-//! paper's model zoo needs (dense, conv2d, depthwise conv, batch-norm with
-//! freezeable statistics, ReLU/ReLU6/leaky-ReLU, max/avg/global pooling,
-//! eltwise-add, concat, flatten), softmax cross-entropy, the Adam optimizer
-//! with name-keyed state (plus its pooled arena form), and the paper's
-//! staircase learning-rate schedules.
+//! Provides the parameter-owning layers the paper's model zoo embeds in
+//! its graphs (dense, conv2d, depthwise conv, batch-norm with freezeable
+//! statistics, ReLU/ReLU6/leaky-ReLU, max/avg/global pooling,
+//! eltwise-add, concat, flatten) and the slice kernels that compute them,
+//! softmax cross-entropy, the parameter arena with its pooled Adam, and
+//! the paper's staircase learning-rate schedules. The planned float
+//! executor in `tqt-graph` runs the kernels; the allocating per-layer
+//! forward/backward and the per-`Param` Adam they are checked against
+//! live in the test-only `tqt-reference` crate.
 //!
 //! # Examples
 //!
 //! ```
-//! use tqt_nn::{Dense, Layer, Mode, optim::Adam};
-//! use tqt_tensor::{init, Tensor};
+//! use tqt_nn::{Dense, Layer, ParamArena, ParamKind, PooledAdam};
+//! use tqt_tensor::init;
 //!
 //! let mut rng = init::rng(0);
-//! let mut layer = Dense::new("fc", 4, 2, &mut rng);
-//! let x = init::normal([8, 4], 0.0, 1.0, &mut rng);
-//! let y = layer.forward(&[&x], Mode::Train);
-//! let grads = layer.backward(&y); // dL/dx for L = 0.5 sum y^2
-//! assert_eq!(grads[0].dims(), &[8, 4]);
+//! let layer = Dense::new("fc", 4, 2, &mut rng);
+//! let mut arena = ParamArena::from_params(&layer.params());
+//! arena.grad_mut(0).fill(1.0);
 //!
-//! let mut opt = Adam::paper(1e-3);
-//! opt.step(&mut layer.params_mut());
+//! let mut opt = PooledAdam::paper(1e-3, &arena);
+//! opt.step(&mut arena, &[ParamKind::Weight, ParamKind::Bias]);
+//! assert!(arena.val(0).iter().zip(layer.params()[0].value.data()).all(|(a, b)| a < b));
 //! ```
 
 pub mod activations;
@@ -37,19 +39,16 @@ pub mod dense;
 pub mod layer;
 pub mod loss;
 pub mod merge;
-pub mod optim;
 pub mod param;
 pub mod pool;
 pub mod schedule;
-#[doc(hidden)]
-pub mod testutil;
 
 pub use activations::Relu;
 pub use arena::{ParamArena, PooledAdam};
 pub use batchnorm::BatchNorm;
 pub use conv::{Conv2d, DepthwiseConv2d};
 pub use dense::Dense;
-pub use layer::{Layer, Mode};
+pub use layer::Layer;
 pub use merge::{Concat, EltwiseAdd};
 pub use param::{Param, ParamKind};
 pub use pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d};

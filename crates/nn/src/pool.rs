@@ -6,25 +6,19 @@
 //! quantization (Section 4.1); the direct implementation here is the
 //! reference the transform is validated against.
 
-use crate::layer::{single, Layer, Mode};
+use crate::layer::Layer;
 use tqt_tensor::conv::Conv2dGeom;
-use tqt_tensor::Tensor;
 
 /// Max pooling over spatial windows of an NCHW tensor.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     geom: Conv2dGeom,
-    /// For each output element, the flat input index of its max.
-    cached_argmax: Option<(Vec<usize>, Vec<usize>)>, // (argmax, input dims as len-4)
 }
 
 impl MaxPool2d {
     /// Creates a max-pool layer with the given window geometry.
     pub fn new(geom: Conv2dGeom) -> Self {
-        MaxPool2d {
-            geom,
-            cached_argmax: None,
-        }
+        MaxPool2d { geom }
     }
 
     /// The standard 2x2 stride-2 pooling.
@@ -42,30 +36,6 @@ impl Layer for MaxPool2d {
     fn op_name(&self) -> &'static str {
         "max_pool"
     }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "max_pool");
-        assert_eq!(x.ndim(), 4, "max_pool input must be NCHW, got {}", x.shape());
-        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let (oh, ow) = self.geom.out_size(h, w);
-        let mut out = Tensor::zeros([n, c, oh, ow]);
-        let mut argmax = vec![0usize; out.len()];
-        max_pool2d_into(x.data(), n, c, h, w, self.geom, out.data_mut(), &mut argmax);
-        if mode == Mode::Train {
-            self.cached_argmax = Some((argmax, vec![n, c, h, w]));
-        }
-        out
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let (argmax, dims) = self
-            .cached_argmax
-            .take()
-            .expect("max_pool backward without cached forward");
-        let mut gx = Tensor::zeros(dims);
-        max_pool2d_backward_into(gy.data(), &argmax, gx.data_mut());
-        vec![gx]
-    }
 }
 
 /// Average pooling over spatial windows (count includes padding positions,
@@ -74,16 +44,12 @@ impl Layer for MaxPool2d {
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
     geom: Conv2dGeom,
-    cached_dims: Option<Vec<usize>>,
 }
 
 impl AvgPool2d {
     /// Creates an average-pool layer.
     pub fn new(geom: Conv2dGeom) -> Self {
-        AvgPool2d {
-            geom,
-            cached_dims: None,
-        }
+        AvgPool2d { geom }
     }
 
     /// The pooling geometry.
@@ -102,72 +68,24 @@ impl Layer for AvgPool2d {
     fn op_name(&self) -> &'static str {
         "avg_pool"
     }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "avg_pool");
-        assert_eq!(x.ndim(), 4, "avg_pool input must be NCHW, got {}", x.shape());
-        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let (oh, ow) = self.geom.out_size(h, w);
-        let mut out = Tensor::zeros([n, c, oh, ow]);
-        avg_pool2d_into(x.data(), n, c, h, w, self.geom, out.data_mut());
-        if mode == Mode::Train {
-            self.cached_dims = Some(vec![n, c, h, w]);
-        }
-        out
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let dims = self
-            .cached_dims
-            .take()
-            .expect("avg_pool backward without cached forward");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let mut gx = Tensor::zeros(dims);
-        avg_pool2d_backward_into(gy.data(), n, c, h, w, self.geom, gx.data_mut());
-        vec![gx]
-    }
 }
 
 /// Global average pooling: NCHW → `[N, C]` (the head of every model in the
 /// zoo; the paper replaces `reduce_mean` with `avg_pool` before export,
 /// which this layer matches by construction).
 #[derive(Debug, Clone, Default)]
-pub struct GlobalAvgPool {
-    cached_dims: Option<Vec<usize>>,
-}
+pub struct GlobalAvgPool;
 
 impl GlobalAvgPool {
     /// Creates a global average pooling layer.
     pub fn new() -> Self {
-        GlobalAvgPool { cached_dims: None }
+        GlobalAvgPool
     }
 }
 
 impl Layer for GlobalAvgPool {
     fn op_name(&self) -> &'static str {
         "global_avg_pool"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "global_avg_pool");
-        assert_eq!(x.ndim(), 4, "global_avg_pool input must be NCHW");
-        let (n, c) = (x.dim(0), x.dim(1));
-        let mut out = Tensor::zeros([n, c]);
-        global_avg_pool_into(x.data(), out.data_mut());
-        if mode == Mode::Train {
-            self.cached_dims = Some(x.dims().to_vec());
-        }
-        out
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let dims = self
-            .cached_dims
-            .take()
-            .expect("global_avg_pool backward without cached forward");
-        let mut gx = Tensor::zeros(dims);
-        global_avg_pool_backward_into(gy.data(), gx.data_mut());
-        vec![gx]
     }
 }
 
@@ -353,151 +271,17 @@ fn window_index(
 
 /// Flattens NCHW to `[N, C*H*W]` (2-D tensors pass through).
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    cached_dims: Option<Vec<usize>>,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { cached_dims: None }
+        Flatten
     }
 }
 
 impl Layer for Flatten {
     fn op_name(&self) -> &'static str {
         "flatten"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        let x = single(inputs, "flatten");
-        if mode == Mode::Train {
-            self.cached_dims = Some(x.dims().to_vec());
-        }
-        let n = x.dim(0);
-        x.reshape([n, x.len() / n])
-    }
-
-    fn backward(&mut self, gy: &Tensor) -> Vec<Tensor> {
-        let dims = self
-            .cached_dims
-            .take()
-            .expect("flatten backward without cached forward");
-        vec![gy.reshape(dims)]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil::gradcheck_layer;
-    use tqt_tensor::init;
-
-    #[test]
-    fn max_pool_known() {
-        let mut p = MaxPool2d::k2s2();
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let y = p.forward(&[&x], Mode::Eval);
-        assert_eq!(y.data(), &[4.0]);
-    }
-
-    #[test]
-    fn max_pool_routes_gradient_to_argmax() {
-        let mut p = MaxPool2d::k2s2();
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        p.forward(&[&x], Mode::Train);
-        let g = p.backward(&Tensor::from_vec([1, 1, 1, 1], vec![5.0])).remove(0);
-        assert_eq!(g.data(), &[0., 0., 0., 5.0]);
-    }
-
-    #[test]
-    fn avg_pool_known() {
-        let mut p = AvgPool2d::new(Conv2dGeom::new(2, 2, 0));
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let y = p.forward(&[&x], Mode::Eval);
-        assert_eq!(y.data(), &[2.5]);
-    }
-
-    #[test]
-    fn padded_max_pool_known() {
-        // Inception's pool branch: 3x3, stride 1, pad 1. Channel 1 is all
-        // negative, so a zero-valued padding tap would win if it counted.
-        let mut p = MaxPool2d::new(Conv2dGeom::new(3, 1, 1));
-        let x = Tensor::from_vec(
-            [1, 2, 3, 3],
-            vec![
-                3., 1., 2., 0., 5., 4., 8., 6., 7., //
-                -1., -2., -3., -4., -5., -6., -7., -8., -9.,
-            ],
-        );
-        let y = p.forward(&[&x], Mode::Train);
-        assert_eq!(y.dims(), &[1, 2, 3, 3]);
-        assert_eq!(
-            y.data(),
-            &[5., 5., 5., 8., 8., 7., 8., 8., 7., -1., -1., -2., -1., -1., -2., -4., -4., -5.]
-        );
-        // Distinct output gradients, so each input's fan-in sum is visible.
-        let gy: Vec<f32> = (1..=9).chain(1..=9).map(|v| v as f32).collect();
-        let g = p.backward(&Tensor::from_vec([1, 2, 3, 3], gy)).remove(0);
-        assert_eq!(
-            g.data(),
-            &[0., 0., 0., 0., 6., 0., 24., 0., 15., 12., 9., 0., 15., 9., 0., 0., 0., 0.]
-        );
-    }
-
-    #[test]
-    fn padded_avg_pool_counts_padding_in_divisor() {
-        let mut p = AvgPool2d::new(Conv2dGeom::new(3, 1, 1));
-        let x = Tensor::from_vec([1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
-        let y = p.forward(&[&x], Mode::Train);
-        // Window sums over the in-bounds taps, always divided by 9.
-        let sums = [12., 21., 16., 27., 45., 33., 24., 39., 28.];
-        y.assert_close(
-            &Tensor::from_vec([1, 1, 3, 3], sums.map(|s| s / 9.0).to_vec()),
-            1e-6,
-        );
-        let g = p.backward(&Tensor::ones([1, 1, 3, 3])).remove(0);
-        // Each input receives 1/9 per window covering it: 4 at corners,
-        // 6 on edges, 9 at the centre.
-        let cover = [4., 6., 4., 6., 9., 6., 4., 6., 4.];
-        g.assert_close(
-            &Tensor::from_vec([1, 1, 3, 3], cover.map(|s| s / 9.0).to_vec()),
-            1e-6,
-        );
-    }
-
-    #[test]
-    fn avg_pool_gradcheck() {
-        let mut rng = init::rng(40);
-        let mut p = AvgPool2d::new(Conv2dGeom::new(2, 2, 0));
-        let x = init::normal([2, 2, 4, 4], 0.0, 1.0, &mut rng);
-        gradcheck_layer(&mut p, &[x], 1e-2, 1e-2);
-    }
-
-    #[test]
-    fn global_avg_pool_gradcheck() {
-        let mut rng = init::rng(41);
-        let mut p = GlobalAvgPool::new();
-        let x = init::normal([2, 3, 4, 4], 0.0, 1.0, &mut rng);
-        gradcheck_layer(&mut p, &[x], 1e-2, 1e-2);
-    }
-
-    #[test]
-    fn flatten_roundtrip() {
-        let mut f = Flatten::new();
-        let x = Tensor::from_vec([2, 2, 1, 2], (0..8).map(|v| v as f32).collect());
-        let y = f.forward(&[&x], Mode::Train);
-        assert_eq!(y.dims(), &[2, 4]);
-        let g = f.backward(&y).remove(0);
-        assert_eq!(g.dims(), x.dims());
-        assert_eq!(g.data(), x.data());
-    }
-
-    #[test]
-    fn max_pool_gradcheck_distinct_values() {
-        // Use strictly distinct values so the max is FD-differentiable.
-        let mut p = MaxPool2d::k2s2();
-        let x = Tensor::from_vec([1, 2, 4, 4], (0..32).map(|v| v as f32 * 0.37).collect());
-        gradcheck_layer(&mut p, &[x], 1e-3, 1e-2);
     }
 }

@@ -1,12 +1,12 @@
 //! Property test for the pooled Adam: the fused arena update must be
-//! bit-identical to the per-`Param` reference [`tqt_nn::optim::Adam`]
+//! bit-identical to the per-`Param` reference [`tqt_reference::Adam`]
 //! across random shapes, multiple steps, optimizer groups, mid-run
 //! freezing, and thread counts — the trainer's use of
 //! [`tqt_nn::PooledAdam`] is only sound if parameter evolution does not
 //! change by a single bit.
 
-use tqt_nn::optim::Adam;
 use tqt_nn::{Param, ParamArena, ParamKind, PooledAdam};
+use tqt_reference::Adam;
 use tqt_rt::pool;
 use tqt_tensor::init;
 

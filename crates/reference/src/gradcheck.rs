@@ -1,18 +1,20 @@
-//! Finite-difference gradient checking for layers (test support, also used
-//! by downstream crates' tests).
+//! Finite-difference gradient checking for layers.
 
-use crate::layer::{Layer, Mode};
+use crate::layers::{Cache, Mode, RefLayer};
 use tqt_tensor::Tensor;
 
 /// Loss used for gradient checks: `L = 0.5 Σ y²`, whose upstream gradient
 /// is `y` itself.
 fn loss_of(y: &Tensor) -> f64 {
-    y.data().iter().map(|&v| 0.5 * (v as f64) * (v as f64)).sum()
+    y.data()
+        .iter()
+        .map(|&v| 0.5 * (v as f64) * (v as f64))
+        .sum()
 }
 
-fn forward_loss(layer: &mut dyn Layer, inputs: &[Tensor]) -> f64 {
+fn forward_loss(layer: &mut dyn RefLayer, inputs: &[Tensor]) -> f64 {
     let refs: Vec<&Tensor> = inputs.iter().collect();
-    loss_of(&layer.forward(&refs, Mode::Eval))
+    loss_of(&layer.forward(&refs, Mode::Eval, &mut Cache::Empty))
 }
 
 /// Finite-difference checks a layer's input and parameter gradients under
@@ -22,15 +24,16 @@ fn forward_loss(layer: &mut dyn Layer, inputs: &[Tensor]) -> f64 {
 ///
 /// Panics (failing the test) when any sampled analytic gradient differs
 /// from the central difference by more than `tol`.
-pub fn gradcheck_layer(layer: &mut dyn Layer, inputs: &[Tensor], eps: f32, tol: f32) {
+pub fn gradcheck_layer(layer: &mut dyn RefLayer, inputs: &[Tensor], eps: f32, tol: f32) {
     // Analytic pass.
     let refs: Vec<&Tensor> = inputs.iter().collect();
-    let y = layer.forward(&refs, Mode::Train);
+    let mut cache = Cache::Empty;
+    let y = layer.forward(&refs, Mode::Train, &mut cache);
     let gy = y.clone();
     for p in layer.params_mut() {
         p.zero_grad();
     }
-    let input_grads = layer.backward(&gy);
+    let input_grads = layer.backward(&gy, &mut cache);
     assert_eq!(
         input_grads.len(),
         inputs.len(),

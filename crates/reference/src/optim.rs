@@ -2,12 +2,12 @@
 //! with (weights at lr 1e-6 with one decay schedule, thresholds at lr 1e-2
 //! with another, as separate instances).
 //!
-//! The trainer runs the pooled arena form, [`crate::PooledAdam`]. This
+//! The trainer runs the pooled arena form, [`tqt_nn::PooledAdam`]. This
 //! per-`Param` form is the reference it is checked against: the
 //! `pooled_adam` property test and the trainer's `train_parity` reference
 //! run compare the pooled update with it bit for bit.
 
-use crate::param::Param;
+use tqt_nn::Param;
 use tqt_tensor::Tensor;
 
 #[derive(Debug)]
@@ -20,7 +20,7 @@ struct AdamSlot {
 /// Adam (Kingma & Ba, 2014) with bias correction — the optimizer the paper
 /// uses for both weights and thresholds, with β1 = 0.9, β2 = 0.999 chosen
 /// per the Appendix C convergence analysis. Updates one `Param` at a time;
-/// the per-`Param` reference for [`crate::PooledAdam`].
+/// the per-`Param` reference for [`tqt_nn::PooledAdam`].
 ///
 /// State is keyed by parameter *name*, so the same optimizer instance can
 /// be fed the parameter list in any order (and subsets can be frozen out)
@@ -63,11 +63,14 @@ impl Adam {
     /// zero gradients at the start of each step).
     pub fn step(&mut self, params: &mut [&mut Param]) {
         for p in params.iter_mut().filter(|p| p.trainable) {
-            let slot = self.slots.entry(p.name.clone()).or_insert_with(|| AdamSlot {
-                m: Tensor::zeros(p.value.shape().clone()),
-                v: Tensor::zeros(p.value.shape().clone()),
-                t: 0,
-            });
+            let slot = self
+                .slots
+                .entry(p.name.clone())
+                .or_insert_with(|| AdamSlot {
+                    m: Tensor::zeros(p.value.shape().clone()),
+                    v: Tensor::zeros(p.value.shape().clone()),
+                    t: 0,
+                });
             slot.t += 1;
             let bc1 = 1.0 - self.beta1.powi(slot.t as i32);
             let bc2 = 1.0 - self.beta2.powi(slot.t as i32);
@@ -105,7 +108,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::ParamKind;
+    use tqt_nn::ParamKind;
 
     fn quad_param(v: f32) -> Param {
         Param::new("x", Tensor::scalar(v), ParamKind::Weight)

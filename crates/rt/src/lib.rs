@@ -13,10 +13,10 @@
 //!   debugging (replaces `rayon`);
 //! * [`json`] — a minimal JSON value type with serialize/parse (replaces
 //!   `serde_json`);
-//! * [`check`] — a shrinking property-test mini-harness with persisted
-//!   regression seeds (replaces `proptest`);
-//! * [`bench`] — a median/IQR wall-clock bench harness (replaces
-//!   `criterion`);
+//! * [`check`](mod@check) — a shrinking property-test mini-harness with
+//!   persisted regression seeds (replaces `proptest`);
+//! * [`bench`](mod@bench) — a median/IQR wall-clock bench harness
+//!   (replaces `criterion`);
 //! * [`sched`] — the pool's claim/complete protocol as shared pure
 //!   functions plus a bounded explicit-state model checker that
 //!   exhaustively enumerates schedules of the pool protocol (a

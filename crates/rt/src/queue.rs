@@ -8,14 +8,16 @@
 //! out the first `rung` pending requests as one batch, and publish
 //! results with [`complete`](BatchQueue::complete). Which rung — and
 //! whether to dispatch at all or hold out for a fuller batch — is decided
-//! by [`sched::batch_decision`], the same pure function the bounded model
-//! checker ([`sched::batch_check`]) exhaustively enumerates: no lost
-//! request, no double dispatch, deadline-expired requests always flush,
-//! and a shutdown drains every remainder before the workers exit. The
-//! decision is work-conserving: a partial batch dispatches immediately
-//! whenever no worker is busy (waiting can only grow a batch while
-//! somebody is computing), so low offered load degrades to the plain
-//! serial loop instead of serializing on the max-wait deadline.
+//! by [`sched::batch_decision`](crate::sched::batch_decision), the same
+//! pure function the bounded model checker
+//! ([`sched::batch_check`](crate::sched::batch_check)) exhaustively
+//! enumerates: no lost request, no double dispatch, deadline-expired
+//! requests always flush, and a shutdown drains every remainder before
+//! the workers exit. The decision is work-conserving: a partial batch
+//! dispatches immediately whenever no worker is busy (waiting can only
+//! grow a batch while somebody is computing), so low offered load
+//! degrades to the plain serial loop instead of serializing on the
+//! max-wait deadline.
 //!
 //! The real queue adds the two things the model abstracts: wall-clock
 //! max-wait deadlines (a `Condvar::wait_timeout` to the oldest pending

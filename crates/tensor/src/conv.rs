@@ -91,7 +91,7 @@ fn in_bounds(k: usize, len: usize, olen: usize, g: Conv2dGeom) -> std::ops::Rang
 /// (padding) positions are filled with `zero`.
 ///
 /// No element is bounds-tested. Per `(ci, ki, kj)` the in-bounds output
-/// rows and columns are computed once ([`in_bounds`]); rows outside are
+/// rows and columns are computed once (`in_bounds`); rows outside are
 /// filled with `zero`. Each in-bounds row's run is a contiguous copy at
 /// stride 1 and a strided gather otherwise, and the padding columns of
 /// the in-bounds rows are zeroed column by column.

@@ -4,10 +4,10 @@
 //!
 //! Structure is the classic three-level blocking (GotoBLAS/BLIS):
 //!
-//! * the **k** dimension is split into [`KC`]-deep slabs;
+//! * the **k** dimension is split into `KC`-deep slabs;
 //! * per slab, B columns are packed into [`NR`]-wide panels (`bpack`,
 //!   streamed from L1/L2 by every row block);
-//! * per row block of [`MC`] rows, A is packed into [`MR`]-tall panels
+//! * per row block of `MC` rows, A is packed into [`MR`]-tall panels
 //!   (`apack`) and an `MR×NR` register-tiled micro-kernel accumulates
 //!   `C += A·B` with all `MR*NR` partial sums held in registers.
 //!
@@ -27,7 +27,7 @@
 //! the `MC` row-block loop, and every element belongs to exactly one row
 //! block, so the summation order — and therefore the f32 result — is
 //! independent of the thread count. The block constants are compile-time
-//! fixed and are part of that contract: changing [`KC`] changes rounding
+//! fixed and are part of that contract: changing `KC` changes rounding
 //! (within the documented `~1e-6` relative band of any other order).
 //!
 //! The packing panels come from the thread-local [`Scratch`] arena and
@@ -82,9 +82,9 @@ pub fn packed_a_len(m: usize, k: usize) -> usize {
 
 /// Packs a full row-major LHS `a: [m, k]` **once** into `dst`, in the
 /// exact slab/panel layout a prepacked LHS is read in: for each
-/// [`KC`]-deep k-slab in ascending `k`, every [`MR`]-tall k-major row
-/// panel of the whole matrix (zero-padded like [`pack_a`]). Slab `pc`
-/// starts at `m.div_ceil(MR) * MR * pc`, so any [`MC`]-aligned row
+/// `KC`-deep k-slab in ascending `k`, every [`MR`]-tall k-major row
+/// panel of the whole matrix (zero-padded like `pack_a`). Slab `pc`
+/// starts at `m.div_ceil(MR) * MR * pc`, so any `MC`-aligned row
 /// block's panels form a contiguous sub-slice. Executors keep the packed
 /// weights in a plan-owned arena and re-pack in place each training step.
 ///

@@ -23,7 +23,8 @@
 //! * [`passes`] — transform invariant checking: re-verifies after every
 //!   pass of the optimization pipeline;
 //! * [`sanitize`] — cross-checks the runtime sanitizer counters against
-//!   the static proofs (observed ⊆ proven);
+//!   the static proofs (observed ⊆ proven), and the float engine's NaN/Inf
+//!   sanitizer over one QAT step;
 //! * [`plan_check`] — independent alias-freedom proof over the executor's
 //!   buffer-slot plan: re-derived liveness and occupancy simulation
 //!   (`TQT-V016`–`TQT-V018`);
@@ -61,7 +62,7 @@ pub use passes::{
 };
 pub use translate::certify;
 pub use plan_check::{check_float_plan, check_plan};
-pub use sanitize::check_containment;
+pub use sanitize::{check_containment, qat_smoke_step};
 pub use sched_check::{
     check_batch_schedules, check_fold_partition, check_schedules, collect_hb_findings,
 };

@@ -10,7 +10,6 @@ use crate::diag::{Code, Report};
 use crate::shape::{check_structure, infer_shapes};
 use tqt_fixedpoint::{IntGraph, Provenance};
 use tqt_graph::{transforms, Graph};
-use tqt_nn::Mode;
 use tqt_tensor::{init, Tensor};
 
 /// Absolute tolerance of the semantic probe.
@@ -29,9 +28,11 @@ fn max_deviation(a: &Tensor, b: &Tensor) -> f32 {
 
 /// Runs the full transform pipeline like `transforms::optimize`, but
 /// re-verifies structure and shapes after every pass and compares a probe
-/// forward pass against the pre-pipeline output. Every violation is
-/// reported as `TQT-V014` naming the offending pass (the underlying
-/// finding is kept in the message).
+/// inference ([`Graph::infer`]) against the pre-pipeline output. Every
+/// violation is reported as `TQT-V014` naming the offending pass (the
+/// underlying finding is kept in the message). A pass whose graph fails
+/// the structure or shape checks is not probed: running a graph the
+/// checks refuted would panic inside a kernel instead of reporting.
 pub fn checked_optimize(g: &mut Graph, input_dims: &[usize]) -> Report {
     checked_pipeline(g, input_dims, &transforms::pipeline())
 }
@@ -42,13 +43,14 @@ pub fn checked_pipeline(g: &mut Graph, input_dims: &[usize], passes: &[transform
     let mut report = Report::new();
     let mut rng = init::rng(0x7177_7665);
     let probe = init::normal(input_dims.to_vec(), 0.0, 1.0, &mut rng);
-    let before = g.forward(&probe, Mode::Eval);
+    let before = g.infer(&probe);
 
     for &(pass_name, pass) in passes {
         pass(g, input_dims);
 
         let mut after_pass = check_structure(g);
         after_pass.merge(infer_shapes(g, input_dims).report);
+        let refuted = !after_pass.diags.is_empty();
         for d in after_pass.diags {
             report.push_global(
                 Code::TransformInvariant,
@@ -61,7 +63,10 @@ pub fn checked_pipeline(g: &mut Graph, input_dims: &[usize], passes: &[transform
             );
         }
 
-        let after = g.forward(&probe, Mode::Eval);
+        if refuted {
+            continue;
+        }
+        let after = g.infer(&probe);
         if after.dims() != before.dims() {
             report.push_global(
                 Code::TransformInvariant,
@@ -87,9 +92,10 @@ pub fn checked_pipeline(g: &mut Graph, input_dims: &[usize], passes: &[transform
     report
 }
 
-/// Runs the graph-level epilogue fusion ([`tqt_fixedpoint::fuse`]) over a
-/// lowered graph and re-proves the result, returning the fused graph and
-/// every finding:
+/// Runs the graph-level epilogue fusion
+/// ([`tqt_fixedpoint::fuse`](fn@tqt_fixedpoint::fuse)) over a lowered
+/// graph and re-proves the result, returning the fused graph and every
+/// finding:
 ///
 /// * a probe inference must be **bit-identical** — outputs, format, and
 ///   total saturation/overflow counters (fusion replays the exact
@@ -108,7 +114,8 @@ pub fn checked_fuse(ig: &IntGraph, input_dims: &[usize]) -> (IntGraph, Report) {
 
 /// [`checked_fuse`], additionally threading a [`Provenance`] map through
 /// the rewrite (fused nodes gain `Fused` entries naming their members)
-/// and returning the fused graph's [`IntervalReport`] so callers can
+/// and returning the fused graph's
+/// [`IntervalReport`](crate::interval::IntervalReport) so callers can
 /// reuse the one interval analysis this pass already ran — the verify bin
 /// feeds it straight into the translation validator instead of
 /// re-analyzing per pass. The interval findings stay in the returned
@@ -160,10 +167,12 @@ pub fn checked_fuse_with_provenance(
     (fused, fprov, facts, report)
 }
 
-/// Runs the requant-rebalancing pass ([`tqt_fixedpoint::rebalance`]) over a
+/// Runs the requant-rebalancing pass
+/// ([`tqt_fixedpoint::rebalance`](fn@tqt_fixedpoint::rebalance)) over a
 /// lowered graph and re-proves the result, returning the rebalanced graph,
 /// the extended provenance (inserted coercions gain `Quant` entries), the
-/// graph's [`IntervalReport`], and every finding:
+/// graph's [`IntervalReport`](crate::interval::IntervalReport), and every
+/// finding:
 ///
 /// * the rebalanced graph must be **well-typed** under the grid type
 ///   system ([`crate::gridtype::infer_int_grids`]) — any surviving
@@ -198,7 +207,7 @@ pub fn checked_rebalance_with_provenance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tqt_graph::Op;
+    use tqt_graph::{build_arena, FloatExecutor, FloatPlan, Op};
     use tqt_nn::{BatchNorm, Conv2d, Relu};
     use tqt_tensor::conv::Conv2dGeom;
 
@@ -217,7 +226,8 @@ mod tests {
         g.set_output(r);
         // Give the BN non-trivial running stats so folding actually rewrites.
         let warm = init::normal([4, 2, 8, 8], 0.5, 2.0, &mut rng);
-        g.forward(&warm, Mode::Train);
+        let arena = build_arena(&mut g);
+        FloatExecutor::new(FloatPlan::new(&mut g, warm.dims()), &g).forward(&mut g, &arena, &warm);
 
         let report = checked_optimize(&mut g, &[1, 2, 8, 8]);
         assert!(report.is_clean(), "{report}");

@@ -508,6 +508,46 @@ fn v014_broken_pass_is_attributed() {
     );
 }
 
+/// `TQT-V014`: a pass that miswires a conv input (the 2-channel graph
+/// input into a conv that expects 4 channels) is refuted by the shape
+/// check and attributed to the pass, without probing the broken graph:
+/// running it would panic in the conv kernel's shape assert.
+#[test]
+fn v014_miswired_conv_is_attributed_without_panic() {
+    let mut rng = init::rng(16);
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let c1 = g.add(
+        "c1",
+        Op::Conv(Conv2d::new("c1", 2, 4, Conv2dGeom::same(3), &mut rng)),
+        &[x],
+    );
+    let c2 = g.add(
+        "c2",
+        Op::Conv(Conv2d::new("c2", 4, 4, Conv2dGeom::same(3), &mut rng)),
+        &[c1],
+    );
+    let gap = g.add("gap", Op::GlobalAvgPool(GlobalAvgPool::new()), &[c2]);
+    let fc = g.add("fc", Op::Dense(Dense::new("fc", 4, 3, &mut rng)), &[gap]);
+    g.set_output(fc);
+
+    let passes: Vec<transforms::Pass> = vec![(
+        "evil_miswire_conv",
+        |g: &mut Graph, _: &[usize]| {
+            let inp = g.try_input_id().expect("graph has an input");
+            let c2 = g.find("c2").expect("c2 exists");
+            g.node_mut(c2).inputs[0] = inp;
+            1
+        },
+    )];
+    let r = checked_pipeline(&mut g, &[1, 2, 8, 8], &passes);
+    assert!(r.has(Code::TransformInvariant), "{r}");
+    assert!(
+        r.diags.iter().any(|d| d.detail.contains("evil_miswire_conv")),
+        "finding should name the broken pass:\n{r}"
+    );
+}
+
 /// Control for V014: the real pipeline over the same net is clean.
 #[test]
 fn v014_real_pipeline_is_clean() {

@@ -13,7 +13,6 @@ use tqt_fixedpoint::lower::{IntOp, LEAKY_ALPHA_FRAC};
 use tqt_fixedpoint::lower;
 use tqt_graph::{quantize_graph, transforms, QuantizeOptions};
 use tqt_models::{ModelKind, INPUT_DIMS};
-use tqt_nn::Mode;
 
 fn main() {
     // A DarkNet analogue exercises the leaky-ReLU fixed-point topology.
@@ -68,7 +67,7 @@ fn main() {
 
     // Bit-accuracy check on fresh inputs.
     let x = calibration_batch(&data, 8, 2);
-    let y_float = g.forward(&x, Mode::Eval);
+    let y_float = g.infer(&x);
     let y_int = ig.run(&x).dequantize();
     assert_eq!(y_float, y_int);
     println!(

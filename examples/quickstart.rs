@@ -13,7 +13,6 @@ use tqt_data::{calibration_batch, train_val, SynthConfig};
 use tqt_fixedpoint::lower;
 use tqt_graph::{quantize_graph, transforms, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
-use tqt_nn::Mode;
 
 fn main() {
     // 1. Data: a synthetic 10-class image task (ImageNet stand-in).
@@ -55,7 +54,7 @@ fn main() {
     // 6. Lower to the integer engine and verify bit-accuracy.
     let ig = lower(&mut g);
     let x = calibration_batch(&val_set, 8, 9);
-    let y_float = g.forward(&x, Mode::Eval);
+    let y_float = g.infer(&x);
     let y_int = ig.run(&x).dequantize();
     assert_eq!(y_float, y_int, "integer engine must match the float emulation");
     println!("integer engine: bit-accurate to the quantized inference graph");

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Forbidden-pattern gate (tier-1, invoked from scripts/ci.sh).
 #
-# Rules, scoped to NON-TEST code (everything before the first `#[cfg(test)]`
-# in a file):
+# Rules, scoped to NON-TEST code: every line except the items gated by a
+# `#[cfg(test)]` attribute. A gated item ends where its braces balance (or
+# at its `;` when it has no body, like a gated `use`), and scanning
+# resumes after it, so production code below a test item is checked too.
 #
 #   unwrap          .unwrap()            in crates/{tensor,fixedpoint,rt,serve,plan,graph}
 #   expect          .expect("...")       in crates/{tensor,fixedpoint,rt,serve,plan,graph}
@@ -29,6 +31,9 @@
 #
 #     foo.unwrap() // tqt:allow(unwrap): <why this cannot fail>
 #
+# `scripts/check_forbidden.sh --self-test` checks the test-item scoping on
+# two fixtures instead of scanning the workspace.
+#
 # Uses ripgrep when available, plain grep otherwise (the gate must run in
 # minimal containers).
 set -euo pipefail
@@ -42,13 +47,43 @@ fi
 
 fail=0
 
+# Prints `file:line: text` for every line of one file outside its
+# `#[cfg(test)]` items. Braces are counted with string and char literals
+# and line comments removed; a `;` ends a gated item only before its body
+# opens and outside brackets, so `[f32; 3]` in a signature does not.
+non_test_lines() {
+  # shellcheck disable=SC2016  # the awk program is meant to be literal
+  awk '
+    {
+      line = $0
+      if (!skip && line ~ /^[[:space:]]*#\[cfg\(test\)\]/) {
+        skip = 1; depth = 0; nest = 0; opened = 0
+        sub(/^[[:space:]]*#\[cfg\(test\)\]/, "", line)
+      }
+      if (!skip) { print FILENAME ":" FNR ": " $0; next }
+      gsub(/"([^"\\]|\\.)*"/, "", line)
+      gsub(/\047([^\047\\]|\\.)\047/, "", line)
+      sub(/\/\/.*/, "", line)
+      for (i = 1; i <= length(line); i++) {
+        c = substr(line, i, 1)
+        if (c == "{") { depth++; opened = 1 }
+        else if (c == "}") { depth-- }
+        else if (c == "(" || c == "[") { nest++ }
+        else if (c == ")" || c == "]") { nest-- }
+        else if (c == ";" && !opened && nest == 0) { skip = 0; break }
+        if (opened && depth == 0) { skip = 0; break }
+      }
+    }
+  ' "$1"
+}
+
 # scan <rule> <pattern> <file...>
 scan() {
   local rule="$1" pattern="$2"
   shift 2
   local f hits
   for f in "$@"; do
-    hits=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"NR": "$0}' "$f" \
+    hits=$(non_test_lines "$f" \
       | match "$pattern" | grep -Fv "tqt:allow($rule)" || true)
     if [[ -n "$hits" ]]; then
       echo "forbidden pattern [$rule]:"
@@ -57,6 +92,64 @@ scan() {
     fi
   done
 }
+
+# The gate must flag an unwrap placed below a gated test fn, and must not
+# flag one inside a test module.
+self_test() {
+  local fixture
+  fixture="$(mktemp -d)"
+  cat > "$fixture/below.rs" <<'RS'
+#[cfg(test)]
+fn helper(v: [u32; 2]) -> u32 {
+    let close = '}';
+    let s = "}}";
+    v[0] + s.len() as u32 + close as u32
+}
+
+pub fn production(x: Option<u32>) -> u32 {
+    x.unwrap()
+}
+RS
+  cat > "$fixture/inside.rs" <<'RS'
+#[cfg(test)]
+use std::fmt::Debug;
+
+pub fn production() -> u32 {
+    1
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let s = "{";
+        assert_eq!(Some(s).unwrap(), "{");
+    }
+}
+RS
+  local ok=1
+  scan unwrap '\.unwrap\(\)' "$fixture/below.rs" >/dev/null
+  if [[ "$fail" -ne 1 ]]; then
+    echo "check_forbidden self-test: an unwrap below a #[cfg(test)] fn was not flagged"
+    ok=0
+  fi
+  fail=0
+  scan unwrap '\.unwrap\(\)' "$fixture/inside.rs"
+  if [[ "$fail" -ne 0 ]]; then
+    echo "check_forbidden self-test: an unwrap inside a test module was flagged"
+    ok=0
+  fi
+  rm -rf "$fixture"
+  if [[ "$ok" -ne 1 ]]; then
+    exit 1
+  fi
+  echo "check_forbidden self-test: ok"
+}
+
+if [[ "${1:-}" == "--self-test" ]]; then
+  self_test
+  exit 0
+fi
 
 panic_scope=$(find crates/tensor/src crates/fixedpoint/src crates/rt/src crates/serve/src crates/plan/src crates/graph/src -name '*.rs' | sort)
 unsafe_scope=$(find crates/tensor/src crates/fixedpoint/src crates/serve/src crates/plan/src crates/graph/src -name '*.rs' | sort)

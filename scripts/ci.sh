@@ -60,21 +60,32 @@ cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
 # regions: full train() runs (training steps on the training plan,
 # validation on forward-only plans, pooled Adam) must be bit-identical
 # (losses, thresholds, checkpointed parameters) at 1 and 4 threads to the
-# same schedule run in test code over the reference interpreter
-# (Graph::forward/backward, its own calibrate pass) and the per-Param
-# Adam. The executor and the layers call one slice kernel per float op
-# (conv, dense, quantizer, pooling, batch norm, concat, per-channel bias
-# add/sum), so this gate and planned_parity (training step, calibration
-# and evaluation) do not compare two implementations of an op's
-# arithmetic: they check what the executor owns (slot liveness, gradient
-# fan-in order, arena plumbing, quantized-weight staging, calibration
-# order). The kernels' arithmetic is checked by the tqt-nn unit tests
-# (hand-computed values, padded pooling included) and finite-difference
-# gradchecks, run here together with the pooled-Adam and planned parity
-# tests.
+# same schedule run in test code over the test-only tqt-reference crate:
+# its allocating interpreter (with its own calibrate pass) and its
+# per-Param Adam. The executor and the reference's per-layer
+# forward/backward call one slice kernel per float op (conv, dense,
+# quantizer, pooling, batch norm, concat, per-channel bias add/sum), so
+# this gate and planned_parity (training step, calibration and
+# evaluation) do not compare two implementations of an op's arithmetic:
+# they check what the executor owns (slot liveness, gradient fan-in
+# order, arena plumbing, quantized-weight staging, calibration order).
+# The kernels' arithmetic is checked by the tqt-nn unit tests and the
+# tqt-reference value tests (hand-computed values, padded pooling
+# included) and finite-difference gradchecks, run here together with the
+# pooled-Adam and planned parity tests.
 cargo test -q --offline -p tqt --features tqt-fixedpoint/sanitize --test train_parity
-cargo test -q --offline -p tqt-nn
+cargo test -q --offline -p tqt-nn -p tqt-reference
 cargo test -q --offline -p tqt-graph --test planned_parity
+# Oracle-isolation gate: tqt-reference is a test-only oracle and may only
+# be a dev-dependency. As a normal dependency of any crate, production
+# code could call the allocating interpreter again.
+oracle_users="$(cargo tree --offline -e normal -i tqt-reference --workspace --prefix none \
+  | grep -v '^tqt-reference ' || true)"
+if [[ -n "$oracle_users" ]]; then
+  echo "tqt-reference is a normal dependency of:"
+  echo "$oracle_users"
+  exit 1
+fi
 # Rounding gate: every quantizer rounds through the branch-free
 # `tqt_quant::round_half_even`. Its ignored test sweeps all 2^32 f32 bit
 # patterns against `f32::round_ties_even`, bit for bit (any NaN matches
@@ -92,10 +103,14 @@ for b in figure1 figure2 figure3 figure9 table4 pact_comparison; do
 done
 rm -rf "$pin_dir"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Docs gate: the rendered docs carry no dead or ambiguous intra-doc links.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 # Forbidden-pattern gate: unwrap/expect in the numeric substrates,
 # narrowing casts in requant, float equality outside tests, and thread
 # spawns / raw atomics outside crates/rt (the only crate the schedule
-# model checker covers).
+# model checker covers). Its self-test first proves on two fixtures that
+# only #[cfg(test)] items are exempt, not the code below them.
+scripts/check_forbidden.sh --self-test
 scripts/check_forbidden.sh
 # Static verification gate: every zoo model at every supported weight
 # bit-width must pass the full tqt-verify analysis suite (shape inference

@@ -6,7 +6,6 @@
 use tqt_fixedpoint::lower;
 use tqt_graph::{quantize_graph, transforms, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
-use tqt_nn::Mode;
 use tqt_tensor::init;
 
 fn check(model: ModelKind, bits: WeightBits, seed: u64) {
@@ -19,7 +18,7 @@ fn check(model: ModelKind, bits: WeightBits, seed: u64) {
     let ig = lower(&mut g);
     for trial in 0..3 {
         let x = init::normal([2, 3, 32, 32], 0.0, 1.0 + trial as f32 * 0.5, &mut rng);
-        let yf = g.forward(&x, Mode::Eval);
+        let yf = g.infer(&x);
         let yi = ig.run(&x).dequantize();
         assert_eq!(
             yf, yi,

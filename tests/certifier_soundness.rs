@@ -16,7 +16,6 @@ mod common;
 use common::{build, net_gen, NetSpec};
 use tqt_fixedpoint::{fuse_with_chains, lower_with_provenance};
 use tqt_graph::{quantize_graph, QuantizeOptions, WeightBits};
-use tqt_nn::Mode;
 use tqt_rt::check::Config;
 use tqt_rt::{check, pool, prop_assert};
 use tqt_tensor::init;
@@ -59,7 +58,7 @@ fn certified_random_graphs_are_bit_identical() {
         // serially and with more workers than a CI core has.
         for sigma in [1.0f32, 4.0] {
             let x = init::normal(DIMS.to_vec(), 0.0, sigma, &mut rng);
-            let yf = g.forward(&x, Mode::Eval);
+            let yf = g.infer(&x);
             for threads in [1usize, 4] {
                 pool::set_threads(threads);
                 let yi = ig.run(&x).dequantize();

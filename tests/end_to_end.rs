@@ -9,7 +9,6 @@ use tqt_data::{calibration_batch, train_val, SynthConfig};
 use tqt_fixedpoint::lower;
 use tqt_graph::{quantize_graph, transforms, Graph, Op, QuantizeOptions, WeightBits};
 use tqt_models::{ModelKind, INPUT_DIMS};
-use tqt_nn::Mode;
 
 fn small_sets() -> (tqt_data::Dataset, tqt_data::Dataset) {
     let cfg = SynthConfig {
@@ -37,9 +36,9 @@ fn full_tqt_pipeline_resnet() {
 
     // Optimize: all batch norms must fold away without changing outputs.
     let x = calibration_batch(&val_set, 16, 1);
-    let before = g.forward(&x, Mode::Eval);
+    let before = g.infer(&x);
     transforms::optimize(&mut g, &INPUT_DIMS);
-    let after = g.forward(&x, Mode::Eval);
+    let after = g.infer(&x);
     before.assert_close(&after, 1e-3);
     assert!(!g.iter().any(|(_, n)| matches!(n.op, Op::BatchNorm(_))));
 
@@ -67,7 +66,7 @@ fn full_tqt_pipeline_resnet() {
     // Integer lowering: bit-exact on fresh inputs.
     let ig = lower(&mut g);
     let x = calibration_batch(&val_set, 8, 3);
-    let yf = g.forward(&x, Mode::Eval);
+    let yf = g.infer(&x);
     let yi = ig.run(&x).dequantize();
     assert_eq!(yf, yi, "integer engine must be bit-exact");
 }

@@ -1,5 +1,6 @@
 //! End-to-end bit-identity of the persistent worker pool: a full
-//! quantized (TQT) forward + backward pass on a zoo model must produce
+//! quantized (TQT) forward + backward pass of the planned float executor
+//! on a zoo model must produce
 //! byte-identical logits and parameter gradients whether it runs on the
 //! parallel path with several workers or on one thread. This is
 //! the whole-graph version of the kernel-level guarantee in
@@ -7,24 +8,33 @@
 //! batch-norm, pooling and loss kernels between the GEMMs too.
 
 use tqt_data::{calibration_batch, train_val, SynthConfig};
-use tqt_graph::{quantize_graph, transforms, Graph, QuantizeOptions, WeightBits};
+use tqt_graph::{
+    build_arena, quantize_graph, sync_thresholds_to_arena, transforms, FloatExecutor, FloatPlan,
+    Graph, QuantizeOptions, WeightBits,
+};
 use tqt_models::{ModelKind, INPUT_DIMS};
 use tqt_nn::loss::softmax_cross_entropy;
-use tqt_nn::Mode;
 use tqt_rt::pool;
 use tqt_tensor::Tensor;
 
 /// One quantized forward/backward; returns logits plus every parameter
 /// gradient (name-keyed so a mismatch names the offending layer).
 fn fwd_bwd(g: &mut Graph, x: &Tensor, labels: &[usize]) -> (Tensor, Vec<(String, Tensor)>) {
-    let logits = g.forward(x, Mode::Train);
+    let mut arena = build_arena(g);
+    let mut ex = FloatExecutor::new(FloatPlan::new(g, x.dims()), g);
+    let logits = ex.forward(g, &arena, x);
     let (_, dlogits) = softmax_cross_entropy(&logits, labels);
     g.zero_grads();
-    g.backward(&dlogits);
+    ex.backward(g, &mut arena, &dlogits);
+    sync_thresholds_to_arena(g, &mut arena);
     let grads = g
         .params_mut()
         .into_iter()
-        .map(|p| (p.name.clone(), p.grad.clone()))
+        .enumerate()
+        .map(|(i, p)| {
+            let grad = Tensor::from_vec(p.value.dims().to_vec(), arena.grad(i).to_vec());
+            (p.name.clone(), grad)
+        })
         .collect();
     (logits, grads)
 }

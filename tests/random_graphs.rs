@@ -16,11 +16,13 @@ mod common;
 
 use common::{build, net_gen, NetSpec};
 use tqt_fixedpoint::lower;
-use tqt_graph::{quantize_graph, transforms, QuantizeOptions, WeightBits};
-use tqt_nn::Mode;
+use tqt_graph::{
+    build_arena, quantize_graph, sync_thresholds_to_arena, transforms, FloatExecutor, FloatPlan,
+    QuantizeOptions, WeightBits,
+};
 use tqt_rt::check::Config;
 use tqt_rt::{check, prop_assert, prop_assert_eq};
-use tqt_tensor::init;
+use tqt_tensor::{init, Tensor};
 
 #[test]
 fn optimize_preserves_semantics() {
@@ -28,9 +30,9 @@ fn optimize_preserves_semantics() {
         let mut g = build(spec);
         let mut rng = init::rng(spec.seed + 2);
         let x = init::normal([2, 2, 8, 8], 0.0, 1.0, &mut rng);
-        let before = g.forward(&x, Mode::Eval);
+        let before = g.infer(&x);
         transforms::optimize(&mut g, &[1, 2, 8, 8]);
-        let after = g.forward(&x, Mode::Eval);
+        let after = g.infer(&x);
         let tol = 1e-3 * (1.0 + before.abs_max());
         prop_assert!(
             before.max_abs_diff(&after) < tol,
@@ -52,7 +54,7 @@ fn quantized_pipeline_bit_accurate() {
         g.calibrate(&calib);
         let ig = lower(&mut g);
         let x = init::normal([2, 2, 8, 8], 0.0, 1.3, &mut rng);
-        let yf = g.forward(&x, Mode::Eval);
+        let yf = g.infer(&x);
         let yi = ig.run(&x).dequantize();
         prop_assert_eq!(yf, yi);
         Ok(())
@@ -73,11 +75,11 @@ fn quantized_pipeline_bit_accurate_serial_override() {
         g.calibrate(&calib);
         let ig = lower(&mut g);
         let x = init::normal([2, 2, 8, 8], 0.0, 1.3, &mut rng);
-        let y_par = g.forward(&x, Mode::Eval);
+        let y_par = g.infer(&x);
         let yi_par = ig.run(&x).dequantize();
         let prev = tqt_rt::pool::threads();
         tqt_rt::pool::set_threads(1);
-        let y_ser = g.forward(&x, Mode::Eval);
+        let y_ser = g.infer(&x);
         let yi_ser = ig.run(&x).dequantize();
         tqt_rt::pool::set_threads(prev);
         prop_assert_eq!(&y_par, &y_ser);
@@ -97,11 +99,15 @@ fn quantized_backward_produces_finite_gradients() {
         let calib = init::normal([4, 2, 8, 8], 0.0, 1.0, &mut rng);
         g.calibrate(&calib);
         let x = init::normal([2, 2, 8, 8], 0.0, 1.0, &mut rng);
-        let y = g.forward(&x, Mode::Train);
+        let mut arena = build_arena(&mut g);
+        let mut ex = FloatExecutor::new(FloatPlan::new(&mut g, x.dims()), &g);
+        let y = ex.forward(&mut g, &arena, &x);
         g.zero_grads();
-        g.backward(&y);
-        for p in g.params_mut() {
-            prop_assert!(p.grad.all_finite(), "non-finite gradient in {}", p.name);
+        ex.backward(&mut g, &mut arena, &y);
+        sync_thresholds_to_arena(&g, &mut arena);
+        for (i, p) in g.params_mut().into_iter().enumerate() {
+            let grad = Tensor::from_vec(p.value.dims().to_vec(), arena.grad(i).to_vec());
+            prop_assert!(grad.all_finite(), "non-finite gradient in {}", p.name);
         }
         Ok(())
     });
