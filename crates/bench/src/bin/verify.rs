@@ -72,7 +72,7 @@ use tqt_verify::{
     analyze, certify, check_batch_schedules, check_containment, check_float_plan,
     check_fold_partition, check_plan, check_schedules, checked_fuse_with_provenance,
     checked_optimize, checked_rebalance_with_provenance, infer_float_grids, infer_int_grids,
-    collect_hb_findings, qat_smoke_step, verify, Report, Stage,
+    collect_hb_findings, qat_smoke_step, verify, Diag, Report, Stage,
 };
 
 /// Records the wall-clock lap since `*t` under `name` and restarts it.
@@ -215,6 +215,9 @@ fn check_model(
     let mut g = model.build(seed);
 
     report.merge(verify(&g, &dims, Stage::Built));
+    if !report.is_clean() {
+        return timings; // the transform probe would run a graph the checks refuted
+    }
     report.merge(checked_optimize(&mut g, &dims));
     report.merge(verify(&g, &dims, Stage::Optimized));
 
@@ -227,7 +230,9 @@ fn check_model(
     report.merge(verify(&g, &dims, Stage::Calibrated));
     lap(&mut timings, &mut t, "float");
     if !report.is_clean() {
-        return timings; // lowering would panic on a graph the lints rejected
+        // The float engine below has no typed errors yet: its plan and
+        // QAT step would panic on a graph the checks refuted.
+        return timings;
     }
 
     // Smoke QAT step with the float-exec sanitizer, on the training plan
@@ -255,13 +260,17 @@ fn check_model(
     // must carry exactly one power-of-2 grid type (`TQT-V031`…`V034`).
     report.merge(infer_float_grids(&g, &dims).report);
     lap(&mut timings, &mut t, "gridf");
-    if !report.is_clean() {
-        return timings;
-    }
 
     // Lower ONCE per (model, bits) — the provenance map, interval facts
-    // and plans below all reuse this single lowering.
-    let (ig, prov) = tqt_fixedpoint::lower_with_provenance(&mut g);
+    // and plans below all reuse this single lowering. A refusal is
+    // reported under the lint's code for the same defect.
+    let (ig, prov) = match tqt_fixedpoint::lower_with_provenance(&mut g) {
+        Ok(lowered) => lowered,
+        Err(e) => {
+            report.diags.push(Diag::from(&e));
+            return timings;
+        }
+    };
     lap(&mut timings, &mut t, "lower");
 
     // Grid-type inference over the lowered graph.
@@ -345,7 +354,13 @@ fn check_model(
     tqt_graph::transforms::optimize(&mut ug, &dims);
     quantize_graph(&mut ug, QuantizeOptions::retrain_wt_th(wb).unmerged());
     ug.calibrate(&calib);
-    let (uig, uprov) = tqt_fixedpoint::lower_with_provenance(&mut ug);
+    let (uig, uprov) = match tqt_fixedpoint::lower_with_provenance(&mut ug) {
+        Ok(lowered) => lowered,
+        Err(e) => {
+            report.diags.push(Diag::from(&e));
+            return timings;
+        }
+    };
     let (rig, rprov, rproven, rr) = checked_rebalance_with_provenance(&uig, &uprov, &dims);
     report.merge(rr);
     report.merge(rproven.report.clone());

@@ -17,9 +17,12 @@
 //!   and every standalone elementwise node runs through;
 //! * [`mod@plan`] — static execution plans and the buffer-reusing
 //!   [`IntExecutor`] for repeated integer inference;
-//! * [`mod@lower`] with the [`lower()`](lower::lower) entry point — lowering a quantized float graph to an [`IntGraph`]
-//!   that is bit-exact to the baked float inference graph (the paper's
-//!   Section 4.2 property);
+//! * [`mod@lower`] with the [`lower_with_provenance()`] entry point —
+//!   lowering a quantized float graph to an [`IntGraph`] that is
+//!   bit-exact to the baked float inference graph (the paper's Section 4.2
+//!   property), or refusing it with a [`LowerError`] — and
+//!   [`float_grid()`], the float graph's one grid rule, which the lowering
+//!   and `tqt-verify`'s checkers fold;
 //! * [`mod@fuse`] — graph-level conv→relu→add epilogue fusion over the
 //!   [`IntGraph`], bit-identical by construction and proven so by
 //!   `tests/fusion_parity.rs`;
@@ -44,8 +47,9 @@ pub use rebalance::{
 };
 pub use gemm_i8::{gemm_i8_fused_prepacked, gemm_i8_narrow_fused, NarrowLhs, PackedB, RequantMode};
 pub use lower::{
-    lower, lower_with_provenance, EpiStep, IntGraph, NodeProv, NodeStats, Provenance, RoundMode,
-    RunStats,
+    float_grid, lower, lower_with_provenance, EpiStep, IntGraph, NodeProv, NodeStats, Provenance,
+    RoundMode, RunStats,
 };
+pub use tqt_graph::LowerError;
 pub use plan::{GemmRoute, IntExecutor, IntPlan};
 pub use qtensor::{QFormat, QTensor};

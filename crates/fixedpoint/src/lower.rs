@@ -16,7 +16,7 @@
 
 use crate::qtensor::{QFormat, QTensor};
 use std::collections::BTreeMap;
-use tqt_graph::{shape, Graph, Op};
+use tqt_graph::{shape, Graph, LowerError, NodeId, Op, ThresholdId, ThresholdState};
 use tqt_nn::{ParamKind, Relu};
 use tqt_quant::round_half_even;
 use tqt_tensor::conv::Conv2dGeom;
@@ -264,7 +264,7 @@ impl IntOp {
     /// The epilogue step a standalone elementwise node performs, or `None`
     /// for every other op. `Requant`, `Relu`, `LeakyRelu` and `Add` (whose
     /// second input is the residual) run as this one step, fused or not.
-    pub(crate) fn epi_step(&self) -> Option<EpiStep> {
+    pub fn epi_step(&self) -> Option<EpiStep> {
         match *self {
             IntOp::Requant { format } => Some(EpiStep::Requant { format }),
             IntOp::Relu { cap_q } => Some(EpiStep::Relu { cap_q }),
@@ -280,7 +280,7 @@ impl IntOp {
     pub fn acc_format(&self, input: QFormat) -> Option<QFormat> {
         match self {
             IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
-                Some(QFormat::new(input.frac + w_frac, 64, true))
+                Some(accumulator(input, *w_frac))
             }
             _ => None,
         }
@@ -357,6 +357,113 @@ impl EpiStep {
             EpiStep::Relu { .. } => input,
             EpiStep::LeakyRelu { .. } => QFormat::new(input.frac + LEAKY_ALPHA_FRAC, 64, true),
         }
+    }
+}
+
+/// The accumulator a conv/dense core produces from an `input`-format
+/// operand and `w_frac` weights.
+fn accumulator(input: QFormat, w_frac: i32) -> QFormat {
+    QFormat::new(input.frac + w_frac, 64, true)
+}
+
+/// The calibrated threshold `tid` that node `id` quantizes with.
+fn calibrated(g: &Graph, id: NodeId, tid: ThresholdId) -> Result<&ThresholdState, LowerError> {
+    let node = &g.node(id).name;
+    let ts = g.thresholds().get(tid).ok_or_else(|| LowerError::Structure {
+        node: node.clone(),
+        detail: format!("reads threshold {tid}, which the side table lacks"),
+    })?;
+    if !ts.calibrated {
+        return Err(LowerError::Uncalibrated {
+            node: node.clone(),
+            threshold: ts.param.name.clone(),
+        });
+    }
+    Ok(ts)
+}
+
+/// The calibrated weight threshold of compute node `id`.
+fn weight_threshold(g: &Graph, id: NodeId) -> Result<&ThresholdState, LowerError> {
+    let node = g.node(id);
+    let wq = node.wq.as_ref().ok_or_else(|| LowerError::MissingWeightQuant {
+        node: node.name.clone(),
+    })?;
+    calibrated(g, id, wq.tid)
+}
+
+/// The fixed-point grid of float node `id`'s output, given its inputs'
+/// grids `ins` (`None`: the edge has no static grid). This is the one grid
+/// rule of the float graph: [`lower_with_provenance`] folds it to place
+/// every constant, and `tqt-verify`'s lint and grid typer fold it to check
+/// a graph before lowering. It is stated with the integer engine's own
+/// rules ([`IntOp::acc_format`], [`EpiStep::out_format`],
+/// [`IntOp::pool_format`]), so a lowered node's format is its float
+/// node's grid:
+///
+/// * a quant node takes its calibrated threshold's grid;
+/// * conv and dense produce the accumulator at `fx + fw`;
+/// * relu keeps its input grid; leaky relu moves it by
+///   [`LEAKY_ALPHA_FRAC`] into the accumulator container;
+/// * a global average pool over `pool_hw` elements moves it by
+///   `log2(pool_hw)`. Without `pool_hw` (lowering runs before any input
+///   size is known), or when it is not a power of two, the pool's grid is
+///   resolved only at run time: it has no static grid;
+/// * add widens its first input's grid to the accumulator container; max
+///   pool, flatten, concat and identity keep it. Whether merge operands
+///   share a grid is for the checkers (and the `rebalance` pass), not for
+///   this rule.
+///
+/// # Errors
+///
+/// Refuses a batch norm (`TQT-V008`), an average pool (`TQT-V009`), a
+/// conv, dense, relu or identity reading an edge with no static grid
+/// (`TQT-V003`), a compute op without a weight quantizer (`TQT-V004`), an
+/// uncalibrated threshold (`TQT-V006`), and a non-input node without
+/// inputs or a dangling threshold id (`TQT-V001`).
+pub fn float_grid(
+    g: &Graph,
+    id: NodeId,
+    ins: &[Option<QFormat>],
+    pool_hw: Option<usize>,
+) -> Result<Option<QFormat>, LowerError> {
+    let node = g.node(id);
+    let x = ins.first().copied().flatten();
+    let static_x = || {
+        x.ok_or_else(|| LowerError::UnquantizedInput {
+            node: node.name.clone(),
+        })
+    };
+    match &node.op {
+        Op::Input => Ok(None),
+        Op::BatchNorm(_) => Err(LowerError::UnfoldedBatchNorm {
+            node: node.name.clone(),
+        }),
+        Op::AvgPool(_) => Err(LowerError::UnconvertedAvgPool {
+            node: node.name.clone(),
+        }),
+        _ if ins.is_empty() => Err(LowerError::Structure {
+            node: node.name.clone(),
+            detail: "has no inputs".to_string(),
+        }),
+        Op::Quant { tid } => {
+            let ts = calibrated(g, id, *tid)?;
+            Ok(Some(QFormat::from_spec(ts.spec, ts.log2_t())))
+        }
+        Op::Conv(_) | Op::Depthwise(_) | Op::Dense(_) => {
+            let x = static_x()?;
+            let ts = weight_threshold(g, id)?;
+            Ok(Some(accumulator(x, QFormat::from_spec(ts.spec, ts.log2_t()).frac)))
+        }
+        // The slope's value does not move the grid.
+        Op::Relu(r) if r.negative_slope() > 0.0 => {
+            Ok(Some(EpiStep::LeakyRelu { alpha_q: 0 }.out_format(static_x()?)))
+        }
+        Op::Relu(_) | Op::Identity => static_x().map(Some),
+        Op::GlobalAvgPool(_) => Ok(x
+            .zip(pool_hw)
+            .and_then(|(x, hw)| IntOp::pool_format(x, hw))),
+        Op::Add(_) => Ok(x.map(|x| EpiStep::AddResidual.out_format(x))),
+        Op::MaxPool(_) | Op::Flatten(_) | Op::Concat(_) => Ok(x),
     }
 }
 
@@ -528,81 +635,71 @@ pub(crate) fn narrow(acc: i128, overflowed: &mut u64) -> i64 {
 /// **bakes the float graph in place** into its hardware inference form:
 /// weights replaced by their quantized values (weight quantizers removed),
 /// biases snapped onto the accumulator grid, leaky-ReLU slopes snapped to
-/// Q7. After this call, `g.forward(x, Eval)` and `IntGraph::run(x)`
-/// (dequantized) agree bit-exactly.
+/// Q7. After this call, `g.infer(x)` and `IntGraph::run(x)` (dequantized)
+/// agree bit-exactly.
+///
+/// Kept for the benchmark harness, which calls it by this name; new code
+/// calls [`lower_with_provenance`], which refuses with a typed error.
 ///
 /// # Panics
 ///
-/// Panics if the graph contains uncalibrated thresholds, unquantized
-/// compute layers, batch norms, or average pools (run the transform and
-/// quantization passes first).
+/// Panics with the [`LowerError`] [`lower_with_provenance`] returns.
 pub fn lower(g: &mut Graph) -> IntGraph {
-    lower_with_provenance(g).0
+    lower_with_provenance(g).unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// [`lower`], additionally returning the per-node [`Provenance`] map —
 /// every scale/zero-point/shift decision plus the original float
 /// constants, recorded before the in-place baking mutates them. The
 /// translation validator consumes this to prove the lowering bit-exact.
-pub fn lower_with_provenance(g: &mut Graph) -> (IntGraph, Provenance) {
-    let n = g.len();
-    // Fractional length of each float node's output grid; None = float or
-    // not yet known.
-    let mut fracs: Vec<Option<i32>> = vec![None; n];
-    let mut nodes: Vec<IntNode> = Vec::with_capacity(n);
-    let mut prov = Provenance::new();
+///
+/// # Errors
+///
+/// Refuses, naming the node, a graph [`float_grid`] refuses anywhere:
+/// surviving batch norms or average pools, a conv, dense, relu or identity
+/// without a static input grid, a missing weight quantizer, an
+/// uncalibrated threshold, or a structural defect. A refused graph is left
+/// as it was.
+pub fn lower_with_provenance(g: &mut Graph) -> Result<(IntGraph, Provenance), LowerError> {
+    let output = g.try_output_id().ok_or(LowerError::NoOutput)?;
+    // Every grid is resolved before anything is baked.
+    let mut grids: Vec<Option<QFormat>> = Vec::with_capacity(g.len());
+    for (id, node) in g.iter() {
+        let ins = node
+            .inputs
+            .iter()
+            .map(|&i| {
+                grids.get(i).copied().ok_or_else(|| LowerError::Structure {
+                    node: node.name.clone(),
+                    detail: format!("reads node {i}, which is not an earlier node"),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        grids.push(float_grid(g, id, &ins, None)?);
+    }
 
-    for id in 0..n {
+    let mut nodes: Vec<IntNode> = Vec::with_capacity(g.len());
+    let mut prov = Provenance::new();
+    for (id, &grid) in grids.iter().enumerate() {
         let inputs = g.node(id).inputs.clone();
         let name = g.node(id).name.clone();
-        // Pre-read threshold info to avoid holding borrows.
-        let op = match &g.node(id).op {
-            Op::Input => IntOp::Input,
-            Op::Quant { tid } => {
-                let ts = &g.thresholds()[*tid];
-                assert!(ts.calibrated, "threshold {} not calibrated", ts.param.name);
-                let format = QFormat::from_spec(ts.spec, ts.log2_t());
-                fracs[id] = Some(format.frac);
-                prov.insert(
-                    name.clone(),
-                    NodeProv::Quant {
-                        bits: format.bits,
-                        signed: format.signed,
-                        frac: format.frac,
-                        zero_point: 0,
-                        round: RoundMode::HalfEven,
-                    },
-                );
+        let op = match (&g.node(id).op, grid) {
+            (Op::Input, _) => IntOp::Input,
+            (Op::Quant { .. }, Some(format)) => {
+                prov.insert(name.clone(), quant_prov(format));
                 if matches!(g.node(inputs[0]).op, Op::Input) {
                     IntOp::QuantF32 { format }
                 } else {
-                    // The producer is always on an integer grid here: the
-                    // quantize pass only places requants after quantized
-                    // ops (GAP output formats are resolved at run time).
+                    // Every other producer is on an integer grid (a global
+                    // average pool's is resolved when the graph is planned).
                     IntOp::Requant { format }
                 }
             }
-            Op::BatchNorm(_) => panic!("fold batch norms before lowering"),
-            Op::AvgPool(_) => panic!("convert avgpool to depthwise before lowering"),
-            Op::Conv(_) | Op::Depthwise(_) | Op::Dense(_) => {
-                let fx = fracs[inputs[0]]
-                    .unwrap_or_else(|| panic!("compute node {name} has unquantized input"));
-                let (w_frac, wq_log2_t, w_spec) = {
-                    let node = g.node(id);
-                    let wq = node
-                        .wq
-                        .as_ref()
-                        .unwrap_or_else(|| panic!("compute node {name} has no weight quantizer"));
-                    let ts = &g.thresholds()[wq.tid];
-                    assert!(ts.calibrated, "weight threshold {} not calibrated", ts.param.name);
-                    (
-                        ts.spec.fractional_length(ts.log2_t()),
-                        ts.log2_t(),
-                        ts.spec,
-                    )
-                };
-                let acc_frac = fx + w_frac;
-                fracs[id] = Some(acc_frac);
+            (Op::Conv(_) | Op::Depthwise(_) | Op::Dense(_), Some(acc)) => {
+                let ts = weight_threshold(g, id)?;
+                let (w_spec, wq_log2_t) = (ts.spec, ts.log2_t());
+                let w_frac = QFormat::from_spec(w_spec, wq_log2_t).frac;
+                let acc_frac = acc.frac;
                 // Bake: quantize weights in place, snap bias to the
                 // accumulator grid, drop the weight quantizer.
                 let node = g.node_mut(id);
@@ -685,104 +782,68 @@ pub fn lower_with_provenance(g: &mut Graph) -> (IntGraph, Provenance) {
                         depthwise: true,
                         w_frac,
                     },
-                    Op::Dense(_) => IntOp::Dense {
+                    _ => IntOp::Dense {
                         w: w_ints,
                         in_dim: dense_dims.0,
                         out_dim: dense_dims.1,
                         bias: bias_ints,
                         w_frac,
                     },
-                    _ => unreachable!(),
                 }
             }
-            Op::Relu(r) => {
-                let fx = fracs[inputs[0]]
-                    .unwrap_or_else(|| panic!("relu {name} has unquantized input"));
-                if r.negative_slope() > 0.0 {
-                    let orig_alpha = r.negative_slope();
-                    let alpha_q =
-                        round_half_even(orig_alpha * 2f32.powi(LEAKY_ALPHA_FRAC)) as i64;
-                    fracs[id] = Some(fx + LEAKY_ALPHA_FRAC);
-                    prov.insert(name.clone(), NodeProv::Leaky { orig_alpha });
-                    // Snap the float graph's slope to the same grid.
-                    let snapped = alpha_q as f32 / 2f32.powi(LEAKY_ALPHA_FRAC);
-                    if let Op::Relu(r) = &mut g.node_mut(id).op {
-                        r.set_negative_slope(snapped);
-                    }
-                    IntOp::LeakyRelu { alpha_q }
-                } else {
-                    fracs[id] = Some(fx);
-                    let orig_cap = r.cap();
-                    prov.insert(name.clone(), NodeProv::Relu { orig_cap, frac: fx });
-                    let cap_q = orig_cap.map(|c| round_half_even(c * 2f32.powi(fx)) as i64);
-                    // Snap the float cap onto the grid too.
-                    if let (Some(cq), Op::Relu(r)) = (cap_q, &mut g.node_mut(id).op) {
-                        *r = Relu::capped(cq as f32 / 2f32.powi(fx));
-                    }
-                    IntOp::Relu { cap_q }
+            (Op::Relu(r), Some(_)) if r.negative_slope() > 0.0 => {
+                let orig_alpha = r.negative_slope();
+                let alpha_q = round_half_even(orig_alpha * 2f32.powi(LEAKY_ALPHA_FRAC)) as i64;
+                prov.insert(name.clone(), NodeProv::Leaky { orig_alpha });
+                // Snap the float graph's slope to the same grid.
+                let snapped = alpha_q as f32 / 2f32.powi(LEAKY_ALPHA_FRAC);
+                if let Op::Relu(r) = &mut g.node_mut(id).op {
+                    r.set_negative_slope(snapped);
                 }
+                IntOp::LeakyRelu { alpha_q }
             }
-            Op::MaxPool(p) => {
-                fracs[id] = fracs[inputs[0]];
-                IntOp::MaxPool { geom: p.geom() }
-            }
-            Op::GlobalAvgPool(_) => {
-                // frac increases by log2(hw), resolved at run time; for
-                // downstream compute we need it statically: derive from
-                // shape inference lazily below.
-                fracs[id] = None; // patched after shape inference
-                IntOp::GlobalAvgPool
-            }
-            Op::Add(_) => {
-                fracs[id] = fracs[inputs[0]];
-                IntOp::Add
-            }
-            Op::Concat(_) => {
-                fracs[id] = fracs[inputs[0]];
-                IntOp::Concat
-            }
-            Op::Flatten(_) => {
-                fracs[id] = fracs[inputs[0]];
-                IntOp::Flatten
-            }
-            Op::Identity => {
-                fracs[id] = fracs[inputs[0]];
-                let frac = fracs[inputs[0]].unwrap_or(0);
-                prov.insert(
-                    name.clone(),
-                    NodeProv::Quant {
-                        bits: 32,
-                        signed: true,
-                        frac,
-                        zero_point: 0,
-                        round: RoundMode::HalfEven,
-                    },
-                );
-                IntOp::Requant {
-                    // Identity in a quantized graph is format preserving;
-                    // represent as a no-op requant into the same format.
-                    format: QFormat::new(frac, 32, true),
+            // A relu's grid is its input's: the cap snaps onto it.
+            (Op::Relu(r), Some(x)) => {
+                let orig_cap = r.cap();
+                prov.insert(name.clone(), NodeProv::Relu { orig_cap, frac: x.frac });
+                let cap_q = orig_cap.map(|c| round_half_even(c * 2f32.powi(x.frac)) as i64);
+                // Snap the float cap onto the grid too.
+                if let (Some(cq), Op::Relu(r)) = (cap_q, &mut g.node_mut(id).op) {
+                    *r = Relu::capped(cq as f32 / 2f32.powi(x.frac));
                 }
+                IntOp::Relu { cap_q }
             }
+            // Identity keeps its input's grid: a requant into that format.
+            (Op::Identity, Some(format)) => {
+                prov.insert(name.clone(), quant_prov(format));
+                IntOp::Requant { format }
+            }
+            (Op::MaxPool(p), _) => IntOp::MaxPool { geom: p.geom() },
+            (Op::GlobalAvgPool(_), _) => IntOp::GlobalAvgPool,
+            (Op::Add(_), _) => IntOp::Add,
+            (Op::Concat(_), _) => IntOp::Concat,
+            (Op::Flatten(_), _) => IntOp::Flatten,
+            // `float_grid` refused batch norms and average pools above and
+            // gave every other op here a grid, so this arm is never taken.
+            _ => return Err(LowerError::UnquantizedInput { node: name }),
         };
         if prov.get(&name).is_none() {
             prov.insert(name.clone(), NodeProv::Opaque);
         }
         nodes.push(IntNode { name, op, inputs });
     }
+    Ok((IntGraph { nodes, output }, prov))
+}
 
-    // Patch GlobalAvgPool fracs using shape inference (needed only when a
-    // compute node consumes a GAP *without* an intervening quant node —
-    // the quantize pass always inserts one, so this is a safety net).
-    // The runtime computes GAP output formats exactly regardless.
-
-    (
-        IntGraph {
-            nodes,
-            output: g.output_id(),
-        },
-        prov,
-    )
+/// The provenance of a round-half-even requantization into `format`.
+fn quant_prov(format: QFormat) -> NodeProv {
+    NodeProv::Quant {
+        bits: format.bits,
+        signed: format.signed,
+        frac: format.frac,
+        zero_point: 0,
+        round: RoundMode::HalfEven,
+    }
 }
 
 #[cfg(test)]
@@ -878,5 +939,18 @@ mod tests {
         let fc = g.add("fc", GOp::Dense(Dense::new("fc", 4, 2, &mut rng)), &[x]);
         g.set_output(fc);
         lower(&mut g);
+    }
+
+    #[test]
+    fn lower_with_provenance_refuses_unquantized_graph() {
+        use tqt_graph::Op as GOp;
+        use tqt_nn::Dense;
+        let mut rng = init::rng(104);
+        let mut g = Graph::new();
+        let x = g.add_input("input");
+        let fc = g.add("fc", GOp::Dense(Dense::new("fc", 4, 2, &mut rng)), &[x]);
+        g.set_output(fc);
+        let err = lower_with_provenance(&mut g).err();
+        assert_eq!(err, Some(LowerError::UnquantizedInput { node: "fc".into() }));
     }
 }

@@ -14,6 +14,8 @@
 //! * [`quantize`] — the automatic quantization pass implementing the
 //!   layer-precision topologies of Section 4.3 in static or retrain mode.
 //! * [`state`] — weight checkpointing (save/load state dicts).
+//! * [`error`] — [`LowerError`], the typed refusal of a graph the integer
+//!   lowering cannot take, one `tqt-verify` code per variant.
 //! * [`fplan`] / [`fexec`] — the one float engine: a liveness-planned
 //!   slot assignment over the forward+backward training tape or a
 //!   forward-only tape, and the allocation-free executor that runs it for
@@ -22,6 +24,7 @@
 //!   against the allocating interpreter in the test-only
 //!   `tqt-reference` crate.
 
+pub mod error;
 pub mod fexec;
 pub mod fplan;
 pub mod ir;
@@ -30,6 +33,7 @@ pub mod shape;
 pub mod state;
 pub mod transforms;
 
+pub use error::LowerError;
 pub use fexec::{
     build_arena, flush_arena, sync_thresholds_from_arena, sync_thresholds_to_arena, FloatExecutor,
     QuantHook,

@@ -7,6 +7,7 @@
 //! text.
 
 use std::fmt;
+use tqt_graph::LowerError;
 
 /// A stable diagnostic code. The numeric part never changes meaning once
 /// released; retired codes are left as gaps rather than reused.
@@ -19,8 +20,9 @@ pub enum Code {
     /// mismatch between a node and its inputs or weights, in the float or
     /// the lowered graph.
     Shape,
-    /// `TQT-V003` — a compute op consumes an edge that is not on a
-    /// quantized grid (missing activation quantizer).
+    /// `TQT-V003` — an op that needs a static grid (conv, dense, relu,
+    /// identity) consumes an edge without one: a float edge (missing
+    /// activation quantizer), or a global average pool's run-time grid.
     UnquantizedEdge,
     /// `TQT-V004` — a compute op has no weight quantizer attached.
     MissingWeightQuant,
@@ -259,6 +261,26 @@ impl fmt::Display for Diag {
         match &self.node {
             Some(n) => write!(f, "{} [{}] at `{n}`: {}", self.code, self.code.title(), self.detail),
             None => write!(f, "{} [{}]: {}", self.code, self.code.title(), self.detail),
+        }
+    }
+}
+
+impl From<&LowerError> for Diag {
+    /// The finding a lowering refusal stands for: the lint's code for the
+    /// same defect, at the same node.
+    fn from(e: &LowerError) -> Self {
+        let code = match e {
+            LowerError::NoOutput | LowerError::Structure { .. } => Code::Structure,
+            LowerError::UnquantizedInput { .. } => Code::UnquantizedEdge,
+            LowerError::MissingWeightQuant { .. } => Code::MissingWeightQuant,
+            LowerError::Uncalibrated { .. } => Code::Uncalibrated,
+            LowerError::UnfoldedBatchNorm { .. } => Code::UnfoldedBatchNorm,
+            LowerError::UnconvertedAvgPool { .. } => Code::UnconvertedAvgPool,
+        };
+        Diag {
+            code,
+            node: e.node().map(str::to_string),
+            detail: e.to_string(),
         }
     }
 }

@@ -6,9 +6,13 @@
 //! the paper's fixed-point mapping (§3, eq. 3–5) only composes when the
 //! grids agree wherever values meet. This pass makes that invariant a
 //! statically inferred *type system*: a forward dataflow assigns each edge
-//! a [`Grid`] type via per-op transfer functions, takes the meet at merge
-//! nodes, and checks every coercion (requant) for subsumption and
-//! legality. Violations are reported with stable codes:
+//! a [`Grid`] type, requires merge operands to agree, and checks every
+//! coercion (requant) for subsumption and legality. The per-op transfer
+//! functions are not restated here: the integer graph uses the executor
+//! plan's rules ([`IntOp::acc_format`], [`EpiStep::out_format`],
+//! [`IntOp::pool_format`]) and the float graph folds [`float_grid`], the
+//! rule the lowering folds, which is built on them. Violations are
+//! reported with stable codes:
 //!
 //! * `TQT-V031` — grid-type contradiction: two incompatible required types
 //!   on one edge (e.g. add/concat operands deriving different grids), with
@@ -33,8 +37,8 @@ use crate::diag::{Code, Report};
 use crate::interval::{path_to, MAX_SHIFT};
 use crate::shape::infer_int_shapes;
 use std::fmt;
-use tqt_fixedpoint::lower::{EpiStep, IntGraph, IntNode, IntOp, LEAKY_ALPHA_FRAC};
-use tqt_fixedpoint::QFormat;
+use tqt_fixedpoint::lower::{EpiStep, IntGraph, IntOp};
+use tqt_fixedpoint::{float_grid, QFormat};
 use tqt_graph::{Graph, Op};
 
 /// The quantization-grid type of one edge:
@@ -107,6 +111,11 @@ pub struct GridReport {
 }
 
 impl GridReport {
+    fn new(formats: Vec<Option<QFormat>>, report: Report) -> Self {
+        let grids = formats.into_iter().map(|f| f.map(Grid::from_format)).collect();
+        GridReport { grids, report }
+    }
+
     /// Whether the graph is well-typed (no findings).
     pub fn typed(&self) -> bool {
         self.report.is_clean()
@@ -168,25 +177,18 @@ fn uninferable(r: &mut Report, name: &str, what: &str, path: &str) {
     r.push(Code::UninferableGrid, name, format!("{what}; path: {path}"));
 }
 
-/// Reports a `TQT-V031` at merge node `name`: operands `a` and `b` derive
-/// incompatible grids, with both deriving paths as counterexample.
-#[allow(clippy::too_many_arguments)]
-fn contradiction(
-    r: &mut Report,
-    name: &str,
-    a_name: &str,
-    a: Grid,
-    a_path: &str,
-    b_name: &str,
-    b: Grid,
-    b_path: &str,
-) {
+/// Reports a `TQT-V031` at merge node `name`: operands `a` and `b`, each
+/// `(name, format, deriving path)`, derive incompatible grids; both paths
+/// are the counterexample.
+fn contradiction(r: &mut Report, name: &str, a: (&str, QFormat, &str), b: (&str, QFormat, &str)) {
+    let (ga, gb) = (Grid::from_format(a.1), Grid::from_format(b.1));
     r.push(
         Code::GridContradiction,
         name,
         format!(
-            "edge requires two incompatible grid types: operand `{a_name}` derives \
-             {a} via {a_path}, but operand `{b_name}` derives {b} via {b_path}"
+            "edge requires two incompatible grid types: operand `{}` derives \
+             {ga} via {}, but operand `{}` derives {gb} via {}",
+            a.0, a.2, b.0, b.2
         ),
     );
 }
@@ -194,101 +196,51 @@ fn contradiction(
 /// Grid-type inference over a lowered [`IntGraph`]. `input_dims` is the
 /// `[n, c, h, w]` the graph executes on (needed only to resolve pooling
 /// reduction factors, via [`infer_int_shapes`]). Runs on unfused and
-/// fused graphs alike.
+/// fused graphs alike, with the executor plan's format rules
+/// ([`IntOp::acc_format`], [`EpiStep::out_format`], [`IntOp::pool_format`]).
 pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
     let nodes = ig.nodes();
-    let n = nodes.len();
     let mut r = Report::new();
-    let mut grids: Vec<Option<Grid>> = Vec::with_capacity(n);
+    let mut formats: Vec<Option<QFormat>> = Vec::with_capacity(nodes.len());
     let shapes = infer_int_shapes(ig, input_dims).shapes;
 
     for (id, node) in nodes.iter().enumerate() {
-        let gin = node.inputs.first().and_then(|&i| grids[i]);
-        let grid = match &node.op {
+        let fin = node.inputs.first().and_then(|&i| formats[i]);
+        let untyped_input = |r: &mut Report| {
+            uninferable(
+                r,
+                &node.name,
+                "consumes an edge with no inferable grid",
+                &path_to(nodes, id),
+            )
+        };
+        let format = match &node.op {
             IntOp::Input => None,
-            IntOp::QuantF32 { format } => Some(Grid::from_format(*format)),
-            IntOp::Requant { format } => {
-                let to = Grid::from_format(*format);
-                match gin {
-                    None => uninferable(
-                        &mut r,
-                        &node.name,
-                        "requantization consumes an edge with no inferable grid",
-                        &path_to(nodes, id),
-                    ),
-                    Some(from) => {
-                        check_coercion(&mut r, &node.name, from, to, &path_to(nodes, id))
-                    }
-                }
-                Some(to)
-            }
-            IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => {
-                compute_out(&mut r, nodes, id, gin, *w_frac)
-            }
-            IntOp::Relu { .. } => match gin {
-                None => {
+            IntOp::QuantF32 { format } => Some(*format),
+            IntOp::MaxPool { .. } | IntOp::Flatten => fin,
+            IntOp::GlobalAvgPool => {
+                let sin = &shapes[node.inputs[0]];
+                let hw = (sin.len() == 4).then(|| sin[2] * sin[3]);
+                let out = fin.zip(hw).and_then(|(f, hw)| IntOp::pool_format(f, hw));
+                if fin.is_none() {
+                    untyped_input(&mut r);
+                } else if out.is_none() {
                     uninferable(
                         &mut r,
                         &node.name,
-                        "relu consumes an edge with no inferable grid",
+                        &format!(
+                            "global average pool over {sin:?} does not reduce a \
+                             power-of-two number of elements, so its output grid is \
+                             not expressible"
+                        ),
                         &path_to(nodes, id),
                     );
-                    None
                 }
-                some => some,
-            },
-            IntOp::LeakyRelu { .. } => match gin {
-                None => {
-                    uninferable(
-                        &mut r,
-                        &node.name,
-                        "leaky relu consumes an edge with no inferable grid",
-                        &path_to(nodes, id),
-                    );
-                    None
-                }
-                Some(g) => Some(Grid {
-                    shift: g.shift + LEAKY_ALPHA_FRAC,
-                    ..g.widened()
-                }),
-            },
-            IntOp::MaxPool { .. } | IntOp::Flatten => gin,
-            IntOp::GlobalAvgPool => gap_out(&mut r, nodes, id, gin, &shapes[node.inputs[0]]),
-            IntOp::Add => {
-                let ga = node.inputs.first().and_then(|&i| grids[i]);
-                let gb = node.inputs.get(1).and_then(|&i| grids[i]);
-                if let (Some(a), Some(b)) = (ga, gb) {
-                    if !a.scale_compatible(&b) {
-                        let (ia, ib) = (node.inputs[0], node.inputs[1]);
-                        contradiction(
-                            &mut r,
-                            &node.name,
-                            &nodes[ia].name,
-                            a,
-                            &path_to(nodes, ia),
-                            &nodes[ib].name,
-                            b,
-                            &path_to(nodes, ib),
-                        );
-                    }
-                } else {
-                    for &i in &node.inputs {
-                        if grids[i].is_none() {
-                            uninferable(
-                                &mut r,
-                                &node.name,
-                                &format!("add operand `{}` has no inferable grid", nodes[i].name),
-                                &path_to(nodes, i),
-                            );
-                        }
-                    }
-                }
-                ga.or(gb).map(Grid::widened)
+                out
             }
             IntOp::Concat => {
-                let first = node.inputs.first().and_then(|&i| grids[i]);
                 for (slot, &i) in node.inputs.iter().enumerate() {
-                    match (grids[i], first) {
+                    match (formats[i], fin) {
                         (None, _) => uninferable(
                             &mut r,
                             &node.name,
@@ -298,186 +250,84 @@ pub fn infer_int_grids(ig: &IntGraph, input_dims: &[usize]) -> GridReport {
                             ),
                             &path_to(nodes, i),
                         ),
-                        (Some(gi), Some(g0)) if slot > 0 && !gi.scale_compatible(&g0) => {
+                        (Some(fi), Some(f0)) if slot > 0 && fi.frac != f0.frac => {
                             let i0 = node.inputs[0];
                             contradiction(
                                 &mut r,
                                 &node.name,
-                                &nodes[i0].name,
-                                g0,
-                                &path_to(nodes, i0),
-                                &nodes[i].name,
-                                gi,
-                                &path_to(nodes, i),
+                                (&nodes[i0].name, f0, &path_to(nodes, i0)),
+                                (&nodes[i].name, fi, &path_to(nodes, i)),
                             );
                         }
                         _ => {}
                     }
                 }
-                first
+                fin
             }
-            IntOp::Fused { core, epi } => {
-                let mut cur = match gin {
-                    None => {
-                        uninferable(
+            // A conv/dense core (alone or fused) followed by its epilogue:
+            // the one step of a standalone requant, relu, leaky relu or add
+            // (whose second input is the residual), or a fused chain.
+            op => {
+                let standalone = op.epi_step();
+                let (core, epi, fused) = match op {
+                    IntOp::Fused { core, epi } => (&**core, epi.as_slice(), true),
+                    _ => (op, standalone.as_slice(), false),
+                };
+                let at = |si: usize| {
+                    if fused {
+                        format!("epilogue step {si} of {}", path_to(nodes, id))
+                    } else {
+                        path_to(nodes, id)
+                    }
+                };
+                // A non-conv/dense fused core is a TQT-V023 (fusion
+                // legality), owned by the interval pass.
+                let mut cur = fin.map(|f| core.acc_format(f).unwrap_or(f));
+                if cur.is_none() {
+                    untyped_input(&mut r);
+                }
+                let mut residuals = node.inputs.iter().skip(1);
+                for (si, step) in epi.iter().enumerate() {
+                    // An arity short of the residual steps is a TQT-V023,
+                    // owned by the interval pass.
+                    let residual = match step {
+                        EpiStep::AddResidual => residuals.next().map(|&rid| (rid, formats[rid])),
+                        _ => None,
+                    };
+                    match (step, cur, residual) {
+                        (EpiStep::Requant { format }, Some(from), _) => check_coercion(
                             &mut r,
                             &node.name,
-                            "fused core consumes an edge with no inferable grid",
-                            &path_to(nodes, id),
-                        );
-                        None
+                            Grid::from_format(from),
+                            Grid::from_format(*format),
+                            &at(si),
+                        ),
+                        (_, Some(_), Some((rid, None))) => uninferable(
+                            &mut r,
+                            &node.name,
+                            &format!("residual `{}` has no inferable grid", nodes[rid].name),
+                            &path_to(nodes, rid),
+                        ),
+                        (_, Some(c), Some((rid, Some(rf)))) if rf.frac != c.frac => contradiction(
+                            &mut r,
+                            &node.name,
+                            (&nodes[node.inputs[0]].name, c, &at(si)),
+                            (&nodes[rid].name, rf, &path_to(nodes, rid)),
+                        ),
+                        _ => {}
                     }
-                    Some(g) => match &**core {
-                        IntOp::Conv { w_frac, .. } | IntOp::Dense { w_frac, .. } => Some(Grid {
-                            shift: g.shift + w_frac,
-                            ..g.widened()
-                        }),
-                        // A non-conv/dense core is a TQT-V023 (fusion
-                        // legality), owned by the interval pass.
-                        _ => Some(g),
-                    },
-                };
-                let mut residual_slot = 1usize;
-                for (si, step) in epi.iter().enumerate() {
-                    match step {
-                        EpiStep::Requant { format } => {
-                            let to = Grid::from_format(*format);
-                            if let Some(from) = cur {
-                                check_coercion(
-                                    &mut r,
-                                    &node.name,
-                                    from,
-                                    to,
-                                    &format!("epilogue step {si} of {}", path_to(nodes, id)),
-                                );
-                            }
-                            cur = Some(to);
-                        }
-                        EpiStep::AddResidual => {
-                            let rid = node.inputs.get(residual_slot).copied();
-                            residual_slot += 1;
-                            if let (Some(rid), Some(c)) = (rid, cur) {
-                                match grids[rid] {
-                                    None => uninferable(
-                                        &mut r,
-                                        &node.name,
-                                        &format!(
-                                            "fused residual `{}` has no inferable grid",
-                                            nodes[rid].name
-                                        ),
-                                        &path_to(nodes, rid),
-                                    ),
-                                    Some(rg) if !rg.scale_compatible(&c) => contradiction(
-                                        &mut r,
-                                        &node.name,
-                                        &node.name,
-                                        c,
-                                        &format!(
-                                            "epilogue step {si} of {}",
-                                            path_to(nodes, id)
-                                        ),
-                                        &nodes[rid].name,
-                                        rg,
-                                        &path_to(nodes, rid),
-                                    ),
-                                    _ => {}
-                                }
-                                cur = Some(c.widened());
-                            }
-                        }
-                        EpiStep::Relu { .. } => {}
-                        EpiStep::LeakyRelu { .. } => {
-                            if let Some(c) = cur.as_mut() {
-                                *c = Grid {
-                                    shift: c.shift + LEAKY_ALPHA_FRAC,
-                                    ..c.widened()
-                                };
-                            }
-                        }
-                    }
+                    cur = match step {
+                        EpiStep::Requant { format } => Some(*format),
+                        _ => cur.map(|f| step.out_format(f)),
+                    };
                 }
                 cur
             }
         };
-        grids.push(grid);
+        formats.push(format);
     }
 
-    GridReport { grids, report: r }
-}
-
-/// Transfer for a conv/dense core: the accumulator grid `2^-(fx + fw)` in
-/// a wide signed container, or `TQT-V032` if the input edge is untyped.
-fn compute_out(
-    r: &mut Report,
-    nodes: &[IntNode],
-    id: usize,
-    gin: Option<Grid>,
-    w_frac: i32,
-) -> Option<Grid> {
-    match gin {
-        None => {
-            uninferable(
-                r,
-                &nodes[id].name,
-                "compute op consumes an edge with no inferable grid",
-                &path_to(nodes, id),
-            );
-            None
-        }
-        Some(g) => Some(Grid {
-            shift: g.shift + w_frac,
-            ..g.widened()
-        }),
-    }
-}
-
-/// Transfer for a global average pool over an input of shape `sin`: the
-/// exact-sum formulation scales by `1/hw`, which is a grid shift only
-/// when `hw` is a power of two.
-fn gap_out(
-    r: &mut Report,
-    nodes: &[IntNode],
-    id: usize,
-    gin: Option<Grid>,
-    sin: &[usize],
-) -> Option<Grid> {
-    if sin.len() != 4 {
-        uninferable(
-            r,
-            &nodes[id].name,
-            "global average pool needs a 4-D input shape to resolve its reduction factor",
-            &path_to(nodes, id),
-        );
-        return None;
-    }
-    let hw = sin[2] * sin[3];
-    if !hw.is_power_of_two() {
-        uninferable(
-            r,
-            &nodes[id].name,
-            &format!(
-                "global average pool reduces over {hw} elements; the 1/{hw} scale \
-                 is not a power of two, so the output grid is not expressible"
-            ),
-            &path_to(nodes, id),
-        );
-        return None;
-    }
-    match gin {
-        None => {
-            uninferable(
-                r,
-                &nodes[id].name,
-                "global average pool consumes an edge with no inferable grid",
-                &path_to(nodes, id),
-            );
-            None
-        }
-        Some(g) => Some(Grid {
-            shift: g.shift + hw.trailing_zeros() as i32,
-            ..g.widened()
-        }),
-    }
+    GridReport::new(formats, r)
 }
 
 /// The producer chain of float node `id`, rendered like
@@ -496,179 +346,78 @@ fn float_path(g: &Graph, id: usize) -> String {
     chain.join(" -> ")
 }
 
-/// Grid-type inference over a calibrated float [`Graph`] — the same
-/// transfer functions as [`infer_int_grids`], applied before lowering so
-/// contradictions are caught at the stage that can still fix them (by
-/// re-tying thresholds or running the `rebalance` pass after lowering).
-/// `input_dims` resolves pooling reduction factors via shape inference.
+/// Grid-type inference over a calibrated float [`Graph`], folding
+/// [`float_grid`] — the rule the lowering folds, stated with the integer
+/// engine's format rules — so contradictions are caught at the stage that
+/// can still fix them (by re-tying thresholds or running the `rebalance`
+/// pass after lowering). `input_dims` resolves pooling reduction factors
+/// via shape inference; every node the rule refuses, and every non-input
+/// node it leaves without a grid, is a `TQT-V032`.
 pub fn infer_float_grids(g: &Graph, input_dims: &[usize]) -> GridReport {
-    let n = g.len();
     let mut r = Report::new();
     let shapes = crate::shape::infer_shapes(g, input_dims).shapes;
-    let mut grids: Vec<Option<Grid>> = vec![None; n];
+    let mut formats: Vec<Option<QFormat>> = vec![None; g.len()];
 
     for (id, node) in g.iter() {
         if node.inputs.iter().any(|&i| i >= id) {
             continue; // structural failure, owned by check_structure
         }
-        let gin = node.inputs.first().and_then(|&i| grids[i]);
-        grids[id] = match &node.op {
-            Op::Input => None,
-            Op::Quant { tid } => match g.thresholds().get(*tid) {
-                Some(ts) if ts.calibrated => {
-                    let to = Grid::new(
-                        1,
-                        ts.spec.fractional_length(ts.log2_t()),
-                        0,
-                        ts.spec.bits(),
-                        ts.spec.signed(),
-                    );
-                    if let Some(from) = gin {
-                        check_coercion(&mut r, &node.name, from, to, &float_path(g, id));
-                    }
-                    Some(to)
-                }
-                _ => {
-                    // Dangling tid is a TQT-V001, uncalibrated a TQT-V006;
-                    // either way the edge's grid cannot be derived.
-                    uninferable(
-                        &mut r,
-                        &node.name,
-                        "quantization site has no calibrated threshold; grid uninferable",
-                        &float_path(g, id),
-                    );
-                    None
-                }
-            },
-            Op::Conv(_) | Op::Depthwise(_) | Op::Dense(_) => {
-                let wf = node
-                    .wq
-                    .as_ref()
-                    .and_then(|wq| g.thresholds().get(wq.tid))
-                    .filter(|ts| ts.calibrated)
-                    .map(|ts| ts.spec.fractional_length(ts.log2_t()));
-                match (gin, wf) {
-                    (Some(gi), Some(w_frac)) => Some(Grid {
-                        shift: gi.shift + w_frac,
-                        ..gi.widened()
-                    }),
-                    (None, _) => {
-                        uninferable(
-                            &mut r,
-                            &node.name,
-                            "compute op consumes an edge with no inferable grid",
-                            &float_path(g, id),
-                        );
-                        None
-                    }
-                    (_, None) => {
-                        // Missing quantizer is a TQT-V004; here it just
-                        // means the accumulator grid cannot be derived.
-                        uninferable(
-                            &mut r,
-                            &node.name,
-                            "compute op has no calibrated weight quantizer; accumulator \
-                             grid uninferable",
-                            &float_path(g, id),
-                        );
-                        None
-                    }
-                }
+        let ins: Vec<Option<QFormat>> = node.inputs.iter().map(|&i| formats[i]).collect();
+        let pool_hw = node
+            .inputs
+            .first()
+            .and_then(|&i| shapes.get(i))
+            .filter(|s| s.len() == 4)
+            .map(|s| s[2] * s[3]);
+        formats[id] = match float_grid(g, id, &ins, pool_hw) {
+            Ok(None) if !matches!(node.op, Op::Input) => {
+                uninferable(
+                    &mut r,
+                    &node.name,
+                    "output has no inferable grid: it reads a float edge, or is a global \
+                     average pool whose reduction factor is not a resolvable power of two",
+                    &float_path(g, id),
+                );
+                None
             }
-            Op::Relu(rl) => match (gin, rl.negative_slope() > 0.0) {
-                (Some(gi), true) => Some(Grid {
-                    shift: gi.shift + LEAKY_ALPHA_FRAC,
-                    ..gi.widened()
-                }),
-                (Some(gi), false) => Some(gi),
-                (None, _) => {
-                    uninferable(
-                        &mut r,
-                        &node.name,
-                        "relu consumes an edge with no inferable grid",
-                        &float_path(g, id),
-                    );
-                    None
-                }
-            },
-            Op::GlobalAvgPool(_) => {
-                let sin = node
-                    .inputs
-                    .first()
-                    .and_then(|&i| shapes.get(i))
-                    .map(|s| s.as_slice())
-                    .unwrap_or(&[]);
-                match (gin, sin.len() == 4 && (sin[2] * sin[3]).is_power_of_two()) {
-                    (Some(gi), true) => Some(Grid {
-                        shift: gi.shift + (sin[2] * sin[3]).trailing_zeros() as i32,
-                        ..gi.widened()
-                    }),
-                    (Some(_), false) => {
-                        uninferable(
-                            &mut r,
-                            &node.name,
-                            "global average pool reduction factor is not a resolvable \
-                             power of two; output grid not expressible",
-                            &float_path(g, id),
-                        );
-                        None
-                    }
-                    (None, _) => {
-                        uninferable(
-                            &mut r,
-                            &node.name,
-                            "global average pool consumes an edge with no inferable grid",
-                            &float_path(g, id),
-                        );
-                        None
-                    }
-                }
-            }
-            Op::Add(_) | Op::Concat(_) => {
-                let in_grids: Vec<Option<Grid>> =
-                    node.inputs.iter().map(|&i| grids[i]).collect();
-                let first = in_grids.first().copied().flatten();
-                for (slot, gi) in in_grids.iter().enumerate() {
-                    match (gi, first) {
-                        (None, _) => uninferable(
-                            &mut r,
-                            &node.name,
-                            &format!(
-                                "merge operand {slot} (`{}`) has no inferable grid",
-                                g.node(node.inputs[slot]).name
-                            ),
-                            &float_path(g, node.inputs[slot]),
-                        ),
-                        (Some(gi), Some(g0)) if slot > 0 && !gi.scale_compatible(&g0) => {
-                            contradiction(
-                                &mut r,
-                                &node.name,
-                                &g.node(node.inputs[0]).name,
-                                g0,
-                                &float_path(g, node.inputs[0]),
-                                &g.node(node.inputs[slot]).name,
-                                *gi,
-                                &float_path(g, node.inputs[slot]),
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-                if matches!(node.op, Op::Add(_)) {
-                    first.map(Grid::widened)
-                } else {
-                    first
-                }
-            }
-            // Value-preserving data movement (and the stage-lint-owned
-            // batch-norm/avg-pool survivors): the grid passes through.
-            Op::Identity | Op::MaxPool(_) | Op::Flatten(_) | Op::AvgPool(_) | Op::BatchNorm(_) => {
-                gin
+            Ok(f) => f,
+            Err(e) => {
+                uninferable(&mut r, &node.name, &e.to_string(), &float_path(g, id));
+                None
             }
         };
+        match (&node.op, ins.first().copied().flatten(), formats[id]) {
+            (Op::Quant { .. }, Some(from), Some(to)) => check_coercion(
+                &mut r,
+                &node.name,
+                Grid::from_format(from),
+                Grid::from_format(to),
+                &float_path(g, id),
+            ),
+            (Op::Add(_) | Op::Concat(_), Some(f0), _) => {
+                for (&i, fi) in node.inputs.iter().zip(&ins).skip(1) {
+                    match fi {
+                        Some(fi) if fi.frac != f0.frac => contradiction(
+                            &mut r,
+                            &node.name,
+                            (&g.node(node.inputs[0]).name, f0, &float_path(g, node.inputs[0])),
+                            (&g.node(i).name, *fi, &float_path(g, i)),
+                        ),
+                        Some(_) => {}
+                        None => uninferable(
+                            &mut r,
+                            &node.name,
+                            &format!("merge operand `{}` has no inferable grid", g.node(i).name),
+                            &float_path(g, i),
+                        ),
+                    }
+                }
+            }
+            _ => {}
+        }
     }
 
-    GridReport { grids, report: r }
+    GridReport::new(formats, r)
 }
 
 #[cfg(test)]

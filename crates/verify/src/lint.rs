@@ -1,12 +1,21 @@
-//! Quantization lints over the float graph.
+//! Quantization lints over the float graph: one pass reports *every*
+//! violation, each under a stable code, where the lowering stops at the
+//! first.
 //!
-//! Mirrors the grid-propagation logic of `tqt_fixedpoint::lower` — which
-//! enforces the same invariants dynamically with panics — but statically
-//! and exhaustively: one pass reports *every* violation, annotated with a
-//! stable code, instead of dying on the first.
+//! * threshold table: dead (`TQT-V005`), uncalibrated (`TQT-V006`) and
+//!   degenerate (`TQT-V007`) thresholds;
+//! * structure: surviving batch norms (`TQT-V008`) and average pools
+//!   (`TQT-V009`) after the transform pipeline, compute ops without a
+//!   weight quantizer (`TQT-V004`) after quantization;
+//! * grids: the lint folds [`float_grid`], the rule the lowering folds, so
+//!   an op the lowering would refuse for its input edge is a `TQT-V003` at
+//!   the same node; merge operands that take their scale from different
+//!   thresholds (`TQT-V010`) or sit on different grids (`TQT-V028`) break
+//!   the paper's shared-scale rule (§4.3).
 
-use crate::diag::{Code, Report};
+use crate::diag::{Code, Diag, Report};
 use crate::Stage;
+use tqt_fixedpoint::{float_grid, LowerError, QFormat};
 use tqt_graph::{Graph, Op, ThresholdId};
 
 /// Largest fractional length a threshold may imply: beyond this, the
@@ -14,20 +23,8 @@ use tqt_graph::{Graph, Op, ThresholdId};
 /// i64 shifts (see `TQT-V012`).
 pub const MAX_FRAC: i32 = 62;
 
-/// Quantization grid a float node's output lives on, as far as static
-/// analysis can tell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Grid {
-    /// Raw float (no quantizer between this node and the input).
-    Float,
-    /// Quantized: fractional length plus the threshold that produced the
-    /// grid (accumulator grids carry the *weight* threshold of the
-    /// producing compute op).
-    Fixed { frac: i32, tid: ThresholdId },
-}
-
 /// Runs the lint set appropriate to `stage`. See [`Code`] for the catalog;
-/// this pass owns `TQT-V003` … `TQT-V010`.
+/// this pass owns `TQT-V003` … `TQT-V010` and the float-graph `TQT-V028`.
 pub fn lint(g: &Graph, stage: Stage) -> Report {
     let mut r = Report::new();
 
@@ -61,7 +58,7 @@ pub fn lint(g: &Graph, stage: Stage) -> Report {
         }
         if ts.calibrated {
             let l = ts.log2_t();
-            let frac = ts.spec.fractional_length(l);
+            let frac = QFormat::from_spec(ts.spec, l).frac;
             if !l.is_finite() {
                 r.push_global(
                     Code::DegenerateScale,
@@ -97,6 +94,13 @@ pub fn lint(g: &Graph, stage: Stage) -> Report {
                     "average pool survives after the transform pipeline; convert to depthwise",
                 );
             }
+            op if op.is_compute() && node.wq.is_none() && stage >= Stage::Quantized => {
+                r.push(
+                    Code::MissingWeightQuant,
+                    node.name.clone(),
+                    "compute op has no weight quantizer attached",
+                );
+            }
             _ => {}
         }
     }
@@ -105,122 +109,92 @@ pub fn lint(g: &Graph, stage: Stage) -> Report {
         return r;
     }
 
-    // --- Grid propagation (mirrors lower.rs frac propagation) ------------
-    let mut grids: Vec<Grid> = vec![Grid::Float; g.len()];
+    // --- Grid lints --------------------------------------------------------
+    // Each edge's grid by `float_grid` (inner `None`: no static grid), or
+    // `None` where the rule refused the node or one of its producers; a
+    // refusal is reported once, at its origin (V001 by `check_structure`,
+    // V004/V006/V008/V009 above, V003 here). `scale` is the threshold each
+    // edge's scale comes from, known before calibration.
+    let mut grids: Vec<Option<Option<QFormat>>> = vec![None; g.len()];
+    let mut scale: Vec<Option<ThresholdId>> = vec![None; g.len()];
     for (id, node) in g.iter() {
         if node.inputs.iter().any(|&i| i >= id) {
             continue; // structural failure, reported by check_structure
         }
-        let gin = node.inputs.first().map(|&i| grids[i]);
-        grids[id] = match &node.op {
-            Op::Input => Grid::Float,
-            Op::Quant { tid } => {
-                if let Some(ts) = g.thresholds().get(*tid) {
-                    if ts.calibrated {
-                        Grid::Fixed {
-                            frac: ts.spec.fractional_length(ts.log2_t()),
-                            tid: *tid,
-                        }
-                    } else {
-                        // Uncalibrated already reported; frac unknown, but
-                        // the edge *is* quantized — use a placeholder so
-                        // V003 does not fire spuriously.
-                        Grid::Fixed { frac: 0, tid: *tid }
-                    }
-                } else {
-                    Grid::Float
-                }
-            }
-            Op::Conv(_) | Op::Depthwise(_) | Op::Dense(_) => {
-                if gin == Some(Grid::Float) {
-                    r.push(
-                        Code::UnquantizedEdge,
-                        node.name.clone(),
-                        "compute op consumes a float edge; insert an activation quantizer",
-                    );
-                }
-                match &node.wq {
-                    None => {
-                        r.push(
-                            Code::MissingWeightQuant,
-                            node.name.clone(),
-                            "compute op has no weight quantizer attached",
-                        );
-                        Grid::Float
-                    }
-                    Some(wq) => match (gin, g.thresholds().get(wq.tid)) {
-                        (Some(Grid::Fixed { frac: fx, .. }), Some(ts)) if ts.calibrated => {
-                            Grid::Fixed {
-                                frac: fx + ts.spec.fractional_length(ts.log2_t()),
-                                tid: wq.tid,
-                            }
-                        }
-                        _ => Grid::Float,
-                    },
-                }
-            }
-            Op::Relu(rl) => match gin {
-                Some(Grid::Fixed { frac, tid }) if rl.negative_slope() > 0.0 => Grid::Fixed {
-                    frac: frac + tqt_fixedpoint::lower::LEAKY_ALPHA_FRAC,
-                    tid,
-                },
-                Some(gi) => gi,
-                None => Grid::Float,
-            },
-            Op::GlobalAvgPool(_) => {
-                // frac grows by log2(hw), resolved with shapes; the grid is
-                // still the producer's threshold for merge purposes.
-                gin.unwrap_or(Grid::Float)
-            }
-            Op::Add(_) | Op::Concat(_) => {
-                let in_grids: Vec<Grid> = node.inputs.iter().map(|&i| grids[i]).collect();
-                let first = in_grids[0];
-                for (slot, gi) in in_grids.iter().enumerate().skip(1) {
-                    if *gi != first {
-                        r.push(
-                            Code::MergeMismatch,
-                            node.name.clone(),
-                            format!(
-                                "merge input {slot} is on grid {gi:?} but input 0 is on \
-                                 {first:?}; merge inputs must share one scale (paper §4.3)"
-                            ),
-                        );
-                    }
-                    // Requant-format-aware variant: both operands already
-                    // fixed but on *different* grids means the lowering
-                    // will emit an add over incommensurate requant
-                    // formats — the TQT-V028 scale-merge gap.
-                    if let (
-                        Grid::Fixed { frac: f0, .. },
-                        Grid::Fixed { frac: fi, .. },
-                    ) = (first, *gi)
-                    {
-                        if f0 != fi {
-                            r.push(
-                                Code::ScaleMergeViolation,
-                                node.name.clone(),
-                                format!(
-                                    "merge input {slot} is on grid 2^-{fi} but input 0 is \
-                                     on 2^-{f0}: the integer add will sum incommensurate \
-                                     requant formats. Fix: share one activation threshold \
-                                     across both producers (re-run calibration with the \
-                                     merge inputs tied), or run the `rebalance` pass in \
-                                     `tqt-fixedpoint` after lowering — it inserts the \
-                                     minimal coercions and re-certifies the result \
-                                     (`checked_rebalance_with_provenance`)"
-                                ),
-                            );
-                        }
-                    }
-                }
-                first
-            }
-            Op::Identity | Op::MaxPool(_) | Op::AvgPool(_) | Op::Flatten(_) | Op::BatchNorm(_) => {
-                gin.unwrap_or(Grid::Float)
-            }
+        scale[id] = match (&node.op, &node.wq) {
+            (Op::Quant { tid }, _) => Some(*tid),
+            (op, Some(wq)) if op.is_compute() => Some(wq.tid),
+            _ => node.inputs.first().and_then(|&i| scale[i]),
         };
+        if matches!(node.op, Op::Add(_) | Op::Concat(_)) {
+            merge_lints(&mut r, g, id, &grids, &scale);
+        }
+        let Some(ins) = node.inputs.iter().map(|&i| grids[i]).collect::<Option<Vec<_>>>() else {
+            continue;
+        };
+        match float_grid(g, id, &ins, None) {
+            Ok(grid) => grids[id] = Some(grid),
+            Err(e @ LowerError::UnquantizedInput { .. }) => r.diags.push(Diag::from(&e)),
+            Err(_) => {}
+        }
     }
     r
+}
+
+/// `TQT-V010`/`TQT-V028` at merge node `id`: every operand must take its
+/// scale from operand 0's threshold and sit on its grid.
+fn merge_lints(
+    r: &mut Report,
+    g: &Graph,
+    id: usize,
+    grids: &[Option<Option<QFormat>>],
+    scale: &[Option<ThresholdId>],
+) {
+    let node = g.node(id);
+    let Some(&i0) = node.inputs.first() else {
+        return; // arity, reported by check_structure
+    };
+    let frac = |i: usize| grids[i].flatten().map(|f| f.frac);
+    let describe = |i: usize| match (scale[i], frac(i)) {
+        (Some(t), Some(f)) => format!("threshold {t} at 2^-{f}"),
+        (Some(t), None) => format!("threshold {t}"),
+        (None, _) => "no threshold".to_string(),
+    };
+    for (slot, &i) in node.inputs.iter().enumerate().skip(1) {
+        if scale[i] != scale[i0] || frac(i) != frac(i0) {
+            r.push(
+                Code::MergeMismatch,
+                node.name.clone(),
+                format!(
+                    "merge input {slot} is on {} but input 0 is on {}; merge inputs must \
+                     share one scale (paper §4.3)",
+                    describe(i),
+                    describe(i0)
+                ),
+            );
+        }
+        // Both operands on known but different grids: the lowering will
+        // emit an add over incommensurate requant formats — the TQT-V028
+        // scale-merge gap.
+        if let (Some(f0), Some(fi)) = (frac(i0), frac(i)) {
+            if f0 != fi {
+                r.push(
+                    Code::ScaleMergeViolation,
+                    node.name.clone(),
+                    format!(
+                        "merge input {slot} is on grid 2^-{fi} but input 0 is \
+                         on 2^-{f0}: the integer add will sum incommensurate \
+                         requant formats. Fix: share one activation threshold \
+                         across both producers (re-run calibration with the \
+                         merge inputs tied), or run the `rebalance` pass in \
+                         `tqt-fixedpoint` after lowering — it inserts the \
+                         minimal coercions and re-certifies the result \
+                         (`checked_rebalance_with_provenance`)"
+                    ),
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -37,10 +37,22 @@ pub fn checked_optimize(g: &mut Graph, input_dims: &[usize]) -> Report {
     checked_pipeline(g, input_dims, &transforms::pipeline())
 }
 
+/// Structure and shape findings of `g` on `input_dims`.
+fn structure_and_shapes(g: &Graph, input_dims: &[usize]) -> Report {
+    let mut r = check_structure(g);
+    r.merge(infer_shapes(g, input_dims).report);
+    r
+}
+
 /// [`checked_optimize`] over an explicit pass list. Exposed so tests can
 /// feed a deliberately broken pass and assert it is caught and attributed.
+/// An entry graph that fails the structure or shape checks is returned
+/// with those findings (`TQT-V001`/`TQT-V002`) before any probe runs.
 pub fn checked_pipeline(g: &mut Graph, input_dims: &[usize], passes: &[transforms::Pass]) -> Report {
-    let mut report = Report::new();
+    let mut report = structure_and_shapes(g, input_dims);
+    if !report.is_clean() {
+        return report;
+    }
     let mut rng = init::rng(0x7177_7665);
     let probe = init::normal(input_dims.to_vec(), 0.0, 1.0, &mut rng);
     let before = g.infer(&probe);
@@ -48,8 +60,7 @@ pub fn checked_pipeline(g: &mut Graph, input_dims: &[usize], passes: &[transform
     for &(pass_name, pass) in passes {
         pass(g, input_dims);
 
-        let mut after_pass = check_structure(g);
-        after_pass.merge(infer_shapes(g, input_dims).report);
+        let after_pass = structure_and_shapes(g, input_dims);
         let refuted = !after_pass.diags.is_empty();
         for d in after_pass.diags {
             report.push_global(

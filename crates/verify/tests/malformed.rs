@@ -19,9 +19,9 @@ use tqt_tensor::conv::Conv2dGeom;
 use tqt_tensor::init;
 use tqt_verify::{
     analyze, certify, check_containment, check_structure, checked_pipeline, infer_int_grids,
-    infer_int_shapes, infer_shapes,
+    infer_int_shapes, infer_shapes, verify,
 };
-use tqt_verify::{Code, Stage};
+use tqt_verify::{Code, Diag, Stage};
 
 fn int8_threshold(g: &mut Graph, name: &str, log2_t: f32) -> usize {
     let tid = g.add_threshold(ThresholdState::new(
@@ -359,6 +359,166 @@ fn v009_unconverted_avg_pool() {
     g.set_output(p);
     assert!(!tqt_verify::lint::lint(&g, Stage::Built).has(Code::UnconvertedAvgPool));
     assert!(tqt_verify::lint::lint(&g, Stage::Optimized).has(Code::UnconvertedAvgPool));
+}
+
+/// Lowers `g`, which must be refused — with a `LowerError`, never a panic
+/// — as `code` at `node`.
+fn assert_lower_refused(g: &mut Graph, code: Code, node: &str) {
+    let err = tqt_fixedpoint::lower_with_provenance(g).err();
+    let d = err.as_ref().map(Diag::from);
+    assert_eq!(
+        d.as_ref().map(|d| (d.code, d.node.as_deref())),
+        Some((code, Some(node))),
+        "lowering must refuse as {code} at `{node}`, got {err:?}"
+    );
+}
+
+/// `input -> q(int8, log2 t = 2)`: the quantized stem each lowering case
+/// below grows its one defect from.
+fn quantized_stem(g: &mut Graph) -> usize {
+    let x = g.add_input("x");
+    let tid = int8_threshold(g, "act.t", 2.0);
+    g.add("q", Op::Quant { tid }, &[x])
+}
+
+/// `TQT-V008` from the lowering: a surviving batch norm.
+#[test]
+fn v008_lower_refuses_batch_norm() {
+    let mut g = Graph::new();
+    let q = quantized_stem(&mut g);
+    let bn = g.add("bn", Op::BatchNorm(BatchNorm::new("bn", 2, 0.9, 1e-5)), &[q]);
+    g.set_output(bn);
+    assert_lower_refused(&mut g, Code::UnfoldedBatchNorm, "bn");
+}
+
+/// `TQT-V009` from the lowering: a surviving average pool.
+#[test]
+fn v009_lower_refuses_avg_pool() {
+    let mut g = Graph::new();
+    let q = quantized_stem(&mut g);
+    let ap = g.add("ap", Op::AvgPool(AvgPool2d::new(Conv2dGeom::new(2, 2, 0))), &[q]);
+    g.set_output(ap);
+    assert_lower_refused(&mut g, Code::UnconvertedAvgPool, "ap");
+}
+
+/// `TQT-V003` from the lowering: a conv with a calibrated weight
+/// quantizer reading the float input, and a relu reading it.
+#[test]
+fn v003_lower_refuses_unquantized_input() {
+    let mut rng = init::rng(40);
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let c = g.add(
+        "c1",
+        Op::Conv(Conv2d::new("c1", 2, 4, Conv2dGeom::same(3), &mut rng)),
+        &[x],
+    );
+    g.set_output(c);
+    let tid = int8_threshold(&mut g, "c1.w.t", 0.0);
+    g.node_mut(c).wq = Some(WeightQuant::new(tid));
+    assert_lower_refused(&mut g, Code::UnquantizedEdge, "c1");
+
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let rl = g.add("relu", Op::Relu(Relu::relu6()), &[x]);
+    g.set_output(rl);
+    assert_lower_refused(&mut g, Code::UnquantizedEdge, "relu");
+}
+
+/// `TQT-V004` from the lowering: a conv on a quantized edge without a
+/// weight quantizer.
+#[test]
+fn v004_lower_refuses_missing_weight_quant() {
+    let mut rng = init::rng(41);
+    let mut g = Graph::new();
+    let q = quantized_stem(&mut g);
+    let c = g.add(
+        "c1",
+        Op::Conv(Conv2d::new("c1", 2, 4, Conv2dGeom::same(3), &mut rng)),
+        &[q],
+    );
+    g.set_output(c);
+    assert_lower_refused(&mut g, Code::MissingWeightQuant, "c1");
+}
+
+/// `TQT-V006` from the lowering: a quant node whose threshold was never
+/// calibrated; the refused graph is left unbaked.
+#[test]
+fn v006_lower_refuses_uncalibrated_threshold() {
+    let mut rng = init::rng(42);
+    let mut g = Graph::new();
+    let q = quantized_stem(&mut g);
+    let c = g.add(
+        "c1",
+        Op::Conv(Conv2d::new("c1", 2, 4, Conv2dGeom::same(3), &mut rng)),
+        &[q],
+    );
+    let tid = g.add_threshold(ThresholdState::new(
+        "c1.w.t",
+        QuantSpec::INT8,
+        ThresholdInit::Max,
+        ThresholdMode::Fixed,
+    ));
+    g.node_mut(c).wq = Some(WeightQuant::new(tid));
+    g.set_output(c);
+    assert_lower_refused(&mut g, Code::Uncalibrated, "c1");
+    assert!(g.node(c).wq.is_some(), "a refused graph must not be baked");
+}
+
+/// `TQT-V003` at a dense reading a global average pool directly: the
+/// pool's grid depends on its input's spatial size, which the lowering
+/// does not know, so the dense's bias has no static grid to snap onto.
+/// The lint and the lowering name the same node under the same code.
+#[test]
+fn v003_dense_reading_global_pool_is_refused_by_lint_and_lowering() {
+    let mut rng = init::rng(43);
+    let mut g = Graph::new();
+    let x = g.add_input("input");
+    let c1 = g.add(
+        "conv1",
+        Op::Conv(Conv2d::new("conv1", 2, 4, Conv2dGeom::same(3), &mut rng)),
+        &[x],
+    );
+    let r1 = g.add("relu1", Op::Relu(Relu::relu6()), &[c1]);
+    let gap = g.add("gap", Op::GlobalAvgPool(GlobalAvgPool::new()), &[r1]);
+    let fc = g.add("fc", Op::Dense(Dense::new("fc", 4, 3, &mut rng)), &[gap]);
+    g.set_output(fc);
+    let dims = [1, 2, 8, 8];
+    transforms::optimize(&mut g, &dims);
+    quantize_graph(&mut g, QuantizeOptions::static_int8());
+    g.calibrate(&init::normal([4, 2, 8, 8], 0.0, 1.0, &mut rng));
+    assert!(verify(&g, &dims, Stage::Calibrated).is_clean());
+
+    let (fc, gap) = (g.find("fc").unwrap(), g.find("gap").unwrap());
+    g.node_mut(fc).inputs[0] = gap;
+    let r = verify(&g, &dims, Stage::Calibrated);
+    let v003: Vec<_> = r
+        .diags
+        .iter()
+        .filter(|d| d.code == Code::UnquantizedEdge)
+        .map(|d| d.node.as_deref())
+        .collect();
+    assert_eq!(v003, [Some("fc")], "{r}");
+    assert_lower_refused(&mut g, Code::UnquantizedEdge, "fc");
+}
+
+/// `TQT-V001`/`TQT-V002` on the entry graph of the checked pipeline: a
+/// conv expecting 3 channels fed the 2-channel input is reported before
+/// the baseline probe runs it (which would panic in the shape rule).
+#[test]
+fn v002_checked_pipeline_refutes_misshaped_entry_graph() {
+    let mut rng = init::rng(44);
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let c = g.add(
+        "c1",
+        Op::Conv(Conv2d::new("c1", 3, 4, Conv2dGeom::same(3), &mut rng)),
+        &[x],
+    );
+    g.set_output(c);
+    let r = checked_pipeline(&mut g, &[1, 2, 8, 8], &transforms::pipeline());
+    assert!(r.has(Code::Shape) || r.has(Code::Structure), "{r}");
+    assert!(!r.has(Code::TransformInvariant), "no pass ran:\n{r}");
 }
 
 /// `TQT-V010`: an eltwise add whose operands sit on different grids.

@@ -76,6 +76,12 @@ cargo test -q --offline --features tqt-fixedpoint/sanitize --test serve_parity
 cargo test -q --offline -p tqt --features tqt-fixedpoint/sanitize --test train_parity
 cargo test -q --offline -p tqt-nn -p tqt-reference
 cargo test -q --offline -p tqt-graph --test planned_parity
+# Verifier gate: the tqt-verify unit tests (lint, grid typer, interval,
+# plan checker) and its negative suite — one malformed graph per
+# diagnostic code, including each refusal of the lowering — plus the
+# cross-IR check that the float grid typer and the integer plan give
+# every zoo node the same grid.
+cargo test -q --offline -p tqt-verify
 # Oracle-isolation gate: tqt-reference is a test-only oracle and may only
 # be a dev-dependency. As a normal dependency of any crate, production
 # code could call the allocating interpreter again.

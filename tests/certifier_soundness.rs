@@ -38,7 +38,8 @@ fn certified_random_graphs_are_bit_identical() {
         prop_assert!(r.is_clean(), "calibrated stage:\n{r}");
 
         // Certify the unfused lowering...
-        let (ig, prov) = lower_with_provenance(&mut g);
+        let (ig, prov) =
+            lower_with_provenance(&mut g).map_err(|e| format!("lowering refused: {e}"))?;
         let proven = analyze(&ig, &DIMS);
         prop_assert!(proven.proven(), "interval analysis:\n{}", proven.report);
         let cert = certify(&ig, &prov, &proven, &DIMS);

@@ -25,7 +25,7 @@ fn unmerged_resnet8() -> (IntGraph, tqt_fixedpoint::Provenance) {
     quantize_graph(&mut g, QuantizeOptions::retrain_wt_th(WeightBits::Int8).unmerged());
     let mut rng = init::rng(270);
     g.calibrate(&init::normal([8, 3, 32, 32], 0.0, 1.0, &mut rng));
-    lower_with_provenance(&mut g)
+    lower_with_provenance(&mut g).expect("a calibrated, quantized resnet8 lowers")
 }
 
 /// The rebalanced graph must re-prove under every certifier the repo has:
